@@ -404,3 +404,35 @@ func TestClusterFailedNodes(t *testing.T) {
 		t.Fatalf("after restore failed nodes = %d, want 1", c.FailedNodes())
 	}
 }
+
+// TestNodeVersionAdvancesOnEveryMutation pins the contract the service's
+// contention memo relies on: each of the five mutators moves Version, and
+// reads leave it alone.
+func TestNodeVersionAdvancesOnEveryMutation(t *testing.T) {
+	n := NewNode(0, DefaultCapacity())
+	p := &fakeProgram{id: "a", demand: Vector{1, 2, 3, 4}}
+	for _, step := range []struct {
+		name   string
+		mutate func()
+	}{
+		{"Host", func() { n.Host(p) }},
+		{"Refresh", n.Refresh},
+		{"Fail", n.Fail},
+		{"Restore", n.Restore},
+		{"Evict", func() { n.Evict("a") }},
+	} {
+		v := n.Version()
+		step.mutate()
+		if n.Version() == v {
+			t.Errorf("%s left Version at %d", step.name, v)
+		}
+	}
+	v := n.Version()
+	n.Contention()
+	n.ContentionExcluding("a")
+	n.Utilization(Core)
+	n.Evict("absent")
+	if n.Version() != v {
+		t.Errorf("reads or a no-op Evict moved Version from %d to %d", v, n.Version())
+	}
+}

@@ -38,6 +38,9 @@ type Node struct {
 	// cached aggregate demand; maintained incrementally where possible
 	// and recomputed on Refresh.
 	aggregate Vector
+	// version counts mutations of what the contention reads observe: the
+	// hosted set, the aggregate and the failed flag (see Version).
+	version uint64
 }
 
 // NewNode creates a node with the given identifier and resource capacities.
@@ -60,6 +63,7 @@ func (n *Node) Host(p Program) {
 	n.programs[id] = p
 	n.order = append(n.order, p)
 	n.aggregate = n.aggregate.Add(p.Demand())
+	n.version++
 }
 
 // Evict removes a program from the node. It reports whether the program was
@@ -77,6 +81,7 @@ func (n *Node) Evict(id string) bool {
 		}
 	}
 	n.aggregate = n.aggregate.Sub(p.Demand())
+	n.version++
 	return true
 }
 
@@ -110,6 +115,7 @@ func (n *Node) Refresh() {
 		agg = agg.Add(p.Demand())
 	}
 	n.aggregate = agg
+	n.version++
 }
 
 // Fail marks the node failed: Contention, ContentionExcluding and
@@ -117,11 +123,25 @@ func (n *Node) Refresh() {
 // experience the worst-case interference and the monitor sees a node it
 // should route and migrate away from. Failing an already failed node is a
 // no-op.
-func (n *Node) Fail() { n.failed = true }
+func (n *Node) Fail() {
+	n.failed = true
+	n.version++
+}
 
 // Restore clears a failure; observable contention reverts to the hosted
 // programs' aggregate demand.
-func (n *Node) Restore() { n.failed = false }
+func (n *Node) Restore() {
+	n.failed = false
+	n.version++
+}
+
+// Version returns the node's mutation counter. Host, Evict, Refresh, Fail
+// and Restore each advance it, and they are the only mutators of the
+// hosted set, the aggregate and the failed flag: everything a contention
+// read depends on besides the excluded program's own demand. A caller
+// that holds that demand fixed between Refreshes may memoise
+// ContentionExcluding keyed by (node, Version).
+func (n *Node) Version() uint64 { return n.version }
 
 // Failed reports whether the node is currently failed.
 func (n *Node) Failed() bool { return n.failed }

@@ -42,12 +42,12 @@ import (
 	"repro/internal/sim"
 )
 
-// event is one scheduled data-plane callback with its canonical key.
+// event is one scheduled data-plane handler with its canonical key.
 type event struct {
 	at  float64
 	src int    // sending affinity class
 	seq uint64 // sender's emission counter at send time
-	fn  sim.Event
+	h   sim.Handler
 }
 
 // keyLess is the canonical total order: (fireTime, srcClass, srcSeq).
@@ -72,41 +72,50 @@ type laneState struct {
 	fired uint64
 }
 
+// push and pop sift a hole rather than swapping: each level moves one
+// event instead of two, and the sifted event is written once at the end.
 func (ls *laneState) push(ev event) {
 	ls.heap = append(ls.heap, ev)
-	i := len(ls.heap) - 1
+	h := ls.heap
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !keyLess(ls.heap[i], ls.heap[parent]) {
+		if !keyLess(ev, h[parent]) {
 			break
 		}
-		ls.heap[i], ls.heap[parent] = ls.heap[parent], ls.heap[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = ev
 }
 
 func (ls *laneState) pop() event {
-	top := ls.heap[0]
-	n := len(ls.heap) - 1
-	ls.heap[0] = ls.heap[n]
-	ls.heap[n] = event{}
-	ls.heap = ls.heap[:n]
+	h := ls.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	ls.heap = h
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && keyLess(ls.heap[l], ls.heap[least]) {
-			least = l
-		}
-		if r < n && keyLess(ls.heap[r], ls.heap[least]) {
-			least = r
-		}
-		if least == i {
+		least := 2*i + 1
+		if least >= n {
 			break
 		}
-		ls.heap[i], ls.heap[least] = ls.heap[least], ls.heap[i]
+		if r := least + 1; r < n && keyLess(h[r], h[least]) {
+			least = r
+		}
+		if !keyLess(h[least], last) {
+			break
+		}
+		h[i] = h[least]
 		i = least
 	}
+	h[i] = last
 	return top
 }
 
@@ -133,6 +142,13 @@ type Plane struct {
 	inWindow bool
 
 	active []int // scratch: lanes eligible in the current window
+
+	// strict and incl bound the pooled window in progress, and drain is
+	// the region that runs it — bound once in New, so a window allocates
+	// no closure. The coordinator writes the bounds before pool.Run,
+	// whose channels order them against the lanes' reads.
+	strict, incl float64
+	drain        func(shard, lo, hi int)
 }
 
 // New builds a plane with n lanes. lookahead is the minimum cross-class
@@ -164,6 +180,7 @@ func New(n int, lookahead float64, maxClasses int, pool *shard.Pool) (*Plane, er
 		p.lanes[i] = &laneState{}
 		p.outbox[i] = make([][]event, n)
 	}
+	p.drain = p.drainLanes
 	return p, nil
 }
 
@@ -206,17 +223,17 @@ func (p *Plane) NextEventTime() (float64, bool) {
 	return at, ok
 }
 
-// Schedule schedules fn at absolute virtual time at, sent by affinity
-// class src to class dst's lane. Inside a window only the goroutine
-// running src's lane may send as src; cross-lane sends must then respect
-// the lookahead (at ≥ sender's clock + lookahead — violating it would
-// break the conservative bound, so it panics). Between windows — engine
-// events, setup — any send is fine: the lanes are parked.
-func (p *Plane) Schedule(src, dst int, at float64, fn sim.Event) {
+// Schedule schedules h to fire at absolute virtual time at, sent by
+// affinity class src to class dst's lane. Inside a window only the
+// goroutine running src's lane may send as src; cross-lane sends must
+// then respect the lookahead (at ≥ sender's clock + lookahead — violating
+// it would break the conservative bound, so it panics). Between windows —
+// engine events, setup — any send is fine: the lanes are parked.
+func (p *Plane) Schedule(src, dst int, at float64, h sim.Handler) {
 	if math.IsNaN(at) || math.IsInf(at, 0) {
 		panic("lane: scheduling at non-finite time")
 	}
-	ev := event{at: at, src: src, seq: p.seqs[src], fn: fn}
+	ev := event{at: at, src: src, seq: p.seqs[src], h: h}
 	p.seqs[src]++
 	sl, dl := src%p.n, dst%p.n
 	if !p.inWindow || sl == dl {
@@ -245,7 +262,7 @@ func (p *Plane) runLane(ls *laneState, strict, incl float64) {
 		ev := ls.pop()
 		ls.now = ev.at
 		ls.fired++
-		ev.fn(ev.at)
+		ev.h.Fire(ev.at)
 	}
 }
 
@@ -325,11 +342,15 @@ func (p *Plane) window(strict, incl float64) {
 		return
 	}
 	p.inWindow = true
-	p.pool.Run(p.n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p.runLane(p.lanes[i], strict, incl)
-		}
-	})
+	p.strict, p.incl = strict, incl
+	p.pool.Run(p.n, p.drain)
 	p.inWindow = false
 	p.fold()
+}
+
+// drainLanes runs lanes [lo, hi) to the bounds of the window in progress.
+func (p *Plane) drainLanes(_, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		p.runLane(p.lanes[i], p.strict, p.incl)
+	}
 }

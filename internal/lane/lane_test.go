@@ -118,7 +118,7 @@ func TestAdvanceRunsDataBeforeControlAtEqualTimes(t *testing.T) {
 	eng := sim.NewEngine()
 	var order []string
 	eng.At(0.5, func(float64) { order = append(order, "control") })
-	p.Schedule(0, 0, 0.5, func(float64) { order = append(order, "data") })
+	p.Schedule(0, 0, 0.5, sim.Event(func(float64) { order = append(order, "data") }))
 	p.Advance(eng, 1)
 	want := []string{"data", "control"}
 	if !reflect.DeepEqual(order, want) {
@@ -136,8 +136,8 @@ func TestAdvanceHonorsHorizon(t *testing.T) {
 	}
 	eng := sim.NewEngine()
 	fired := 0
-	p.Schedule(0, 0, 0.5, func(float64) { fired++ })
-	p.Schedule(1, 1, 2.0, func(float64) { fired++ })
+	p.Schedule(0, 0, 0.5, sim.Event(func(float64) { fired++ }))
+	p.Schedule(1, 1, 2.0, sim.Event(func(float64) { fired++ }))
 	p.Advance(eng, 1)
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1 (event beyond horizon ran)", fired)
@@ -165,11 +165,11 @@ func TestScheduleUnderLookaheadPanicsInWindow(t *testing.T) {
 	panicked := make(chan interface{}, 1)
 	// Two lanes must be active so the window takes the pooled path where
 	// the outbox validates the conservative bound.
-	p.Schedule(1, 1, 0.5, func(float64) {})
-	p.Schedule(0, 0, 0.5, func(now float64) {
+	p.Schedule(1, 1, 0.5, sim.Event(func(float64) {}))
+	p.Schedule(0, 0, 0.5, sim.Event(func(now float64) {
 		defer func() { panicked <- recover() }()
-		p.Schedule(0, 1, now+0.001, func(float64) {}) // under the 0.01 lookahead
-	})
+		p.Schedule(0, 1, now+0.001, sim.Event(func(float64) {})) // under the 0.01 lookahead
+	}))
 	p.Advance(eng, 1)
 	if r := <-panicked; r == nil {
 		t.Fatal("cross-lane send under the lookahead did not panic")

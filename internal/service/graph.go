@@ -151,7 +151,7 @@ const (
 	outcomeTimedOut
 )
 
-// graphReq is the per-request graph bookkeeping, allocated only when the
+// graphReq is the per-request graph bookkeeping, used only when the
 // deployment runs a plan.
 type graphReq struct {
 	// pendingSync counts outstanding synchronous visits (entries plus
@@ -176,7 +176,31 @@ type graphVisit struct {
 	pending int // sub-requests outstanding
 	done    bool
 	dead    bool // timed out or fast-failed; late completions are ignored
-	subs    []*SubRequest
+	subs    []SubRequest
+}
+
+// A visit is the record behind its own timers: visitDeadline is the
+// visit's timeout and visitRetry the backed-off retry of its edge, both
+// root-class events.
+type (
+	visitDeadline graphVisit
+	visitRetry    graphVisit
+)
+
+func (d *visitDeadline) Fire(now float64) {
+	v := (*graphVisit)(d)
+	v.req.svc.visitTimeout(v, now)
+}
+
+// Fire re-attempts the failed visit's edge, unless the request died while
+// the retry backed off.
+func (rt *visitRetry) Fire(now float64) {
+	v := (*graphVisit)(rt)
+	r := v.req
+	if r.gr.outcome != outcomePending {
+		return
+	}
+	r.svc.startVisit(r, v.node, v.call, v.attempt+1, v.async, now)
 }
 
 // breakerState is the root-owned runtime state of one node's circuit.
@@ -205,7 +229,6 @@ func (s *Service) GraphStats() GraphStats { return s.graphStats }
 // graphStart launches a request onto the plan: one sync visit per entry
 // node.
 func (s *Service) graphStart(r *Request, now float64) {
-	r.gr = &graphReq{}
 	for _, n := range s.graph.Entries {
 		r.gr.pendingSync++
 		s.startVisit(r, n, nil, 0, false, now)
@@ -225,17 +248,17 @@ func (s *Service) startVisit(r *Request, node int, call *GraphCall, attempt int,
 	}
 	comps := s.stageComponents[node]
 	v.pending = len(comps)
-	v.subs = make([]*SubRequest, 0, len(comps))
-	for _, c := range comps {
-		sub := &SubRequest{Req: r, Comp: c, IssuedAt: now, visit: v}
+	v.subs = make([]SubRequest, len(comps))
+	for i, c := range comps {
+		sub := &v.subs[i]
+		sub.Req, sub.Comp, sub.IssuedAt, sub.visit = r, c, now, v
 		if n.Storage != nil {
 			sub.baseOverride = s.drawStorageTime(n.Storage)
 		}
-		v.subs = append(v.subs, sub)
 		s.policy.Dispatch(s, sub, now)
 	}
 	if n.Timeout > 0 {
-		s.AfterData(now, n.Timeout, func(tnow float64) { s.visitTimeout(v, tnow) })
+		s.scheduleData(rootClass, rootClass, now+n.Timeout, (*visitDeadline)(v))
 	}
 }
 
@@ -314,20 +337,18 @@ func (s *Service) visitTimeout(v *graphVisit, now float64) {
 		return
 	}
 	v.dead = true
-	for _, sub := range v.subs {
+	for i := range v.subs {
+		sub := &v.subs[i]
 		if sub.done {
 			continue
 		}
 		for _, e := range sub.execs {
-			e := e
 			if s.lanes != nil {
 				// The root can't read queue state owned by another lane;
 				// send the cancel unconditionally and let the instance's
 				// lane decide, exactly like the redundancy relay.
-				s.scheduleData(rootClass, e.Inst.classID(), now+LaneTransitDelay, func(cn float64) {
-					e.Inst.cancelQueued(e, cn)
-				})
-			} else if e.State == ExecQueued {
+				s.lanes.Schedule(rootClass, e.Inst.classID(), now+LaneTransitDelay, (*execCancel)(e))
+			} else {
 				e.Inst.cancelQueued(e, now)
 			}
 		}
@@ -347,13 +368,7 @@ func (s *Service) visitFailed(v *graphVisit, kind reqOutcome, now float64) {
 	if c := v.call; c != nil && v.attempt < c.Retries {
 		s.graphStats.Retries++
 		delay := c.Backoff * math.Pow(2, float64(v.attempt))
-		node, attempt, async := v.node, v.attempt+1, v.async
-		s.AfterData(now, delay, func(rnow float64) {
-			if r.gr.outcome != outcomePending {
-				return // the request died while this retry backed off
-			}
-			s.startVisit(r, node, c, attempt, async, rnow)
-		})
+		s.scheduleData(rootClass, rootClass, now+delay, (*visitRetry)(v))
 		return
 	}
 	if v.async {

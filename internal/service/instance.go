@@ -34,7 +34,49 @@ type Execution struct {
 	IssuedAt float64
 	StartAt  float64
 	EndAt    float64
+
+	// service is the service time drawn when the execution started; the
+	// finish event credits it to the instance's busy time.
+	service float64
 }
+
+// An execution is the record behind every event of its life, so none of
+// them allocates: each kind below is the same *Execution viewed as a
+// different sim.Handler. Sequential runs use only execFinish; laned runs
+// use all of them.
+type (
+	// execFinish: the instance's server completes the execution.
+	execFinish Execution
+	// execArrive: a laned dispatch reaches the instance.
+	execArrive Execution
+	// execStarted: a laned start notice reaches the root class.
+	execStarted Execution
+	// execCompleted: a laned completion notice reaches the root class.
+	execCompleted Execution
+	// execCancel: a cancellation message reaches the instance.
+	execCancel Execution
+	// execCancelled: a laned cancellation notice reaches the root class.
+	execCancelled Execution
+)
+
+func (f *execFinish) Fire(now float64) { f.Inst.finish((*Execution)(f), now) }
+
+func (a *execArrive) Fire(now float64) { a.Inst.enqueue((*Execution)(a), now) }
+
+func (s *execStarted) Fire(now float64) {
+	e := (*Execution)(s)
+	e.Sub.onStartLaned(e, now)
+}
+
+func (c *execCompleted) Fire(now float64) {
+	e := (*Execution)(c)
+	e.Inst.rootOutstanding--
+	e.Sub.onComplete(e, now)
+}
+
+func (c *execCancel) Fire(now float64) { c.Inst.cancelQueued((*Execution)(c), now) }
+
+func (c *execCancelled) Fire(float64) { c.Inst.rootOutstanding-- }
 
 // Component is one logical component of the service (paper's c_i): a row of
 // the performance matrix. It has one instance under Basic/PCS and several
@@ -80,9 +122,25 @@ type Instance struct {
 	svc    *Service
 	nodeID int
 
-	busy      bool
+	busy bool
+	// queue[head:] are the waiting executions. Popping advances head and
+	// an emptied queue rewinds to the start of the same backing array, so
+	// a steady-state queue never reallocates.
 	queue     []*Execution
+	head      int
 	migrating bool
+
+	// mult memoises the law's multiplier at the instance's background
+	// contention (ContentionExcluding(id) on its node), keyed by that
+	// node and its version. A node's version advances on every mutation
+	// of its aggregate or failed flag, and the instance's own demand only
+	// changes in demandTick, which refreshes every node right after — so
+	// a matching key means a fresh read would return the same contention,
+	// and the same multiplier, bit for bit. The memo is instance-owned,
+	// so laned runs touch it only from the instance's lane.
+	mult        float64
+	multNode    *cluster.Node
+	multVersion uint64
 
 	// rng is the instance's private service-time stream in laned mode
 	// (created lazily from the service's laneSeed and the instance's
@@ -195,7 +253,7 @@ func (in *Instance) NodeID() int { return in.nodeID }
 
 // QueueLen returns the number of waiting executions (excluding the one in
 // service), counting cancelled-but-unswept entries.
-func (in *Instance) QueueLen() int { return len(in.queue) }
+func (in *Instance) QueueLen() int { return len(in.queue) - in.head }
 
 // Busy reports whether the server is occupied.
 func (in *Instance) Busy() bool { return in.busy }
@@ -203,26 +261,43 @@ func (in *Instance) Busy() bool { return in.busy }
 // enqueue admits an execution at virtual time now; if the server is idle
 // it starts immediately.
 func (in *Instance) enqueue(e *Execution, now float64) {
-	if in.busy {
-		e.State = ExecQueued
-		in.queue = append(in.queue, e)
+	if !in.busy {
+		in.start(e, now)
 		return
 	}
-	in.start(e, now)
+	e.State = ExecQueued
+	if len(in.queue) == cap(in.queue) && in.head >= len(in.queue)/2 {
+		// At least half the array is popped slots: slide the waiting
+		// executions to the front instead of growing.
+		n := copy(in.queue, in.queue[in.head:])
+		clear(in.queue[n:])
+		in.queue, in.head = in.queue[:n], 0
+	}
+	in.queue = append(in.queue, e)
+}
+
+// multiplier returns the law's contention multiplier for the background
+// the instance experiences — everything on its node except itself —
+// memoised per node version.
+func (in *Instance) multiplier() float64 {
+	node := in.svc.cluster.Node(in.nodeID)
+	if v := node.Version(); node != in.multNode || v != in.multVersion {
+		in.mult = in.svc.law.Multiplier(node.ContentionExcluding(in.id))
+		in.multNode, in.multVersion = node, v
+	}
+	return in.mult
 }
 
 // start begins service for e at virtual time now. The service time is
 // drawn from the ground-truth law using the background contention the
 // instance currently experiences (everything on the node except itself —
 // a concurrent-read of node aggregates that only change at engine events,
-// when every lane is parked).
+// when every lane is parked), through the instance's multiplier memo.
 func (in *Instance) start(e *Execution, now float64) {
 	in.busy = true
 	e.State = ExecRunning
 	e.StartAt = now
 
-	node := in.svc.cluster.Node(in.nodeID)
-	background := node.ContentionExcluding(in.id)
 	// The work factor scales the nominal per-request work (brownout
 	// degradation); the draw itself consumes the same stream position
 	// either way, so toggling brownout never renumbers later draws.
@@ -234,29 +309,21 @@ func (in *Instance) start(e *Execution, now float64) {
 		base = o
 	}
 	base *= in.svc.workFactor
-	x := in.svc.law.Sample(base, background, in.serviceRNG())
+	e.service = drawServiceTime(base*in.multiplier(), in.svc.law.NoiseSigma, in.serviceRNG())
 
-	if in.svc.lanes != nil {
-		cls := in.classID()
-		if e.Sub.cancelOnStart > 0 {
-			// The start notice reaches the root class one transit delay
-			// late; the root relays cancellations timed from the true
-			// start (see SubRequest.onStartLaned).
-			startedAt := now
-			in.svc.scheduleData(cls, rootClass, now+LaneTransitDelay, func(noticeNow float64) {
-				e.Sub.onStartLaned(e, startedAt, noticeNow)
-			})
-		}
-		in.svc.scheduleData(cls, cls, now+x, func(endNow float64) {
-			in.finish(e, x, endNow)
-		})
+	if in.svc.lanes == nil {
+		e.Sub.onStart(now)
+		in.svc.engine.Schedule(now+e.service, (*execFinish)(e))
 		return
 	}
-
-	e.Sub.onStart(e)
-	in.svc.engine.After(x, func(endNow float64) {
-		in.finish(e, x, endNow)
-	})
+	cls := in.classID()
+	if e.Sub.cancelOnStart > 0 {
+		// The start notice reaches the root class one transit delay
+		// late; the root relays cancellations timed from the true start
+		// (see SubRequest.onStartLaned).
+		in.svc.lanes.Schedule(cls, rootClass, now+LaneTransitDelay, (*execStarted)(e))
+	}
+	in.svc.lanes.Schedule(cls, cls, now+e.service, (*execFinish)(e))
 }
 
 // finish retires a completed execution and pulls the next one from the
@@ -264,16 +331,13 @@ func (in *Instance) start(e *Execution, now float64) {
 // class (first-completion arbitration, stage advancement, the
 // outstanding-work ledger) one transit delay later; the server itself
 // moves on immediately.
-func (in *Instance) finish(e *Execution, x, endNow float64) {
+func (in *Instance) finish(e *Execution, endNow float64) {
 	e.State = ExecDone
 	e.EndAt = endNow
 	in.Served++
-	in.BusyTime += x
+	in.BusyTime += e.service
 	if in.svc.lanes != nil {
-		in.svc.scheduleData(in.classID(), rootClass, endNow+LaneTransitDelay, func(now float64) {
-			in.rootOutstanding--
-			e.Sub.onComplete(e, now)
-		})
+		in.svc.lanes.Schedule(in.classID(), rootClass, endNow+LaneTransitDelay, (*execCompleted)(e))
 	} else {
 		e.Sub.onComplete(e, endNow)
 	}
@@ -283,14 +347,16 @@ func (in *Instance) finish(e *Execution, x, endNow float64) {
 // next pops the queue, skipping cancelled executions, and either starts the
 // next execution or idles.
 func (in *Instance) next(now float64) {
-	for len(in.queue) > 0 {
-		e := in.queue[0]
-		in.queue = in.queue[1:]
-		if e.State == ExecCancelled {
-			continue
+	for in.head < len(in.queue) {
+		e := in.queue[in.head]
+		in.queue[in.head] = nil
+		if in.head++; in.head == len(in.queue) {
+			in.queue, in.head = in.queue[:0], 0
 		}
-		in.start(e, now)
-		return
+		if e.State != ExecCancelled {
+			in.start(e, now)
+			return
+		}
 	}
 	in.busy = false
 }
@@ -307,9 +373,7 @@ func (in *Instance) cancelQueued(e *Execution, now float64) {
 		e.State = ExecCancelled
 		in.Cancelled++
 		if in.svc.lanes != nil {
-			in.svc.scheduleData(in.classID(), rootClass, now+LaneTransitDelay, func(float64) {
-				in.rootOutstanding--
-			})
+			in.svc.lanes.Schedule(in.classID(), rootClass, now+LaneTransitDelay, (*execCancelled)(e))
 		}
 	}
 }

@@ -96,9 +96,14 @@ func (law InterferenceLaw) MeanServiceTime(base float64, u cluster.Vector) float
 // paper notes). Either way, time-varying contention makes the long-run
 // service-time distribution general.
 func (law InterferenceLaw) Sample(base float64, u cluster.Vector, src *xrand.Source) float64 {
-	mean := law.MeanServiceTime(base, u)
-	if law.NoiseSigma <= 0 {
+	return drawServiceTime(law.MeanServiceTime(base, u), law.NoiseSigma, src)
+}
+
+// drawServiceTime draws one service time around mean: lognormal with the
+// given sigma, exponential when sigma ≤ 0 (see InterferenceLaw.Sample).
+func drawServiceTime(mean, sigma float64, src *xrand.Source) float64 {
+	if sigma <= 0 {
 		return src.Exp(mean)
 	}
-	return src.LogNormalMean(mean, law.NoiseSigma)
+	return src.LogNormalMean(mean, sigma)
 }

@@ -15,36 +15,45 @@ type Request struct {
 	// not acted on.
 	Class string
 
-	svc        *Service
-	stage      int
-	stageStart float64
-	pending    int // sub-requests outstanding in the current stage
+	svc     *Service
+	stage   int
+	pending int // sub-requests outstanding in the current stage
 
-	// gr is the DAG bookkeeping, allocated only when the deployment runs
-	// a GraphPlan; nil requests walk the linear stage path.
-	gr *graphReq
+	// gr is the DAG bookkeeping, used only when the deployment runs a
+	// GraphPlan; requests on the linear stage path leave it zero.
+	gr graphReq
 }
 
 // SubRequest is the unit of work one component contributes to one request's
 // stage. A policy may execute it on several instances (redundancy) or
 // re-execute it after a delay (reissue); the first completion wins and
 // defines the component latency the evaluation reports.
+//
+// Sub-requests live in slabs: a stage's (or a DAG visit's) sub-requests
+// are one []SubRequest, allocated together and reclaimed by the garbage
+// collector once nothing points into it.
 type SubRequest struct {
 	Req  *Request
 	Comp *Component
 
 	IssuedAt float64
-	done     bool
 	winner   *Execution
 
-	execs []*Execution
+	// execs lists the executions in issue order. The first execution
+	// and its slot live inline (first, firstSlot), so a sub-request that
+	// executes once — Basic, PCS, a reissue that never fires — needs no
+	// storage beyond its slab slot. Later executions come from a batch
+	// sized to the component's active instances, whose pointers wait in
+	// execs' capacity until issued (see newExecution).
+	execs     []*Execution
+	first     Execution
+	firstSlot [1]*Execution
 
 	// cancelOnStart, when positive, sends cancellation messages to sibling
 	// executions when any execution begins service; the messages take
 	// effect after this network delay (seconds). Zero disables the
 	// mechanism (Basic, reissue).
 	cancelOnStart float64
-	cancelSent    bool
 
 	// OnDone, if set by the policy, is called once when the winning
 	// execution completes (reissue policies use it to update their
@@ -60,6 +69,21 @@ type SubRequest struct {
 	// the drawn per-operation work. Immutable after dispatch, so
 	// instance lanes may read it freely.
 	baseOverride float64
+
+	done       bool
+	cancelSent bool
+}
+
+// cancelSweep is a sub-request viewed as its sequential cancel-on-start
+// sweep: the event cancels every execution still queued when it lands.
+// The execution whose start sent it is running or done by then, so
+// cancelQueued leaves it alone.
+type cancelSweep SubRequest
+
+func (c *cancelSweep) Fire(now float64) {
+	for _, e := range c.execs {
+		e.Inst.cancelQueued(e, now)
+	}
 }
 
 // Done reports whether a winning execution has completed.
@@ -83,14 +107,12 @@ func (sub *SubRequest) EnableCancelOnStart(delay float64) { sub.cancelOnStart = 
 // instance's lane, and the root's outstanding-execution ledger for the
 // instance (PickInstance's load signal) is charged at send time.
 func (sub *SubRequest) IssueTo(in *Instance, now float64) *Execution {
-	e := &Execution{Sub: sub, Inst: in, IssuedAt: now}
-	sub.execs = append(sub.execs, e)
+	e := sub.newExecution()
+	*e = Execution{Sub: sub, Inst: in, IssuedAt: now}
 	svc := sub.svc()
 	if svc.lanes != nil {
 		in.rootOutstanding++
-		svc.scheduleData(rootClass, in.classID(), now+LaneTransitDelay, func(arriveNow float64) {
-			in.enqueue(e, arriveNow)
-		})
+		svc.lanes.Schedule(rootClass, in.classID(), now+LaneTransitDelay, (*execArrive)(e))
 		return e
 	}
 	in.enqueue(e, now)
@@ -99,58 +121,72 @@ func (sub *SubRequest) IssueTo(in *Instance, now float64) *Execution {
 
 func (sub *SubRequest) svc() *Service { return sub.Req.svc }
 
+// newExecution appends a slot to execs and returns the execution behind
+// it: the inline one first, then the pre-filled slots of a batch. When
+// the slots run out, one batch covers the component's remaining active
+// instances (at least one), so a RED-k fan-out makes two allocations
+// whatever k is.
+func (sub *SubRequest) newExecution() *Execution {
+	n := len(sub.execs)
+	switch {
+	case n == 0:
+		sub.firstSlot[0] = &sub.first
+		sub.execs = sub.firstSlot[:]
+	case n < cap(sub.execs):
+		sub.execs = sub.execs[:n+1]
+	default:
+		batch := make([]Execution, max(len(sub.Comp.ActiveInstances())-n, 1))
+		slots := make([]*Execution, n+len(batch))
+		copy(slots, sub.execs)
+		for i := range batch {
+			slots[n+i] = &batch[i]
+		}
+		sub.execs = slots[:n+1]
+	}
+	return sub.execs[n]
+}
+
 // onStart is invoked when any execution of this sub-request begins service
-// (sequential mode only). With cancellation enabled, it sends cancel
+// at now (sequential mode only). With cancellation enabled, it sends cancel
 // messages to sibling executions; they land after the configured network
 // delay, and only affect executions still queued at that point. Two
 // replicas that start within the delay window both run to completion — the
 // paper's "cancellation messages both in flight" effect.
-func (sub *SubRequest) onStart(started *Execution) {
+func (sub *SubRequest) onStart(now float64) {
 	if sub.cancelOnStart <= 0 || sub.cancelSent {
 		return
 	}
 	sub.cancelSent = true
-	svc := sub.svc()
-	svc.engine.After(sub.cancelOnStart, func(now float64) {
-		for _, e := range sub.execs {
-			if e != started && e.State == ExecQueued {
-				e.Inst.cancelQueued(e, now)
-			}
-		}
-	})
+	sub.svc().engine.Schedule(now+sub.cancelOnStart, (*cancelSweep)(sub))
 }
 
 // onStartLaned is the laned counterpart of onStart: it runs on the root
 // class when an instance's start notice arrives (one LaneTransitDelay
-// after service began at startedAt). The root relays cancellation
+// after service began at started.StartAt). The root relays cancellation
 // messages to every sibling's instance class, timed from the true start —
-// they land startedAt+cancelOnStart, exactly when the sequential physics
+// they land StartAt+cancelOnStart, exactly when the sequential physics
 // would land them relative to the start. Because the notice already
 // consumed one transit delay, the relay needs cancelOnStart ≥
 // 2×LaneTransitDelay to respect the plane's lookahead; the simulation
 // validates that at construction. Whether a sibling is still queued is
 // decided by its own lane when the message lands — the root never peeks
 // at queue state it doesn't own.
-func (sub *SubRequest) onStartLaned(started *Execution, startedAt, now float64) {
+func (sub *SubRequest) onStartLaned(started *Execution, now float64) {
 	if sub.cancelSent {
 		return
 	}
 	sub.cancelSent = true
 	svc := sub.svc()
-	fire := startedAt + sub.cancelOnStart
+	fire := started.StartAt + sub.cancelOnStart
 	// cancelOnStart ≥ 2×LaneTransitDelay is validated at construction;
 	// the clamp only absorbs the one-ulp rounding of the equality case.
 	if min := now + LaneTransitDelay; fire < min {
 		fire = min
 	}
 	for _, e := range sub.execs {
-		if e == started {
-			continue
+		if e != started {
+			svc.lanes.Schedule(rootClass, e.Inst.classID(), fire, (*execCancel)(e))
 		}
-		e := e
-		svc.scheduleData(rootClass, e.Inst.classID(), fire, func(cancelNow float64) {
-			e.Inst.cancelQueued(e, cancelNow)
-		})
 	}
 }
 
@@ -176,14 +212,16 @@ func (sub *SubRequest) onComplete(e *Execution, now float64) {
 	sub.Req.subDone(now)
 }
 
-// startStage fans the request out to every component of its current stage.
+// startStage fans the request out to every component of its current
+// stage, from one slab of sub-requests.
 func (r *Request) startStage(now float64) {
 	svc := r.svc
 	comps := svc.stageComponents[r.stage]
-	r.stageStart = now
 	r.pending = len(comps)
-	for _, c := range comps {
-		sub := &SubRequest{Req: r, Comp: c, IssuedAt: now}
+	subs := make([]SubRequest, len(comps))
+	for i, c := range comps {
+		sub := &subs[i]
+		sub.Req, sub.Comp, sub.IssuedAt = r, c, now
 		svc.policy.Dispatch(svc, sub, now)
 	}
 }

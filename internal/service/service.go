@@ -443,16 +443,16 @@ func (s *Service) Engine() *sim.Engine { return s.engine }
 
 // scheduleData schedules a data-plane event at absolute time at, sent by
 // affinity class src to class dst. Sequential deployments fall back to
-// the engine — called from inside an event, engine.At(at, fn) with
-// at = now + d is exactly engine.After(d, fn), so the facade is
-// physics-neutral there. Laned deployments route through the plane,
-// where cross-class sends must keep at ≥ now + LaneTransitDelay.
-func (s *Service) scheduleData(src, dst int, at float64, fn sim.Event) {
+// the engine — called from inside an event, scheduling at = now + d is
+// exactly engine.After(d, ...), so the facade is physics-neutral there.
+// Laned deployments route through the plane, where cross-class sends
+// must keep at ≥ now + LaneTransitDelay.
+func (s *Service) scheduleData(src, dst int, at float64, h sim.Handler) {
 	if s.lanes == nil {
-		s.engine.At(at, fn)
+		s.engine.Schedule(at, h)
 		return
 	}
-	s.lanes.Schedule(src, dst, at, fn)
+	s.lanes.Schedule(src, dst, at, h)
 }
 
 // AfterData schedules fn at now+d on the request path's root affinity
@@ -462,7 +462,7 @@ func (s *Service) scheduleData(src, dst int, at float64, fn sim.Event) {
 // and fires in canonical order with the rest of the request bookkeeping.
 // now must be the virtual time of the event calling AfterData.
 func (s *Service) AfterData(now, d float64, fn func(now float64)) {
-	s.scheduleData(rootClass, rootClass, now+d, fn)
+	s.scheduleData(rootClass, rootClass, now+d, sim.Event(fn))
 }
 
 // Cluster returns the hosting cluster.
@@ -534,26 +534,42 @@ func (s *Service) recordDrop(tenant string) {
 func (s *Service) StartTraffic(src traffic.Source, maxRequests int) {
 	s.src = src
 	s.offeredRate = src.Rate()
-	var schedule func(prev float64)
-	count := 0
-	schedule = func(prev float64) {
-		a, ok := src.Next(prev)
-		if !ok {
-			return
-		}
-		s.engine.At(a.At, func(float64) {
-			if a.Meta.Denied {
-				s.recordDrop(a.Meta.Tenant)
-			} else {
-				s.injectArrival(a.Meta)
-			}
-			count++
-			if maxRequests == 0 || count < maxRequests {
-				schedule(a.At)
-			}
-		})
+	d := &arrivalDriver{svc: s, src: src, max: maxRequests}
+	d.schedule(0)
+}
+
+// arrivalDriver is the engine event behind every arrival of a traffic
+// run. Exactly one arrival is in flight at a time, so the driver holds it
+// and reschedules itself for the next.
+type arrivalDriver struct {
+	svc   *Service
+	src   traffic.Source
+	max   int // arrival budget, 0 = unlimited
+	count int
+	next  traffic.Arrival
+}
+
+// schedule asks the source for the arrival after prev and schedules it.
+func (d *arrivalDriver) schedule(prev float64) {
+	a, ok := d.src.Next(prev)
+	if !ok {
+		return
 	}
-	schedule(0)
+	d.next = a
+	d.svc.engine.Schedule(a.At, d)
+}
+
+func (d *arrivalDriver) Fire(float64) {
+	a := d.next
+	if a.Meta.Denied {
+		d.svc.recordDrop(a.Meta.Tenant)
+	} else {
+		d.svc.injectArrival(a.Meta)
+	}
+	d.count++
+	if d.max == 0 || d.count < d.max {
+		d.schedule(a.At)
+	}
 }
 
 // StartArrivals schedules an open-loop Poisson arrival stream at rate

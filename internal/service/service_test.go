@@ -588,3 +588,42 @@ func TestWorkFactorScalesServiceTime(t *testing.T) {
 		t.Fatalf("half-work request took %v, want %v (half of %v)", half, full/2, full)
 	}
 }
+
+// TestContentionMemoFollowsNodeChanges pins the per-instance contention
+// memo: after a migration and after a node failure, the instance's next
+// read matches the law's multiplier at a fresh ContentionExcluding on its
+// current node instead of the memoised value.
+func TestContentionMemoFollowsNodeChanges(t *testing.T) {
+	svc, engine, cl := newTestService(t, basicPolicy{}, 4)
+	inst := svc.Component(0).Primary()
+	fresh := func() float64 {
+		return svc.Law().Multiplier(cl.Node(inst.NodeID()).ContentionExcluding(inst.ProgramID()))
+	}
+	before := inst.multiplier()
+	if before != fresh() {
+		t.Fatalf("first read %v, want %v", before, fresh())
+	}
+
+	to := (inst.NodeID() + 1) % 4
+	cl.Node(to).Host(&staticProgram{id: "bg", demand: cluster.DefaultCapacity().Scale(0.5)})
+	if err := inst.MigrateTo(to, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	engine.Run(0.6)
+	if inst.NodeID() != to {
+		t.Fatal("migration did not land")
+	}
+	moved := inst.multiplier()
+	if moved == before || moved != fresh() {
+		t.Fatalf("after migrating: read %v, want the new node's %v (was %v)", moved, fresh(), before)
+	}
+
+	cl.Node(to).Fail()
+	if got, want := inst.multiplier(), svc.Law().Multiplier(cl.Node(to).Capacity); got != want {
+		t.Fatalf("after the node failed: read %v, want the saturated %v", got, want)
+	}
+	cl.Node(to).Restore()
+	if got := inst.multiplier(); got != moved {
+		t.Fatalf("after the node was restored: read %v, want %v", got, moved)
+	}
+}

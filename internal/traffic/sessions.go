@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/xrand"
@@ -61,7 +60,7 @@ func NewSessions(src *xrand.Source, users int, thinkSeconds, sigma float64) (*Se
 	// own stream, so this loop's order only decides heap layout, not
 	// randomness.
 	for u := range s.users {
-		heap.Push(&s.heap, sessionEvent{at: s.drawThink(u), user: u})
+		s.heap.push(sessionEvent{at: s.drawThink(u), user: u})
 	}
 	return s, nil
 }
@@ -81,8 +80,8 @@ func (s *Sessions) Name() string { return fmt.Sprintf("sessions:%d", len(s.users
 // invariants intact (a closed loop through simulated latency would make
 // arrival draws depend on service state).
 func (s *Sessions) Next(now float64) (Arrival, bool) {
-	ev := heap.Pop(&s.heap).(sessionEvent)
-	heap.Push(&s.heap, sessionEvent{at: ev.at + s.drawThink(ev.user), user: ev.user})
+	ev := s.heap[0]
+	s.heap.replaceMin(sessionEvent{at: ev.at + s.drawThink(ev.user), user: ev.user})
 	return Arrival{At: ev.at, Meta: Meta{User: ev.user}}, true
 }
 
@@ -105,33 +104,48 @@ type sessionEvent struct {
 	user int
 }
 
-// sessionHeap orders events by time, user index breaking ties so
-// simultaneous draws pop deterministically.
-type sessionHeap []sessionEvent
-
-// Len implements heap.Interface.
-func (h sessionHeap) Len() int { return len(h) }
-
-// Less implements heap.Interface: earliest event first, user index
-// breaking ties.
-func (h sessionHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].user < h[j].user
+// before orders events by time, user index breaking ties so simultaneous
+// draws pop deterministically. Each user has exactly one pending event,
+// so the order is total and any heap pops the same sequence.
+func (a sessionEvent) before(b sessionEvent) bool {
+	return a.at < b.at || (a.at == b.at && a.user < b.user)
 }
 
-// Swap implements heap.Interface.
-func (h sessionHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// sessionHeap is a binary min-heap of the users' pending events.
+type sessionHeap []sessionEvent
 
-// Push implements heap.Interface.
-func (h *sessionHeap) Push(x interface{}) { *h = append(*h, x.(sessionEvent)) }
+// push adds ev.
+func (h *sessionHeap) push(ev sessionEvent) {
+	*h = append(*h, ev)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = ev
+}
 
-// Pop implements heap.Interface.
-func (h *sessionHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
+// replaceMin replaces the earliest event with ev and restores the order.
+func (h sessionHeap) replaceMin(ev sessionEvent) {
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(ev) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = ev
 }

@@ -182,13 +182,18 @@ func (s RunSpec) Validate() error {
 			return fmt.Errorf("pcs: %w", err)
 		}
 	}
-	for name, v := range map[string]int{
-		"requests": s.Requests, "nodes": s.Nodes,
-		"searchComponents": s.SearchComponents,
-		"replications":     s.Replications, "workers": s.Workers,
+	// A fixed order, so a spec with several bad counts always names the
+	// same one.
+	for _, c := range []struct {
+		name string
+		v    int
+	}{
+		{"requests", s.Requests}, {"nodes", s.Nodes},
+		{"searchComponents", s.SearchComponents},
+		{"replications", s.Replications}, {"workers", s.Workers},
 	} {
-		if v < 0 {
-			return fmt.Errorf("pcs: run spec %s must be non-negative, got %d", name, v)
+		if c.v < 0 {
+			return fmt.Errorf("pcs: run spec %s must be non-negative, got %d", c.name, c.v)
 		}
 	}
 	if s.Rate < 0 {

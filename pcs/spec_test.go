@@ -103,6 +103,20 @@ func TestRunSpecValidate(t *testing.T) {
 	}
 }
 
+// TestRunSpecValidateNamesFirstBadCount pins the count check's order: a
+// spec with every count negative names requests, every time, so identical
+// POSTs to the daemon get identical 400 bodies.
+func TestRunSpecValidateNamesFirstBadCount(t *testing.T) {
+	spec := RunSpec{Requests: -1, Nodes: -2, SearchComponents: -3, Replications: -4, Workers: -5}
+	const want = "pcs: run spec requests must be non-negative, got -1"
+	for i := 0; i < 100; i++ {
+		err := spec.Validate()
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: error %v, want %q", i, err, want)
+		}
+	}
+}
+
 // TestRunSpecOptionsEquivalence pins the one decode path: a spec resolves
 // to exactly the Options a CLI used to hand-assemble.
 func TestRunSpecOptionsEquivalence(t *testing.T) {
