@@ -397,23 +397,23 @@ func BenchmarkLanedRun(b *testing.B) {
 // ≥ 2× lower than serial's. The speedup ratio is reported on the parallel
 // run as cores allow.
 func BenchmarkParallelSweep(b *testing.B) {
-	const replications = 8
-	opts := pcs.Options{
-		Technique:        pcs.Basic,
+	spec := pcs.RunSpec{
+		Technique:        "Basic",
 		Seed:             1,
 		Nodes:            10,
 		SearchComponents: 20,
-		ArrivalRate:      100,
+		Rate:             100,
 		Requests:         4000,
+		Replications:     8,
 	}
 	run := func(b *testing.B, workers int) pcs.Aggregate {
 		var agg pcs.Aggregate
 		for i := 0; i < b.N; i++ {
-			var err error
-			agg, err = pcs.RunManyWorkers(opts, replications, workers)
+			aggs, err := pcs.RunCells([]pcs.RunSpec{spec}, workers, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
+			agg = aggs[0]
 			b.ReportMetric(agg.AvgOverallMs.Mean, "avg-overall-ms")
 			b.ReportMetric(agg.AvgOverallMs.CI95, "ci95-ms")
 		}

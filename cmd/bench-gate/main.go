@@ -6,6 +6,10 @@
 //	go test -bench . -benchtime 1x -run '^$' ./... | tee bench.txt
 //	go run ./cmd/bench-gate -input bench.txt -seed BENCH_SEED.json -out BENCH_PR.json
 //
+// Repeated result lines for one benchmark (go test -count N) fold into
+// their median ns/op, B/op and allocs/op, so a seed or a gated run can be
+// the median of several passes rather than one noisy iteration.
+//
 // Benchmarks present in the run but absent from the seed are reported and
 // skipped — a new benchmark must not fail the gate that predates it.
 // Benchmarks in the seed but absent from the run are likewise only
@@ -67,8 +71,12 @@ type Snapshot struct {
 // different core counts compare by benchmark identity.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
-func parseBench(r io.Reader) ([]Benchmark, error) {
-	var out []Benchmark
+// parseBench reads every result line, folding the repeated lines of one
+// benchmark (go test -count N) into their median (foldRepeats), and
+// returns one entry per benchmark sorted by name, plus the largest
+// repeat count seen.
+func parseBench(r io.Reader) ([]Benchmark, int, error) {
+	passes := map[string][]Benchmark{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -86,7 +94,7 @@ func parseBench(r io.Reader) ([]Benchmark, error) {
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("bench-gate: bad value %q on line %q", fields[i], sc.Text())
+				return nil, 0, fmt.Errorf("bench-gate: bad value %q on line %q", fields[i], sc.Text())
 			}
 			switch unit := fields[i+1]; unit {
 			case "ns/op":
@@ -104,13 +112,51 @@ func parseBench(r io.Reader) ([]Benchmark, error) {
 				b.Metrics[unit] = v
 			}
 		}
-		out = append(out, b)
+		passes[b.Name] = append(passes[b.Name], b)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	out := make([]Benchmark, 0, len(passes))
+	count := 0
+	for _, p := range passes {
+		out = append(out, foldRepeats(p))
+		count = max(count, len(p))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	return out, count, nil
+}
+
+// foldRepeats folds one benchmark's passes into a single entry whose
+// ns/op, B/op and allocs/op are the medians across passes, so one noisy
+// pass neither fails the gate nor skews a seed. Iterations and custom
+// metrics are the first pass's.
+func foldRepeats(passes []Benchmark) Benchmark {
+	b := passes[0]
+	if len(passes) == 1 {
+		return b
+	}
+	median := func(pick func(Benchmark) *float64) *float64 {
+		var vals []float64
+		for _, p := range passes {
+			if v := pick(p); v != nil {
+				vals = append(vals, *v)
+			}
+		}
+		if len(vals) == 0 {
+			return nil
+		}
+		sort.Float64s(vals)
+		m := vals[len(vals)/2]
+		if len(vals)%2 == 0 {
+			m = (vals[len(vals)/2-1] + m) / 2
+		}
+		return &m
+	}
+	b.NsPerOp = *median(func(p Benchmark) *float64 { return &p.NsPerOp })
+	b.BytesOp = median(func(p Benchmark) *float64 { return p.BytesOp })
+	b.AllocsOp = median(func(p Benchmark) *float64 { return p.AllocsOp })
+	return b
 }
 
 // gate compares a parsed benchmark run against the seed snapshot and
@@ -190,7 +236,7 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	benches, err := parseBench(in)
+	benches, count, err := parseBench(in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -208,8 +254,12 @@ func main() {
 		runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU())
 
 	if *outPath != "" {
+		command := "go test -bench . -benchtime 1x -run ^$ ./..."
+		if count > 1 {
+			command = fmt.Sprintf("go test -bench . -benchtime 1x -count %d -run ^$ ./... (median per benchmark)", count)
+		}
 		snap := Snapshot{
-			Command:    "go test -bench . -benchtime 1x -run ^$ ./...",
+			Command:    command,
 			GoVersion:  runtime.Version(),
 			Cores:      runtime.GOMAXPROCS(0),
 			Benchmarks: benches,

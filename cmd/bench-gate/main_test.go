@@ -19,7 +19,7 @@ ok  	repro	142.5s
 `
 
 func TestParseBench(t *testing.T) {
-	benches, err := parseBench(strings.NewReader(sampleOutput))
+	benches, _, err := parseBench(strings.NewReader(sampleOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,41 @@ func TestGateCalibratesMachineSpeed(t *testing.T) {
 }
 
 func TestParseBenchEmpty(t *testing.T) {
-	benches, err := parseBench(strings.NewReader("PASS\nok \trepro\t1.0s\n"))
+	benches, _, err := parseBench(strings.NewReader("PASS\nok \trepro\t1.0s\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(benches) != 0 {
 		t.Fatalf("parsed %d benchmarks from non-bench output", len(benches))
+	}
+}
+
+// TestParseBenchFoldsRepeatsToMedian: the lines of a -count N pass fold
+// into one entry per benchmark carrying the median ns/op, B/op and
+// allocs/op — one noisy pass moves nothing — and the repeat count is
+// reported for the snapshot header.
+func TestParseBenchFoldsRepeatsToMedian(t *testing.T) {
+	const repeated = `
+BenchmarkDAGRun-2   	       1	 900000000 ns/op	 300 B/op	 7 allocs/op
+BenchmarkMatrixBuild-2	       1	  20000000 ns/op
+BenchmarkDAGRun-2   	       1	5000000000 ns/op	 100 B/op	 5 allocs/op
+BenchmarkMatrixBuild-2	       1	  40000000 ns/op
+BenchmarkDAGRun-2   	       1	1000000000 ns/op	 200 B/op	 6 allocs/op
+`
+	benches, count, err := parseBench(strings.NewReader(repeated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count != 3 || len(benches) != 2 {
+		t.Fatalf("count=%d, %d benchmarks; want 3 passes of 2 benchmarks: %+v", count, len(benches), benches)
+	}
+	dag, mb := benches[0], benches[1]
+	if dag.Name != "BenchmarkDAGRun" || dag.NsPerOp != 1e9 || *dag.BytesOp != 200 || *dag.AllocsOp != 6 {
+		t.Fatalf("DAGRun folded to %+v (B/op %v, allocs %v), want the 1e9 ns/op, 200 B/op, 6 allocs/op medians",
+			dag, *dag.BytesOp, *dag.AllocsOp)
+	}
+	// An even number of passes takes the mean of the middle two.
+	if mb.Name != "BenchmarkMatrixBuild" || mb.NsPerOp != 30e6 || mb.BytesOp != nil || mb.AllocsOp != nil {
+		t.Fatalf("MatrixBuild folded to %+v, want 30e6 ns/op and no alloc fields", mb)
 	}
 }

@@ -39,7 +39,7 @@ func main() {
 		maxReps     = flag.Int("max-replications", 64, "hard replication cap for -ci-target")
 		sampleEvery = flag.Float64("sample-interval", 0, "sample a Snapshot every this many virtual seconds during a single run\nand print the time-series after the report; 0 disables. Sampling never\nchanges the results")
 		streamPath  = flag.String("stream", "", "with -replications or -ci-target: write each replication's result to this\nfile as NDJSON instead of holding all of them in memory")
-		mergePath   = flag.String("merge", "", "aggregate an NDJSON file written by pcs-sim -stream and exit (no simulation).\npcs-sweep -stream files are per-cell records with repeating replication\nindices and are not mergeable here")
+		mergePath   = flag.String("merge", "", "aggregate an NDJSON file written by pcs-sim -stream and exit (no simulation).\nA pcs-sweep -stream file holds the same frames for every cell, cell after\ncell, so its replication indices repeat: merge one cell's lines at a time")
 		jsonOut     = flag.Bool("json", false, "print the canonical aggregate report as JSON — the RunSpec.Report\nencoding pcs-serve returns for the same spec — instead of the tables")
 	)
 	flag.Parse()
@@ -58,8 +58,8 @@ func main() {
 		defer f.Close()
 		agg, err := pcs.MergeStream(f)
 		if err != nil {
-			log.Fatal(err, "\n(only pcs-sim -stream files are mergeable; pcs-sweep -stream files are "+
-				"per-cell records with repeating replication indices)")
+			log.Fatal(err, "\n(a pcs-sweep -stream file is one frame stream per cell, cell after cell: "+
+				"merge one cell's lines at a time)")
 		}
 		if *jsonOut {
 			printJSON(agg)
@@ -141,17 +141,15 @@ func main() {
 		return
 	}
 	if replications > 1 {
-		var agg pcs.Aggregate
-		var err error
+		var emit func(int, pcs.StreamedRun) error
 		if sink != nil {
-			agg, err = pcs.RunManyStream(opts, replications, workers, sink)
-		} else {
-			agg, err = pcs.RunManyWorkers(opts, replications, workers)
+			emit = pcs.StreamTo(sink)
 		}
+		aggs, err := pcs.RunCells([]pcs.RunSpec{spec}, workers, emit)
 		if err != nil {
 			log.Fatal(err)
 		}
-		printAggregate(agg)
+		printAggregate(aggs[0])
 		if sink != nil {
 			fmt.Printf("\nper-replication results streamed to %s (merge with -merge)\n", *streamPath)
 		}

@@ -5,10 +5,13 @@
 // average overall latency versus the redundancy/reissue techniques).
 //
 // The sweep runs any registered scenario (-scenario) and any technique
-// subset (-techniques); the defaults reproduce the paper's figure.
+// subset (-techniques); the defaults reproduce the paper's figure. Every
+// field of -spec-file is part of each cell, exactly as pcs-serve runs it.
 // With -stream, every individual run of the sweep is additionally written
-// to a file as one NDJSON line (technique, rate, replication, seed, full
-// result) so huge sweeps leave a per-run record on disk.
+// to a file as one pcs.StreamedRun NDJSON line (replication, seed, full
+// result), cell after cell in canonical order — the bytes
+// serve.WriteFrames archives for the same cells — so huge sweeps leave a
+// per-run record on disk.
 //
 // -policy runs every cell under a closed-loop policy ("none" forces the
 // scenario's scripted policy off). -policies switches to the policy
@@ -33,6 +36,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -51,7 +55,7 @@ func main() {
 		rates      = flag.String("rates", "10,20,50,100,200,500", "comma-separated arrival rates")
 		techniques = flag.String("techniques", "", "comma-separated technique subset (empty = all six)")
 		policyList = flag.String("policies", "", "run the closed-loop policy comparison instead of the Fig. 6 sweep:\ncomma-separated policies × techniques on the first -rates value\n(\"none\" is the open-loop baseline; \"all\" selects none + every\nregistered policy)")
-		streamPath = flag.String("stream", "", "write every run of the sweep (cell coordinates, seed, full result) to this\nfile as NDJSON, alongside the aggregated tables")
+		streamPath = flag.String("stream", "", "write every run of the sweep to this file as NDJSON pcs.StreamedRun\nframes (replication, seed, full result), cell after cell, alongside the\naggregated tables")
 		remotes    = flag.String("remote", "", "fan the sweep out across these pcs-serve daemons (comma-separated base\nURLs) instead of running locally: cells shard round-robin, stream back\nover SSE and merge centrally — reports byte-identical to a local run")
 	)
 	flag.Parse()
@@ -68,6 +72,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The graph travels inline, so a daemon never opens a path named by
+	// its client, and every cell reads the file's content once.
+	if spec.GraphFile != "" {
+		if spec.Graph, err = pcs.LoadGraphSpec(spec.GraphFile); err != nil {
+			log.Fatal(err)
+		}
+		spec.GraphFile = ""
+	}
+	sweep := sweepSpec(spec, techList, rateList)
 
 	if *remotes != "" {
 		workers, err := cliutil.ParseRemotes(*remotes)
@@ -77,10 +90,18 @@ func main() {
 		if *policyList != "" || *streamPath != "" {
 			log.Fatal("-remote runs the spec sweep only; -policies and -stream are local-mode flags")
 		}
-		runRemote(spec, techList, rateList, workers)
+		runRemote(sweep, workers)
 		return
 	}
 
+	var stream io.Writer
+	var file *os.File
+	if *streamPath != "" {
+		if file, err = os.Create(*streamPath); err != nil {
+			log.Fatal(err)
+		}
+		stream = file
+	}
 	if *policyList != "" {
 		var pols []string
 		if *policyList != "all" {
@@ -88,95 +109,46 @@ func main() {
 				pols = append(pols, strings.TrimSpace(p))
 			}
 		}
-		cfg := experiments.PolicyGridConfig{
-			Seed:             spec.Seed,
-			Scenario:         spec.Scenario,
-			Traffic:          spec.Traffic,
-			Graph:            spec.Graph,
-			GraphFile:        spec.GraphFile,
-			Policies:         pols,
-			Techniques:       techList,
-			Rate:             rateList[0],
-			Requests:         spec.Requests,
-			Nodes:            spec.Nodes,
-			SearchComponents: spec.SearchComponents,
-			Replications:     spec.Replications,
-			Workers:          spec.Workers,
-			Shards:           spec.Shards,
-			Lanes:            spec.Lanes,
-		}
-		if *streamPath != "" {
-			f, err := os.Create(*streamPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			cfg.Stream = f
-		}
-		res, err := experiments.RunPolicyGrid(cfg)
+		cfg := experiments.PolicyGridConfig{Base: spec, Techniques: techList, Policies: pols}
+		cfg.Base.Rate = rateList[0]
+		res, err := experiments.RunPolicyGrid(cfg, stream)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res.WriteTable(os.Stdout, cfg)
-		if *streamPath != "" {
-			fmt.Printf("per-run results streamed to %s\n", *streamPath)
-		}
-		return
-	}
-
-	cfg := experiments.Fig6Config{
-		Seed:             spec.Seed,
-		Scenario:         spec.Scenario,
-		Traffic:          spec.Traffic,
-		Graph:            spec.Graph,
-		GraphFile:        spec.GraphFile,
-		Policy:           spec.Policy,
-		Rates:            rateList,
-		Techniques:       techList,
-		Requests:         spec.Requests,
-		Nodes:            spec.Nodes,
-		SearchComponents: spec.SearchComponents,
-		Replications:     spec.Replications,
-		Workers:          spec.Workers,
-		Shards:           spec.Shards,
-		Lanes:            spec.Lanes,
-	}
-	if *streamPath != "" {
-		f, err := os.Create(*streamPath)
+		res.WriteTable(os.Stdout)
+	} else {
+		res, err := experiments.RunFig6(sweep, stream)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		cfg.Stream = f
+		res.WriteTable(os.Stdout)
 	}
-	res, err := experiments.RunFig6(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res.WriteTable(os.Stdout, cfg)
-	if *streamPath != "" {
+	if file != nil {
+		if err := file.Close(); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("per-run results streamed to %s\n", *streamPath)
 	}
 }
 
+// sweepSpec is the one sweep both the local and the -remote paths run:
+// the flags' RunSpec as the cell template over the technique (empty = all
+// six) and rate axes.
+func sweepSpec(base pcs.RunSpec, techList []pcs.Technique, rates []float64) pcs.SweepSpec {
+	if len(techList) == 0 {
+		techList = pcs.Techniques()
+	}
+	names := make([]string, len(techList))
+	for i, t := range techList {
+		names[i] = t.String()
+	}
+	return pcs.SweepSpec{Base: base, Techniques: names, Rates: rates}
+}
+
 // runRemote dispatches the sweep across a pcs-serve fleet and prints the
 // per-cell table from the centrally merged reports.
-func runRemote(base pcs.RunSpec, techList []pcs.Technique, rates []float64, workers []string) {
-	var names []string
-	if len(techList) == 0 {
-		// Mirror the local driver's "empty = all six" default.
-		for _, info := range pcs.TechniqueInfos() {
-			names = append(names, info.Name)
-		}
-	} else {
-		for _, t := range techList {
-			names = append(names, t.String())
-		}
-	}
-	d := serve.SweepDispatch{
-		Spec:    pcs.SweepSpec{Base: base, Techniques: names, Rates: rates},
-		Workers: workers,
-	}
+func runRemote(sweep pcs.SweepSpec, workers []string) {
+	d := serve.SweepDispatch{Spec: sweep, Workers: workers}
 	cells, err := d.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)

@@ -44,8 +44,8 @@ func AddLanes(fs *flag.FlagSet) *int {
 }
 
 // ParseTechniques parses a comma-separated technique list ("Basic,PCS").
-// The empty string parses to nil, which the experiment drivers read as
-// "all six".
+// The empty string parses to nil, which callers read as their default set
+// (all six for the Fig. 6 sweep).
 func ParseTechniques(csv string) ([]pcs.Technique, error) {
 	if strings.TrimSpace(csv) == "" {
 		return nil, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -81,15 +82,12 @@ func TestFig6TinySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig6 sweep is expensive")
 	}
-	cfg := Fig6Config{
-		Seed:             1,
-		Rates:            []float64{50},
-		Techniques:       []pcs.Technique{pcs.Basic, pcs.PCS},
-		Requests:         1500,
-		Nodes:            10,
-		SearchComponents: 20,
+	spec := pcs.SweepSpec{
+		Base:       pcs.RunSpec{Seed: 1, Requests: 1500, Nodes: 10, SearchComponents: 20},
+		Rates:      []float64{50},
+		Techniques: []string{"Basic", "PCS"},
 	}
-	res, err := RunFig6(cfg)
+	res, err := RunFig6(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +99,14 @@ func TestFig6TinySweep(t *testing.T) {
 	if basic == nil || p == nil {
 		t.Fatal("missing cells")
 	}
-	if basic.Result.AvgOverallMs <= 0 || p.Result.AvgOverallMs <= 0 {
+	if basic.Report.AvgOverallMs.Mean <= 0 || p.Report.AvgOverallMs.Mean <= 0 {
 		t.Fatal("latencies not measured")
 	}
-	if p.Result.Migrations == 0 {
+	if p.Report.Migrations == 0 {
 		t.Error("PCS cell made no migrations")
 	}
 	var sb strings.Builder
-	res.WriteTable(&sb, cfg)
+	res.WriteTable(&sb)
 	// With no redundancy/reissue baselines in the subset there is nothing
 	// for the headline aggregate to compare against, so it is omitted.
 	if strings.Contains(sb.String(), "PCS reduction") {
@@ -116,13 +114,13 @@ func TestFig6TinySweep(t *testing.T) {
 	}
 
 	// A subset that includes a baseline prints the headline.
-	cfg.Techniques = []pcs.Technique{pcs.RED3, pcs.PCS}
-	withBase, err := RunFig6(cfg)
+	spec.Techniques = []string{"RED-3", "PCS"}
+	withBase, err := RunFig6(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sb.Reset()
-	withBase.WriteTable(&sb, cfg)
+	withBase.WriteTable(&sb)
 	if !strings.Contains(sb.String(), "PCS reduction") {
 		t.Fatalf("table missing headline:\n%s", sb.String())
 	}
@@ -132,33 +130,30 @@ func TestFig6ScenarioSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig6 sweep is expensive")
 	}
-	cfg := Fig6Config{
-		Seed:             1,
-		Scenario:         "social-feed",
-		Rates:            []float64{50},
-		Techniques:       []pcs.Technique{pcs.Basic},
-		Requests:         1200,
-		Nodes:            10,
-		SearchComponents: 24,
+	spec := pcs.SweepSpec{
+		Base: pcs.RunSpec{Seed: 1, Scenario: "social-feed", Requests: 1200,
+			Nodes: 10, SearchComponents: 24},
+		Rates:      []float64{50},
+		Techniques: []string{"Basic"},
 	}
-	res, err := RunFig6(cfg)
+	res, err := RunFig6(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cell := res.Cell("Basic", 50)
-	if cell == nil || cell.Result.Completed == 0 {
+	if cell == nil || cell.Report.Completed == 0 {
 		t.Fatal("scenario sweep produced no results")
 	}
-	if cell.Result.Scenario != "social-feed" {
-		t.Fatalf("cell scenario = %q", cell.Result.Scenario)
+	if cell.Report.Scenario != "social-feed" {
+		t.Fatalf("cell scenario = %q", cell.Report.Scenario)
 	}
 	// The social-feed topology has four stages.
-	if len(cell.Result.StageMeanMs) != 4 {
-		t.Fatalf("stage means = %v", cell.Result.StageMeanMs)
+	if stages := cell.Report.Runs[0].StageMeanMs; len(stages) != 4 {
+		t.Fatalf("stage means = %v", stages)
 	}
 
-	if _, err := RunFig6(Fig6Config{Scenario: "bogus", Rates: []float64{10},
-		Techniques: []pcs.Technique{pcs.Basic}, Requests: 100}); err == nil {
+	if _, err := RunFig6(pcs.SweepSpec{Base: pcs.RunSpec{Scenario: "bogus", Requests: 100},
+		Rates: []float64{10}, Techniques: []string{"Basic"}}, nil); err == nil {
 		t.Fatal("unknown scenario accepted by RunFig6")
 	}
 }
@@ -241,35 +236,31 @@ func TestFig6ReplicatedSweepDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replicated fig6 sweep is expensive")
 	}
-	base := Fig6Config{
-		Seed:             5,
-		Rates:            []float64{50},
-		Techniques:       []pcs.Technique{pcs.Basic, pcs.RED3},
-		Requests:         800,
-		Nodes:            8,
-		SearchComponents: 12,
-		Replications:     3,
+	base := pcs.SweepSpec{
+		Base: pcs.RunSpec{Seed: 5, Requests: 800, Nodes: 8, SearchComponents: 12,
+			Replications: 3},
+		Rates:      []float64{50},
+		Techniques: []string{"Basic", "RED-3"},
 	}
 	one := base
-	one.Workers = 1
+	one.Base.Workers = 1
 	many := base
-	many.Workers = 8
-	a, err := RunFig6(one)
+	many.Base.Workers = 8
+	a, err := RunFig6(one, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFig6(many)
+	b, err := RunFig6(many, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.Cells {
-		ca, cb := a.Cells[i], b.Cells[i]
-		if ca.Result.AvgOverallMs != cb.Result.AvgOverallMs ||
-			ca.Result.P99ComponentMs != cb.Result.P99ComponentMs ||
-			ca.AvgOverallCI95Ms != cb.AvgOverallCI95Ms {
+		ca, cb := a.Cells[i].Report, b.Cells[i].Report
+		if ca.AvgOverallMs != cb.AvgOverallMs ||
+			ca.P99ComponentMs != cb.P99ComponentMs {
 			t.Fatalf("cell %d differs between worker counts:\n%+v\nvs\n%+v", i, ca, cb)
 		}
-		if ca.AvgOverallCI95Ms <= 0 {
+		if ca.AvgOverallMs.CI95 <= 0 {
 			t.Fatalf("cell %d has no confidence interval despite 3 replications", i)
 		}
 	}
@@ -284,21 +275,18 @@ func TestFig6SingleReplicationMatchesHistoricalSweep(t *testing.T) {
 	}
 	// The runner-based sweep with Replications=1 must produce exactly the
 	// result of calling pcs.Run directly with the historical cell seed.
-	cfg := Fig6Config{
-		Seed:             3,
-		Rates:            []float64{50},
-		Techniques:       []pcs.Technique{pcs.Basic},
-		Requests:         800,
-		Nodes:            8,
-		SearchComponents: 12,
+	spec := pcs.SweepSpec{
+		Base:       pcs.RunSpec{Seed: 3, Requests: 800, Nodes: 8, SearchComponents: 12},
+		Rates:      []float64{50},
+		Techniques: []string{"Basic"},
 	}
-	res, err := RunFig6(cfg)
+	res, err := RunFig6(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	direct, err := pcs.Run(pcs.Options{
 		Technique:        pcs.Basic,
-		Seed:             cfg.Seed ^ int64(50)<<16 ^ int64(pcs.Basic)<<8,
+		Seed:             spec.Base.Seed ^ int64(50)<<16 ^ int64(pcs.Basic)<<8,
 		Nodes:            8,
 		SearchComponents: 12,
 		ArrivalRate:      50,
@@ -311,13 +299,13 @@ func TestFig6SingleReplicationMatchesHistoricalSweep(t *testing.T) {
 	if cell == nil {
 		t.Fatal("missing cell")
 	}
-	if cell.Result.AvgOverallMs != direct.AvgOverallMs ||
-		cell.Result.P99ComponentMs != direct.P99ComponentMs {
+	if cell.Report.AvgOverallMs.Mean != direct.AvgOverallMs ||
+		cell.Report.P99ComponentMs.Mean != direct.P99ComponentMs {
 		t.Fatalf("sweep cell %v/%v differs from direct run %v/%v",
-			cell.Result.AvgOverallMs, cell.Result.P99ComponentMs,
+			cell.Report.AvgOverallMs.Mean, cell.Report.P99ComponentMs.Mean,
 			direct.AvgOverallMs, direct.P99ComponentMs)
 	}
-	if cell.AvgOverallCI95Ms != 0 {
+	if cell.Report.AvgOverallMs.CI95 != 0 {
 		t.Fatal("single replication must not report a confidence interval")
 	}
 }
@@ -371,36 +359,32 @@ func TestFig6StreamWritesEveryRun(t *testing.T) {
 		t.Skip("fig6 sweep is expensive")
 	}
 	var buf bytes.Buffer
-	cfg := Fig6Config{
-		Seed:             9,
-		Rates:            []float64{40, 80},
-		Techniques:       []pcs.Technique{pcs.Basic, pcs.RED3},
-		Requests:         600,
-		Nodes:            8,
-		SearchComponents: 12,
-		Replications:     2,
-		Stream:           &buf,
+	spec := pcs.SweepSpec{
+		Base: pcs.RunSpec{Seed: 9, Requests: 600, Nodes: 8, SearchComponents: 12,
+			Replications: 2},
+		Rates:      []float64{40, 80},
+		Techniques: []string{"Basic", "RED-3"},
 	}
-	res, err := RunFig6(cfg)
+	res, err := RunFig6(spec, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dec := json.NewDecoder(&buf)
-	var recs []Fig6StreamedRun
+	var recs []pcs.StreamedRun
 	for dec.More() {
-		var rec Fig6StreamedRun
+		var rec pcs.StreamedRun
 		if err := dec.Decode(&rec); err != nil {
 			t.Fatal(err)
 		}
 		recs = append(recs, rec)
 	}
-	want := len(cfg.Rates) * len(cfg.Techniques) * cfg.Replications
+	want := len(spec.Rates) * len(spec.Techniques) * spec.Base.Replications
 	if len(recs) != want {
 		t.Fatalf("streamed %d runs, want %d", len(recs), want)
 	}
 	// Cell order deterministic: rate-major, technique, then replication;
 	// each line reproducible and consistent with its cell aggregate.
-	if recs[0].Technique != "Basic" || recs[0].Rate != 40 || recs[0].Rep != 0 {
+	if recs[0].Result.Technique != "Basic" || recs[0].Result.ArrivalRate != 40 || recs[0].Rep != 0 {
 		t.Fatalf("first record %+v not (Basic, 40, rep 0)", recs[0])
 	}
 	cell := res.Cell("Basic", 40)
@@ -408,8 +392,8 @@ func TestFig6StreamWritesEveryRun(t *testing.T) {
 		t.Fatal("missing cell")
 	}
 	mean := (recs[0].Result.AvgOverallMs + recs[1].Result.AvgOverallMs) / 2
-	if math.Abs(mean-cell.Result.AvgOverallMs) > 1e-12 {
-		t.Fatalf("streamed runs' mean %v disagrees with cell %v", mean, cell.Result.AvgOverallMs)
+	if math.Abs(mean-cell.Report.AvgOverallMs.Mean) > 1e-12 {
+		t.Fatalf("streamed runs' mean %v disagrees with cell %v", mean, cell.Report.AvgOverallMs.Mean)
 	}
 }
 
@@ -438,5 +422,45 @@ func TestFig7ScenarioShapedInputs(t *testing.T) {
 	// Too few components to cover a deep topology must error, not panic.
 	if _, err := SyntheticMatrixInput("microservice-chain", 2, 4, 5, 100, xrand.New(11)); err == nil {
 		t.Fatal("2 components across 8 stages accepted")
+	}
+}
+
+// TestFig6HonoursEverySpecField: a local sweep cell is the RunSpec the
+// daemon would run for it — every Base field included, not just the
+// deployment and traffic ones — so a tuned sweep's cells each carry the
+// aggregate of their own Report(), and the tuning visibly moves them.
+func TestFig6HonoursEverySpecField(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fig6 sweep is expensive")
+	}
+	spec := pcs.SweepSpec{
+		Base: pcs.RunSpec{Seed: 4, Requests: 600, Nodes: 8, SearchComponents: 12,
+			SchedulingInterval: 1, WarmupFraction: -1, MonitorNoiseSigma: 0.3},
+		Rates:      []float64{20},
+		Techniques: []string{"Basic", "PCS"},
+	}
+	tuned, err := RunFig6(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range tuned.Cells {
+		want, err := cell.Spec.Report()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := cell.Report
+		got.Workers, got.Runs = 0, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s cell diverged from its own Report():\n got %+v\nwant %+v", cell.Spec.Technique, got, want)
+		}
+	}
+	plain := spec
+	plain.Base.SchedulingInterval, plain.Base.WarmupFraction, plain.Base.MonitorNoiseSigma = 0, 0, 0
+	untuned, err := RunFig6(plain, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if untuned.Cell("PCS", 20).Report.AvgOverallMs == tuned.Cell("PCS", 20).Report.AvgOverallMs {
+		t.Fatal("tuning fields left the PCS cell unchanged: they never reached the run")
 	}
 }

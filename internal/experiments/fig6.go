@@ -1,116 +1,50 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"text/tabwriter"
 
-	"repro/internal/runner"
-	"repro/internal/shard"
-	"repro/internal/stats"
-	"repro/internal/xrand"
 	"repro/pcs"
 )
 
-// Fig6Config parameterises the service-performance comparison (§VI-C /
-// Fig. 6): all six techniques across the paper's six arrival rates.
-type Fig6Config struct {
-	Seed int64
-	// Scenario names the deployment to sweep (empty = nutch-search, the
-	// paper's own; see the scenario registry for alternatives).
-	Scenario string
-	// Rates are the arrival rates λ in requests/second (paper: 10, 20, 50,
-	// 100, 200, 500).
-	Rates []float64
-	// Techniques to compare; nil means all six.
-	Techniques []pcs.Technique
-	// Policy, when set, runs every cell under the named closed-loop policy
-	// ("none" forces the scenario's scripted policy off; empty keeps it).
-	Policy string
-	// Traffic, when non-nil, runs every cell under this arrival process
-	// instead of the scenario's scripted traffic or the scalar Poisson
-	// stream (pcs.Options.Traffic); each rate still sets the nominal
-	// intensity the source is scaled to.
-	Traffic *pcs.TrafficSpec
-	// Graph and GraphFile deploy a custom service DAG in every cell
-	// instead of a registered scenario (pcs.RunSpec semantics: at most one
-	// of Scenario, Graph and GraphFile may be set).
-	Graph     *pcs.GraphSpec
-	GraphFile string
-	// Requests per run; the run's virtual duration is Requests/λ.
-	Requests int
-	// Nodes and SearchComponents size the deployment; 0 selects the
-	// scenario's defaults (paper: 30 nodes, 100 searching components for
-	// nutch-search).
-	Nodes, SearchComponents int
-	// Replications is the number of independent replications per
-	// (technique, rate) cell; each cell then reports across-replication
-	// means with confidence intervals (default 1, the single-run sweep).
-	Replications int
-	// Workers bounds the worker pool that the cells × replications jobs
-	// fan out on; 0 selects GOMAXPROCS (divided by Shards when intra-run
-	// sharding is on, so shards × concurrent runs stays at machine width).
-	Workers int
-	// Shards is the per-run intra-simulation shard count
-	// (pcs.Options.Shards); results are bit-identical at any value.
-	Shards int
-	// Lanes is the per-run parallel data-plane lane count
-	// (pcs.Options.Lanes); 0 keeps the sequential engine. Laned runs are
-	// byte-identical at any lane count ≥ 1 but are a different physical
-	// model from Lanes == 0 (network-transit delays), so a sweep must not
-	// mix the two.
-	Lanes int
-	// Stream, when non-nil, receives every run of the sweep as one NDJSON
-	// line (Fig6StreamedRun) in deterministic (cell, replication) order,
-	// so huge sweeps leave a per-run record on disk alongside the
-	// aggregated tables. Streaming never changes the computed cells.
-	Stream io.Writer
+// Cell is one measured grid cell of the Fig. 6 sweep or the policy grid:
+// the RunSpec it ran and its across-replication aggregate. Report.Runs
+// holds the cell's per-replication Results, in replication order.
+type Cell struct {
+	Spec   pcs.RunSpec
+	Report pcs.Aggregate
 }
 
-// Fig6StreamedRun is one NDJSON line of a streamed sweep: the cell
-// coordinates, the replication index within the cell, the derived seed that
-// reproduces the run, and its Result.
-type Fig6StreamedRun struct {
-	Technique string     `json:"technique"`
-	Rate      float64    `json:"rate"`
-	Rep       int        `json:"rep"`
-	Seed      int64      `json:"seed"`
-	Result    pcs.Result `json:"result"`
+// runCells executes the cells on pcs.RunCells, writing every run to stream
+// (when non-nil) as one pcs.StreamedRun frame, cell after cell, and
+// attaching each cell's runs to its Report.
+func runCells(cells []pcs.RunSpec, workers int, stream io.Writer) ([]Cell, error) {
+	write := func(int, pcs.StreamedRun) error { return nil }
+	if stream != nil {
+		write = pcs.StreamTo(stream)
+	}
+	runs := make([][]pcs.Result, len(cells))
+	aggs, err := pcs.RunCells(cells, workers, func(cell int, run pcs.StreamedRun) error {
+		runs[cell] = append(runs[cell], run.Result)
+		return write(cell, run)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Cell, len(cells))
+	for i := range cells {
+		aggs[i].Runs = runs[i]
+		out[i] = Cell{Spec: cells[i], Report: aggs[i]}
+	}
+	return out, nil
 }
 
-func (c Fig6Config) withDefaults() Fig6Config {
-	if len(c.Rates) == 0 {
-		c.Rates = []float64{10, 20, 50, 100, 200, 500}
-	}
-	if len(c.Techniques) == 0 {
-		c.Techniques = pcs.Techniques()
-	}
-	if c.Requests <= 0 {
-		c.Requests = 20000
-	}
-	if c.Replications <= 0 {
-		c.Replications = 1
-	}
-	return c
-}
-
-// Fig6Cell is one (technique, rate) measurement. With Replications > 1 the
-// Result's latency metrics are across-replication means and the CI fields
-// carry the 95 % confidence half-widths of the two headline metrics.
-type Fig6Cell struct {
-	Technique string
-	Rate      float64
-	Result    pcs.Result
-	// AvgOverallCI95Ms / P99ComponentCI95Ms are zero for a single
-	// replication.
-	AvgOverallCI95Ms   float64
-	P99ComponentCI95Ms float64
-}
-
-// Fig6Result holds the full sweep plus the paper's headline aggregates.
+// Fig6Result holds the service-performance sweep (§VI-C / Fig. 6) plus
+// the paper's headline aggregates.
 type Fig6Result struct {
-	Cells []Fig6Cell
+	Cells []Cell
 	// P99ReductionPct is PCS's average reduction in 99th-percentile
 	// component latency versus the four redundancy/reissue techniques
 	// across all rates (paper: 67.05 %).
@@ -120,210 +54,70 @@ type Fig6Result struct {
 	OverallReductionPct float64
 }
 
+// fig6Baselines are the redundancy and reissue techniques PCS's headline
+// reductions are measured against.
+var fig6Baselines = []string{"RED-3", "RED-5", "RI-90", "RI-99"}
+
 // Cell returns the measurement for a technique at a rate, or nil.
-func (r Fig6Result) Cell(technique string, rate float64) *Fig6Cell {
+func (r Fig6Result) Cell(technique string, rate float64) *Cell {
 	for i := range r.Cells {
-		if r.Cells[i].Technique == technique && r.Cells[i].Rate == rate {
+		if r.Cells[i].Spec.Technique == technique && r.Cells[i].Spec.Rate == rate {
 			return &r.Cells[i]
 		}
 	}
 	return nil
 }
 
-// sweepSpec assembles the canonical pcs.SweepSpec the config means: the
-// cell template plus the technique and rate axes. SweepSpec.Cells owns the
-// seed derivation and the ≥90-virtual-second requests floor, so the
-// daemon's POST /v1/sweeps and this driver can never expand the same grid
-// into different runs.
-func (c Fig6Config) sweepSpec() pcs.SweepSpec {
-	techniques := make([]string, len(c.Techniques))
-	for i, tech := range c.Techniques {
-		techniques[i] = tech.String()
-	}
-	return pcs.SweepSpec{
-		Base: pcs.RunSpec{
-			Scenario:         c.Scenario,
-			Policy:           c.Policy,
-			Traffic:          c.Traffic,
-			Graph:            c.Graph,
-			GraphFile:        c.GraphFile,
-			Seed:             c.Seed,
-			Nodes:            c.Nodes,
-			SearchComponents: c.SearchComponents,
-			Requests:         c.Requests,
-			Shards:           c.Shards,
-			Lanes:            c.Lanes,
-		},
-		Techniques: techniques,
-		Rates:      c.Rates,
-	}
-}
-
-// RunFig6 executes the sweep on the replication runner: all cells ×
-// replications fan out across the worker pool, and every job's seed is a
-// pure function of its (cell, replication) coordinates, so the sweep is
-// deterministic for any worker count. The cells come from the canonical
-// SweepSpec expansion — each (technique, rate) cell uses its own derived
-// seed so adding techniques does not perturb other cells; with
-// Replications == 1 the cell values are identical to the historical serial
-// sweep.
-func RunFig6(cfg Fig6Config) (Fig6Result, error) {
-	c := cfg.withDefaults()
-
-	cells, err := c.sweepSpec().Cells()
+// RunFig6 executes a sweep's cells — the paper's grid is all six
+// techniques × λ ∈ {10, 20, 50, 100, 200, 500} — on pcs.RunCells, so a
+// cell here is exactly the cell pcs-serve runs for POST /v1/sweeps and
+// pcs-sweep -remote dispatches: same expansion (SweepSpec.Cells), same
+// seeds, same fold. stream, when non-nil, receives every run as one
+// pcs.StreamedRun frame, cell after cell (serve.WriteFrames' bytes).
+func RunFig6(spec pcs.SweepSpec, stream io.Writer) (Fig6Result, error) {
+	cells, err := spec.Cells()
 	if err != nil {
 		return Fig6Result{}, fmt.Errorf("experiments: fig6: %w", err)
 	}
-	type cellSpec struct {
-		tech pcs.Technique
-		opts pcs.Options
-	}
-	specs := make([]cellSpec, len(cells))
-	for i, cell := range cells {
-		o, err := cell.Options()
-		if err != nil {
-			return Fig6Result{}, fmt.Errorf("experiments: fig6: %w", err)
-		}
-		specs[i] = cellSpec{o.Technique, o}
-	}
-
-	reps := c.Replications
-	jobs := len(specs) * reps
-	// The runs fan out on the streaming runner so NDJSON lines land on the
-	// sink as their replications complete (in deterministic order), not in
-	// a post-hoc pass; the cell tables still need every Result, so those
-	// are collected alongside. The runner's own root-seed stream is
-	// unused: every job derives its seed from its cell's root so cells
-	// stay independent of each other.
-	var enc *json.Encoder
-	if c.Stream != nil {
-		enc = json.NewEncoder(c.Stream)
-	}
-	workers := shard.ReplicationWorkers(c.Workers, c.Shards)
-	results := make([]pcs.Result, jobs)
-	err = runner.Stream(c.Seed, jobs, runner.Options{Workers: workers},
-		func(idx int, _ int64) (pcs.Result, error) {
-			spec := specs[idx/reps]
-			o := spec.opts
-			o.Seed = xrand.StreamSeed(o.Seed, idx%reps)
-			res, runErr := pcs.Run(o)
-			if runErr != nil {
-				return pcs.Result{}, fmt.Errorf("experiments: fig6 %s at λ=%.0f: %w",
-					spec.tech, o.ArrivalRate, runErr)
-			}
-			return res, nil
-		},
-		func(idx int, res pcs.Result) error {
-			results[idx] = res
-			if enc == nil {
-				return nil
-			}
-			spec := specs[idx/reps]
-			rec := Fig6StreamedRun{
-				Technique: spec.tech.String(),
-				Rate:      spec.opts.ArrivalRate,
-				Rep:       idx % reps,
-				Seed:      xrand.StreamSeed(spec.opts.Seed, idx%reps),
-				Result:    res,
-			}
-			if err := enc.Encode(rec); err != nil {
-				return fmt.Errorf("experiments: streaming fig6 run %d: %w", idx, err)
-			}
-			return nil
-		})
+	out, err := runCells(cells, spec.Base.Workers, stream)
 	if err != nil {
-		return Fig6Result{}, err
+		return Fig6Result{}, fmt.Errorf("experiments: fig6: %w", err)
 	}
-
-	var out Fig6Result
-	for i, spec := range specs {
-		cell := mergeCell(spec.tech.String(), spec.opts.ArrivalRate, results[i*reps:(i+1)*reps])
-		out.Cells = append(out.Cells, cell)
-	}
-	out.P99ReductionPct, out.OverallReductionPct = headlineReductions(out, c.Rates)
-	return out, nil
+	res := Fig6Result{Cells: out}
+	res.P99ReductionPct, res.OverallReductionPct = res.headlineReductions()
+	return res, nil
 }
 
-// mergeCell folds a cell's replications into one Fig6Cell: latency metrics
-// and counts become across-replication means (a single replication passes
-// through untouched), and the headline metrics gain confidence intervals.
-func mergeCell(technique string, rate float64, runs []pcs.Result) Fig6Cell {
-	if len(runs) == 1 {
-		return Fig6Cell{Technique: technique, Rate: rate, Result: runs[0]}
-	}
-	merged, avgCI, p99CI := foldResults(runs)
-	return Fig6Cell{Technique: technique, Rate: rate, Result: merged,
-		AvgOverallCI95Ms: avgCI, P99ComponentCI95Ms: p99CI}
-}
-
-// foldResults merges one cell's replications into a single Result whose
-// latency metrics and counts are across-replication means (counts rounded
-// to nearest), plus the CI95 half-widths of the two headline metrics. It
-// is the one place a new Result field must be taught about aggregation —
-// the Fig. 6 sweep and the policy grid both fold through it, so their
-// replicated cells can never disagree about what a number means.
-func foldResults(runs []pcs.Result) (merged pcs.Result, avgCI, p99CI float64) {
-	merged = runs[0]
-	mean := func(f func(pcs.Result) float64) (float64, float64) {
-		var w stats.Welford
-		for _, r := range runs {
-			w.Add(f(r))
+// axes lists the sweep's techniques and rates in expansion order.
+func (r Fig6Result) axes() (techniques []string, rates []float64) {
+	for _, c := range r.Cells {
+		if !slices.Contains(techniques, c.Spec.Technique) {
+			techniques = append(techniques, c.Spec.Technique)
 		}
-		return w.Mean(), w.MeanCI95()
-	}
-	meanInt := func(f func(pcs.Result) int) int {
-		sum := 0
-		for _, r := range runs {
-			sum += f(r)
+		if !slices.Contains(rates, c.Spec.Rate) {
+			rates = append(rates, c.Spec.Rate)
 		}
-		return (sum + len(runs)/2) / len(runs)
 	}
-	merged.AvgOverallMs, avgCI = mean(func(r pcs.Result) float64 { return r.AvgOverallMs })
-	merged.P99ComponentMs, p99CI = mean(func(r pcs.Result) float64 { return r.P99ComponentMs })
-	merged.OverallP50Ms, _ = mean(func(r pcs.Result) float64 { return r.OverallP50Ms })
-	merged.OverallP99Ms, _ = mean(func(r pcs.Result) float64 { return r.OverallP99Ms })
-	merged.OverallMaxMs, _ = mean(func(r pcs.Result) float64 { return r.OverallMaxMs })
-	merged.ComponentMeanMs, _ = mean(func(r pcs.Result) float64 { return r.ComponentMeanMs })
-	merged.ComponentP50Ms, _ = mean(func(r pcs.Result) float64 { return r.ComponentP50Ms })
-	merged.VirtualSeconds, _ = mean(func(r pcs.Result) float64 { return r.VirtualSeconds })
-	stage := make([]float64, len(merged.StageMeanMs))
-	for s := range stage {
-		stage[s], _ = mean(func(r pcs.Result) float64 {
-			if s < len(r.StageMeanMs) {
-				return r.StageMeanMs[s]
-			}
-			return 0
-		})
-	}
-	merged.StageMeanMs = stage
-	merged.Arrivals = meanInt(func(r pcs.Result) int { return r.Arrivals })
-	merged.Completed = meanInt(func(r pcs.Result) int { return r.Completed })
-	merged.Migrations = meanInt(func(r pcs.Result) int { return r.Migrations })
-	merged.SchedulingIntervals = meanInt(func(r pcs.Result) int { return r.SchedulingIntervals })
-	merged.BatchJobsStarted = meanInt(func(r pcs.Result) int { return r.BatchJobsStarted })
-	merged.PolicyActions = meanInt(func(r pcs.Result) int { return r.PolicyActions })
-	return merged, avgCI, p99CI
+	return techniques, rates
 }
 
 // headlineReductions computes the paper's headline aggregates: PCS's
 // average reduction versus the redundancy and reissue techniques, averaged
 // over arrival rates.
-func headlineReductions(r Fig6Result, rates []float64) (p99, overall float64) {
-	baselines := []string{"RED-3", "RED-5", "RI-90", "RI-99"}
+func (r Fig6Result) headlineReductions() (p99, overall float64) {
 	var p99Sum, overallSum float64
 	var n int
-	for _, rate := range rates {
-		pcsCell := r.Cell("PCS", rate)
-		if pcsCell == nil {
+	for _, pcsCell := range r.Cells {
+		if pcsCell.Spec.Technique != "PCS" {
 			continue
 		}
-		for _, b := range baselines {
-			bc := r.Cell(b, rate)
-			if bc == nil || bc.Result.P99ComponentMs <= 0 || bc.Result.AvgOverallMs <= 0 {
+		for _, b := range fig6Baselines {
+			bc := r.Cell(b, pcsCell.Spec.Rate)
+			if bc == nil || bc.Report.P99ComponentMs.Mean <= 0 || bc.Report.AvgOverallMs.Mean <= 0 {
 				continue
 			}
-			p99Sum += 100 * (1 - pcsCell.Result.P99ComponentMs/bc.Result.P99ComponentMs)
-			overallSum += 100 * (1 - pcsCell.Result.AvgOverallMs/bc.Result.AvgOverallMs)
+			p99Sum += 100 * (1 - pcsCell.Report.P99ComponentMs.Mean/bc.Report.P99ComponentMs.Mean)
+			overallSum += 100 * (1 - pcsCell.Report.AvgOverallMs.Mean/bc.Report.AvgOverallMs.Mean)
 			n++
 		}
 	}
@@ -337,29 +131,24 @@ func headlineReductions(r Fig6Result, rates []float64) (p99, overall float64) {
 // p99 component latency), one row per technique, one column per rate —
 // the shape of the paper's Fig. 6. Cells aggregated over multiple
 // replications are rendered as mean±CI95.
-func (r Fig6Result) WriteTable(w io.Writer, cfg Fig6Config) {
-	c := cfg.withDefaults()
-	writeOne := func(title string, pick func(Fig6Cell) (float64, float64)) {
+func (r Fig6Result) WriteTable(w io.Writer) {
+	techniques, rates := r.axes()
+	writeOne := func(title string, pick func(pcs.Aggregate) pcs.MetricSummary) {
 		fmt.Fprintf(w, "%s (ms)\n", title)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprint(tw, "technique")
-		for _, rate := range c.Rates {
+		for _, rate := range rates {
 			fmt.Fprintf(tw, "\tλ=%.0f", rate)
 		}
 		fmt.Fprintln(tw)
-		for _, tech := range c.Techniques {
-			fmt.Fprint(tw, tech.String())
-			for _, rate := range c.Rates {
-				cell := r.Cell(tech.String(), rate)
-				if cell == nil {
-					fmt.Fprint(tw, "\t-")
-					continue
-				}
-				v, ci := pick(*cell)
-				if ci > 0 {
-					fmt.Fprintf(tw, "\t%.2f±%.2f", v, ci)
+		for _, tech := range techniques {
+			fmt.Fprint(tw, tech)
+			for _, rate := range rates {
+				m := pick(r.Cell(tech, rate).Report)
+				if m.CI95 > 0 {
+					fmt.Fprintf(tw, "\t%.2f±%.2f", m.Mean, m.CI95)
 				} else {
-					fmt.Fprintf(tw, "\t%.2f", v)
+					fmt.Fprintf(tw, "\t%.2f", m.Mean)
 				}
 			}
 			fmt.Fprintln(tw)
@@ -367,23 +156,13 @@ func (r Fig6Result) WriteTable(w io.Writer, cfg Fig6Config) {
 		tw.Flush()
 		fmt.Fprintln(w)
 	}
-	writeOne("Average overall service latency", func(cell Fig6Cell) (float64, float64) {
-		return cell.Result.AvgOverallMs, cell.AvgOverallCI95Ms
-	})
-	writeOne("99th-percentile component latency", func(cell Fig6Cell) (float64, float64) {
-		return cell.Result.P99ComponentMs, cell.P99ComponentCI95Ms
-	})
+	writeOne("Average overall service latency", func(a pcs.Aggregate) pcs.MetricSummary { return a.AvgOverallMs })
+	writeOne("99th-percentile component latency", func(a pcs.Aggregate) pcs.MetricSummary { return a.P99ComponentMs })
 	// The headline aggregate compares PCS against the redundancy/reissue
 	// techniques; with a technique subset that lacks them there is nothing
 	// to report.
-	hasBaseline := false
-	for _, tech := range c.Techniques {
-		switch tech {
-		case pcs.RED3, pcs.RED5, pcs.RI90, pcs.RI99:
-			hasBaseline = true
-		}
-	}
-	if hasBaseline && r.Cell("PCS", c.Rates[0]) != nil {
+	hasBaseline := slices.ContainsFunc(techniques, func(t string) bool { return slices.Contains(fig6Baselines, t) })
+	if hasBaseline && slices.Contains(techniques, "PCS") {
 		fmt.Fprintf(w, "PCS reduction vs redundancy/reissue: p99 component %.2f%% (paper: 67.05%%), avg overall %.2f%% (paper: 64.16%%)\n",
 			r.P99ReductionPct, r.OverallReductionPct)
 	}

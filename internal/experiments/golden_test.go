@@ -46,21 +46,18 @@ func TestFig6TableGolden(t *testing.T) {
 		t.Skip("fig6 sweep is expensive")
 	}
 	for _, reps := range []int{1, 3} {
-		cfg := Fig6Config{
-			Seed:             2,
-			Rates:            []float64{10, 20},
-			Techniques:       []pcs.Technique{pcs.Basic, pcs.RED3, pcs.PCS},
-			Requests:         600,
-			Nodes:            8,
-			SearchComponents: 12,
-			Replications:     reps,
+		spec := pcs.SweepSpec{
+			Base: pcs.RunSpec{Seed: 2, Requests: 600, Nodes: 8, SearchComponents: 12,
+				Replications: reps},
+			Rates:      []float64{10, 20},
+			Techniques: []string{"Basic", "RED-3", "PCS"},
 		}
-		res, err := RunFig6(cfg)
+		res, err := RunFig6(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		res.WriteTable(&buf, cfg)
+		res.WriteTable(&buf)
 		checkTableGolden(t, fmt.Sprintf("fig6_table_reps%d.txt", reps), buf.Bytes())
 	}
 }
@@ -71,22 +68,17 @@ func TestPolicyGridTableGolden(t *testing.T) {
 	}
 	for _, reps := range []int{1, 3} {
 		cfg := PolicyGridConfig{
-			Seed:             7,
-			Scenario:         "autoscale-burst",
-			Policies:         []string{"none", "threshold-autoscale"},
-			Techniques:       []pcs.Technique{pcs.Basic, pcs.RI90},
-			Rate:             400,
-			Requests:         3000,
-			Nodes:            8,
-			SearchComponents: 12,
-			Replications:     reps,
+			Base: pcs.RunSpec{Seed: 7, Scenario: "autoscale-burst", Rate: 400, Requests: 3000,
+				Nodes: 8, SearchComponents: 12, Replications: reps},
+			Policies:   []string{"none", "threshold-autoscale"},
+			Techniques: []pcs.Technique{pcs.Basic, pcs.RI90},
 		}
-		res, err := RunPolicyGrid(cfg)
+		res, err := RunPolicyGrid(cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		res.WriteTable(&buf, cfg)
+		res.WriteTable(&buf)
 		checkTableGolden(t, fmt.Sprintf("policy_table_reps%d.txt", reps), buf.Bytes())
 	}
 }

@@ -1,14 +1,10 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"text/tabwriter"
 
-	"repro/internal/runner"
-	"repro/internal/shard"
-	"repro/internal/xrand"
 	"repro/pcs"
 )
 
@@ -18,70 +14,25 @@ import (
 // closed-loop layer exists for — does closing the loop beat the same
 // deployment left open-loop?
 type PolicyGridConfig struct {
-	// Seed is the grid's root seed; every cell derives its own from its
-	// coordinates, so adding policies or techniques never perturbs other
-	// cells.
-	Seed int64
-	// Scenario names the deployment (empty = "autoscale-burst", the
-	// burst-elasticity scenario built for this comparison).
-	Scenario string
-	// Policies are the closed-loop policies to compare; "none" is the
-	// open-loop baseline. Nil selects "none" plus every registered policy.
-	Policies []string
-	// Traffic, when non-nil, runs every cell under this arrival process
-	// instead of the scenario's scripted traffic or the scalar Poisson
-	// stream (pcs.Options.Traffic).
-	Traffic *pcs.TrafficSpec
-	// Graph and GraphFile deploy a custom service DAG in every cell
-	// instead of a registered scenario (pcs.RunSpec semantics: at most one
-	// of Scenario, Graph and GraphFile may be set).
-	Graph     *pcs.GraphSpec
-	GraphFile string
+	// Base is the cell template: deployment, traffic, rate, requests,
+	// replications, workers and tuning. An unset deployment selects
+	// "autoscale-burst" (the burst-elasticity scenario built for this
+	// comparison), Rate 0 selects 100 req/s (scenario steering scripts
+	// its bursts relative to it) and Requests 0 selects 20000. Its seed
+	// is the grid's root: every cell derives its own from its technique.
+	Base pcs.RunSpec
 	// Techniques to run each policy under; nil means Basic and PCS (the
 	// two wirings: no control loop vs the paper's scheduler, each with
 	// and without the closed loop on top).
 	Techniques []pcs.Technique
-	// Rate is the base arrival rate λ in requests/second (0 selects 100);
-	// scenario steering scripts its bursts relative to it.
-	Rate float64
-	// Requests per run (0 selects 20000).
-	Requests int
-	// Nodes and SearchComponents size the deployment; 0 selects the
-	// scenario's defaults.
-	Nodes, SearchComponents int
-	// Replications per cell (default 1); with more, cells report
-	// across-replication means and the headline metrics carry CI95s.
-	Replications int
-	// Workers bounds the worker pool the cells × replications fan out on;
-	// 0 selects GOMAXPROCS (divided by Shards when sharding is on).
-	Workers int
-	// Shards is the per-run intra-simulation shard count; results are
-	// bit-identical at any value.
-	Shards int
-	// Lanes is the per-run parallel data-plane lane count
-	// (pcs.Options.Lanes); 0 keeps the sequential engine. Laned runs are
-	// byte-identical at any lane count ≥ 1 but are a different physical
-	// model from Lanes == 0, so a grid must not mix the two.
-	Lanes int
-	// Stream, when non-nil, receives every run as one NDJSON line
-	// (PolicyStreamedRun) in deterministic (cell, replication) order.
-	Stream io.Writer
-}
-
-// PolicyStreamedRun is one NDJSON line of a streamed policy grid: the cell
-// coordinates, the replication index, the derived seed that reproduces the
-// run, and its Result.
-type PolicyStreamedRun struct {
-	Technique string     `json:"technique"`
-	Policy    string     `json:"policy"`
-	Rep       int        `json:"rep"`
-	Seed      int64      `json:"seed"`
-	Result    pcs.Result `json:"result"`
+	// Policies are the closed-loop policies to compare; "none" is the
+	// open-loop baseline. Nil selects "none" plus every registered policy.
+	Policies []string
 }
 
 func (c PolicyGridConfig) withDefaults() PolicyGridConfig {
-	if c.Scenario == "" && c.Graph == nil && c.GraphFile == "" {
-		c.Scenario = "autoscale-burst"
+	if c.Base.Scenario == "" && c.Base.Graph == nil && c.Base.GraphFile == "" {
+		c.Base.Scenario = "autoscale-burst"
 	}
 	if len(c.Policies) == 0 {
 		c.Policies = append([]string{"none"}, pcs.Policies()...)
@@ -89,62 +40,39 @@ func (c PolicyGridConfig) withDefaults() PolicyGridConfig {
 	if len(c.Techniques) == 0 {
 		c.Techniques = []pcs.Technique{pcs.Basic, pcs.PCS}
 	}
-	if c.Rate <= 0 {
-		c.Rate = 100
+	if c.Base.Rate <= 0 {
+		c.Base.Rate = 100
 	}
-	if c.Requests <= 0 {
-		c.Requests = 20000
-	}
-	if c.Replications <= 0 {
-		c.Replications = 1
+	if c.Base.Requests <= 0 {
+		c.Base.Requests = 20000
 	}
 	return c
 }
 
-// PolicyCell is one (technique, policy) measurement. With Replications > 1
-// the Result's latency metrics are across-replication means and the CI
-// fields carry the 95% confidence half-widths of the headline metrics;
-// PolicyActions is the mean actuation count.
-type PolicyCell struct {
-	Technique string
-	Policy    string
-	Result    pcs.Result
-	// AvgOverallCI95Ms and P99ComponentCI95Ms are zero for a single
-	// replication.
-	AvgOverallCI95Ms   float64
-	P99ComponentCI95Ms float64
-}
-
-// PolicyGridResult holds the grid plus per-technique headline deltas of
-// every policy against the open-loop baseline.
+// PolicyGridResult holds the grid's cells, technique-major.
 type PolicyGridResult struct {
-	Cells []PolicyCell
+	Cells []Cell
 }
 
 // Cell returns the measurement for a technique under a policy, or nil.
 // The open-loop baseline is policy "none".
-func (r PolicyGridResult) Cell(technique, policyName string) *PolicyCell {
+func (r PolicyGridResult) Cell(technique, policyName string) *Cell {
 	for i := range r.Cells {
-		if r.Cells[i].Technique == technique && r.Cells[i].Policy == policyName {
+		if r.Cells[i].Spec.Technique == technique && r.Cells[i].Spec.Policy == policyName {
 			return &r.Cells[i]
 		}
 	}
 	return nil
 }
 
-// RunPolicyGrid executes the policy × technique grid on the replication
-// runner. Every job's seed is a pure function of its (cell, replication)
+// RunPolicyGrid executes the policy × technique grid on pcs.RunCells.
+// Every run's seed is a pure function of its (cell, replication)
 // coordinates and each run builds a fresh policy instance, so the grid is
 // deterministic for any worker or shard count — closed-loop runs included
-// (determinism invariant #8).
-func RunPolicyGrid(cfg PolicyGridConfig) (PolicyGridResult, error) {
+// (determinism invariant #8). stream, when non-nil, receives every run as
+// one pcs.StreamedRun frame, cell after cell.
+func RunPolicyGrid(cfg PolicyGridConfig, stream io.Writer) (PolicyGridResult, error) {
 	c := cfg.withDefaults()
-
-	type cellSpec struct {
-		tech   pcs.Technique
-		policy string
-		opts   pcs.Options
-	}
 	// A cell's seed depends on its technique's identity but NOT its
 	// policy: the whole point of the grid is a paired comparison, so a
 	// policy-on run must face exactly the arrival stream and batch
@@ -152,131 +80,64 @@ func RunPolicyGrid(cfg PolicyGridConfig) (PolicyGridResult, error) {
 	// difference between the rows of one technique. Deriving from the
 	// technique value (not its slice position) keeps a cell's numbers
 	// stable when techniques are added or reordered.
-	var specs []cellSpec
+	var cells []pcs.RunSpec
 	for _, tech := range c.Techniques {
 		for _, pol := range c.Policies {
-			cell := pcs.RunSpec{
-				Technique:        tech.String(),
-				Scenario:         c.Scenario,
-				Policy:           pol,
-				Traffic:          c.Traffic,
-				Graph:            c.Graph,
-				GraphFile:        c.GraphFile,
-				Seed:             c.Seed ^ int64(tech)<<16,
-				Nodes:            c.Nodes,
-				SearchComponents: c.SearchComponents,
-				Rate:             c.Rate,
-				Requests:         c.Requests,
-				Shards:           c.Shards,
-				Lanes:            c.Lanes,
-			}
-			o, err := cell.Options()
-			if err != nil {
-				return PolicyGridResult{}, fmt.Errorf("experiments: policy grid %s/%s: %w", tech, pol, err)
-			}
-			specs = append(specs, cellSpec{tech, pol, o})
+			cell := c.Base
+			cell.Technique = tech.String()
+			cell.Policy = pol
+			cell.Seed = c.Base.Seed ^ int64(tech)<<16
+			cells = append(cells, cell)
 		}
 	}
-
-	reps := c.Replications
-	jobs := len(specs) * reps
-	var enc *json.Encoder
-	if c.Stream != nil {
-		enc = json.NewEncoder(c.Stream)
-	}
-	workers := shard.ReplicationWorkers(c.Workers, c.Shards)
-	results := make([]pcs.Result, jobs)
-	err := runner.Stream(c.Seed, jobs, runner.Options{Workers: workers},
-		func(idx int, _ int64) (pcs.Result, error) {
-			spec := specs[idx/reps]
-			o := spec.opts
-			o.Seed = xrand.StreamSeed(o.Seed, idx%reps)
-			res, runErr := pcs.Run(o)
-			if runErr != nil {
-				return pcs.Result{}, fmt.Errorf("experiments: policy grid %s/%s: %w",
-					spec.tech, spec.policy, runErr)
-			}
-			return res, nil
-		},
-		func(idx int, res pcs.Result) error {
-			results[idx] = res
-			if enc == nil {
-				return nil
-			}
-			spec := specs[idx/reps]
-			rec := PolicyStreamedRun{
-				Technique: spec.tech.String(),
-				Policy:    spec.policy,
-				Rep:       idx % reps,
-				Seed:      xrand.StreamSeed(spec.opts.Seed, idx%reps),
-				Result:    res,
-			}
-			if err := enc.Encode(rec); err != nil {
-				return fmt.Errorf("experiments: streaming policy run %d: %w", idx, err)
-			}
-			return nil
-		})
+	out, err := runCells(cells, c.Base.Workers, stream)
 	if err != nil {
-		return PolicyGridResult{}, err
+		return PolicyGridResult{}, fmt.Errorf("experiments: policy grid: %w", err)
 	}
-
-	var out PolicyGridResult
-	for i, spec := range specs {
-		out.Cells = append(out.Cells, mergePolicyCell(spec.tech.String(), spec.policy,
-			results[i*reps:(i+1)*reps]))
-	}
-	return out, nil
+	return PolicyGridResult{Cells: out}, nil
 }
 
-// mergePolicyCell folds a cell's replications through foldResults (shared
-// with the Fig. 6 sweep): every latency metric and count in the merged
-// Result becomes an across-replication mean (counts rounded to nearest),
-// with CI95s on the headline pair — so each number a reader sees in a
-// replicated cell is a cell-level statistic, never one replication's raw
-// sample.
-func mergePolicyCell(technique, policyName string, runs []pcs.Result) PolicyCell {
-	if len(runs) == 1 {
-		return PolicyCell{Technique: technique, Policy: policyName, Result: runs[0]}
+// meanActions is a cell's actuation count: the mean over its runs,
+// rounded to nearest.
+func meanActions(runs []pcs.Result) int {
+	sum := 0
+	for _, r := range runs {
+		sum += r.PolicyActions
 	}
-	merged, avgCI, p99CI := foldResults(runs)
-	return PolicyCell{Technique: technique, Policy: policyName, Result: merged,
-		AvgOverallCI95Ms: avgCI, P99ComponentCI95Ms: p99CI}
+	return (sum + len(runs)/2) / len(runs)
 }
 
 // WriteTable renders the grid: one row per (technique, policy) cell with
 // the headline latency metrics, the actuation count, and the deltas
 // against the technique's open-loop ("none") baseline — negative deltas
 // mean the closed loop improved the metric.
-func (r PolicyGridResult) WriteTable(w io.Writer, cfg PolicyGridConfig) {
-	c := cfg.withDefaults()
+func (r PolicyGridResult) WriteTable(w io.Writer) {
+	if len(r.Cells) == 0 {
+		return
+	}
+	first := r.Cells[0]
 	fmt.Fprintf(w, "closed-loop policy grid · scenario %s · λ=%.0f req/s · %d replication(s)\n\n",
-		c.Scenario, c.Rate, c.Replications)
+		first.Spec.Scenario, first.Spec.Rate, first.Report.Replications)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "technique\tpolicy\tavg overall ms\tp99 comp ms\tactions\tΔavg vs open-loop\tΔp99 vs open-loop")
-	for _, tech := range c.Techniques {
-		base := r.Cell(tech.String(), "none")
-		for _, pol := range c.Policies {
-			cell := r.Cell(tech.String(), pol)
-			if cell == nil {
-				continue
-			}
-			fmt.Fprintf(tw, "%s\t%s", tech, pol)
-			if cell.AvgOverallCI95Ms > 0 {
-				fmt.Fprintf(tw, "\t%.3f±%.3f\t%.3f±%.3f", cell.Result.AvgOverallMs,
-					cell.AvgOverallCI95Ms, cell.Result.P99ComponentMs, cell.P99ComponentCI95Ms)
-			} else {
-				fmt.Fprintf(tw, "\t%.3f\t%.3f", cell.Result.AvgOverallMs, cell.Result.P99ComponentMs)
-			}
-			fmt.Fprintf(tw, "\t%d", cell.Result.PolicyActions)
-			if base != nil && pol != "none" && base.Result.AvgOverallMs > 0 && base.Result.P99ComponentMs > 0 {
-				fmt.Fprintf(tw, "\t%+.1f%%\t%+.1f%%",
-					100*(cell.Result.AvgOverallMs/base.Result.AvgOverallMs-1),
-					100*(cell.Result.P99ComponentMs/base.Result.P99ComponentMs-1))
-			} else {
-				fmt.Fprint(tw, "\t-\t-")
-			}
-			fmt.Fprintln(tw)
+	for _, cell := range r.Cells {
+		avg, p99 := cell.Report.AvgOverallMs, cell.Report.P99ComponentMs
+		fmt.Fprintf(tw, "%s\t%s", cell.Spec.Technique, cell.Spec.Policy)
+		if avg.CI95 > 0 {
+			fmt.Fprintf(tw, "\t%.3f±%.3f\t%.3f±%.3f", avg.Mean, avg.CI95, p99.Mean, p99.CI95)
+		} else {
+			fmt.Fprintf(tw, "\t%.3f\t%.3f", avg.Mean, p99.Mean)
 		}
+		fmt.Fprintf(tw, "\t%d", meanActions(cell.Report.Runs))
+		base := r.Cell(cell.Spec.Technique, "none")
+		if base != nil && cell.Spec.Policy != "none" && base.Report.AvgOverallMs.Mean > 0 && base.Report.P99ComponentMs.Mean > 0 {
+			fmt.Fprintf(tw, "\t%+.1f%%\t%+.1f%%",
+				100*(avg.Mean/base.Report.AvgOverallMs.Mean-1),
+				100*(p99.Mean/base.Report.P99ComponentMs.Mean-1))
+		} else {
+			fmt.Fprint(tw, "\t-\t-")
+		}
+		fmt.Fprintln(tw)
 	}
 	tw.Flush()
 }

@@ -16,14 +16,10 @@ import (
 // same sizing argument).
 func policyGridConfig() PolicyGridConfig {
 	return PolicyGridConfig{
-		Seed:             7,
-		Scenario:         "autoscale-burst",
-		Policies:         []string{"none", "threshold-autoscale"},
-		Techniques:       []pcs.Technique{pcs.Basic},
-		Rate:             400,
-		Requests:         6000,
-		Nodes:            8,
-		SearchComponents: 12,
+		Base: pcs.RunSpec{Seed: 7, Scenario: "autoscale-burst", Rate: 400, Requests: 6000,
+			Nodes: 8, SearchComponents: 12},
+		Policies:   []string{"none", "threshold-autoscale"},
+		Techniques: []pcs.Technique{pcs.Basic},
 	}
 }
 
@@ -36,13 +32,11 @@ func policyGridConfig() PolicyGridConfig {
 // burst; on a saturated toy deployment, scale-up just adds interference.
 func TestPolicyGridAutoscaleBeatsOpenLoop(t *testing.T) {
 	cfg := PolicyGridConfig{
-		Seed:       7,
-		Scenario:   "autoscale-burst",
+		Base:       pcs.RunSpec{Seed: 7, Scenario: "autoscale-burst", Requests: 6000},
 		Policies:   []string{"none", "threshold-autoscale"},
 		Techniques: []pcs.Technique{pcs.Basic},
-		Requests:   6000,
 	}
-	res, err := RunPolicyGrid(cfg)
+	res, err := RunPolicyGrid(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,25 +45,25 @@ func TestPolicyGridAutoscaleBeatsOpenLoop(t *testing.T) {
 	if open == nil || closed == nil {
 		t.Fatalf("grid missing cells: %+v", res.Cells)
 	}
-	if open.Result.PolicyActions != 0 {
-		t.Fatalf("open-loop cell applied %d actions", open.Result.PolicyActions)
+	if n := open.Report.Runs[0].PolicyActions; n != 0 {
+		t.Fatalf("open-loop cell applied %d actions", n)
 	}
-	if closed.Result.PolicyActions == 0 {
+	if closed.Report.Runs[0].PolicyActions == 0 {
 		t.Fatal("autoscaler cell never acted — the comparison is vacuous")
 	}
-	if closed.Result.P99ComponentMs >= open.Result.P99ComponentMs {
+	if closed.Report.P99ComponentMs.Mean >= open.Report.P99ComponentMs.Mean {
 		t.Fatalf("threshold autoscaler did not beat open-loop p99: %.3f ≥ %.3f ms",
-			closed.Result.P99ComponentMs, open.Result.P99ComponentMs)
+			closed.Report.P99ComponentMs.Mean, open.Report.P99ComponentMs.Mean)
 	}
 	// The paired design: both cells faced the identical world, so the
 	// delta is attributable to the policy alone.
-	if open.Result.Arrivals != closed.Result.Arrivals {
+	if open.Report.Arrivals != closed.Report.Arrivals {
 		t.Fatalf("cells saw different workloads: %d vs %d arrivals (seeds must pair)",
-			open.Result.Arrivals, closed.Result.Arrivals)
+			open.Report.Arrivals, closed.Report.Arrivals)
 	}
 
 	var table strings.Builder
-	res.WriteTable(&table, cfg)
+	res.WriteTable(&table)
 	out := table.String()
 	for _, want := range []string{"threshold-autoscale", "none", "Δp99", "autoscale-burst"} {
 		if !strings.Contains(out, want) {
@@ -87,11 +81,10 @@ func TestPolicyGridDeterministicAcrossWorkersAndShards(t *testing.T) {
 	}
 	run := func(workers, shards int) (PolicyGridResult, []byte) {
 		cfg := policyGridConfig()
-		cfg.Workers = workers
-		cfg.Shards = shards
+		cfg.Base.Workers = workers
+		cfg.Base.Shards = shards
 		var buf bytes.Buffer
-		cfg.Stream = &buf
-		res, err := RunPolicyGrid(cfg)
+		res, err := RunPolicyGrid(cfg, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +94,10 @@ func TestPolicyGridDeterministicAcrossWorkersAndShards(t *testing.T) {
 	for _, v := range []struct{ workers, shards int }{{8, 1}, {2, 2}} {
 		res, stream := run(v.workers, v.shards)
 		for i := range baseRes.Cells {
-			a, b := baseRes.Cells[i], res.Cells[i]
+			// The spec's Workers and Shards and the aggregate's pool width
+			// describe how the cell ran, not what it computed.
+			a, b := baseRes.Cells[i].Report, res.Cells[i].Report
+			a.Workers, b.Workers = 0, 0
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("workers=%d shards=%d: cell %d diverged\n%+v\nvs\n%+v",
 					v.workers, v.shards, i, a, b)
@@ -115,12 +111,12 @@ func TestPolicyGridDeterministicAcrossWorkersAndShards(t *testing.T) {
 	dec := json.NewDecoder(bytes.NewReader(baseStream))
 	lines := 0
 	for dec.More() {
-		var rec PolicyStreamedRun
+		var rec pcs.StreamedRun
 		if err := dec.Decode(&rec); err != nil {
 			t.Fatal(err)
 		}
 		lines++
-		if rec.Rep != 0 || rec.Technique != "Basic" {
+		if rec.Rep != 0 || rec.Result.Technique != "Basic" {
 			t.Fatalf("unexpected stream record %+v", rec)
 		}
 	}
@@ -137,20 +133,20 @@ func TestPolicyGridReplicatedCellsCarryCIs(t *testing.T) {
 		t.Skip("replicated policy grid is expensive")
 	}
 	cfg := policyGridConfig()
-	cfg.Requests = 3000
-	cfg.Replications = 3
-	res, err := RunPolicyGrid(cfg)
+	cfg.Base.Requests = 3000
+	cfg.Base.Replications = 3
+	res, err := RunPolicyGrid(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cell := range res.Cells {
-		if cell.AvgOverallCI95Ms <= 0 || cell.P99ComponentCI95Ms <= 0 {
+		if cell.Report.AvgOverallMs.CI95 <= 0 || cell.Report.P99ComponentMs.CI95 <= 0 {
 			t.Fatalf("cell %s/%s has no confidence interval despite 3 replications: %+v",
-				cell.Technique, cell.Policy, cell)
+				cell.Spec.Technique, cell.Spec.Policy, cell)
 		}
 	}
 	closed := res.Cell("Basic", "threshold-autoscale")
-	if closed == nil || closed.Result.PolicyActions == 0 {
+	if closed == nil || meanActions(closed.Report.Runs) == 0 {
 		t.Fatal("replicated autoscaler cells never acted")
 	}
 }
@@ -158,17 +154,13 @@ func TestPolicyGridReplicatedCellsCarryCIs(t *testing.T) {
 // TestFig6PolicyOption checks the Fig. 6 sweep's -policy plumbing: a
 // policy-carrying sweep runs every cell closed-loop.
 func TestFig6PolicyOption(t *testing.T) {
-	cfg := Fig6Config{
-		Seed:             9,
-		Scenario:         "brownout-overload",
-		Policy:           "brownout",
-		Rates:            []float64{400},
-		Techniques:       []pcs.Technique{pcs.Basic},
-		Requests:         4000,
-		Nodes:            8,
-		SearchComponents: 12,
+	spec := pcs.SweepSpec{
+		Base: pcs.RunSpec{Seed: 9, Scenario: "brownout-overload", Policy: "brownout",
+			Requests: 4000, Nodes: 8, SearchComponents: 12},
+		Rates:      []float64{400},
+		Techniques: []string{"Basic"},
 	}
-	res, err := RunFig6(cfg)
+	res, err := RunFig6(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +168,10 @@ func TestFig6PolicyOption(t *testing.T) {
 	if cell == nil {
 		t.Fatal("missing cell")
 	}
-	if cell.Result.Policy != "brownout" {
-		t.Fatalf("cell policy = %q, want brownout", cell.Result.Policy)
+	if run := cell.Report.Runs[0]; run.Policy != "brownout" {
+		t.Fatalf("cell policy = %q, want brownout", run.Policy)
 	}
-	if cell.Result.PolicyActions == 0 {
+	if cell.Report.Runs[0].PolicyActions == 0 {
 		t.Fatal("brownout never acted in the sweep cell")
 	}
 }

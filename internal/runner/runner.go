@@ -5,16 +5,19 @@
 // they parallelise perfectly.
 //
 // Determinism is the design constraint: replication i always runs with the
-// seed xrand.StreamSeed(root, i), and results are collected into a slice
-// indexed by replication, so the output is bit-identical regardless of the
-// number of workers or the order in which the scheduler interleaves them.
-// Aggregation (Welford merge, percentiles over per-replication metrics)
-// happens after the pool drains, on the ordered slice.
+// seed xrand.StreamSeed(root, i), and Stream — the one pool — hands results
+// to its consumer in replication order, so the output is bit-identical
+// regardless of the number of workers or the order in which the scheduler
+// interleaves them. Run is Stream collecting into a slice.
+//
+// A replication that panics fails that replication, not the process: the
+// panic value and its stack become the replication's error.
 package runner
 
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -34,7 +37,7 @@ type Options struct {
 	Workers int
 }
 
-// EffectiveWorkers reports the worker count Run actually uses for n
+// EffectiveWorkers reports the worker count Stream actually uses for n
 // replications: the configured count (or GOMAXPROCS when unset), clamped
 // to n.
 func (o Options) EffectiveWorkers(n int) int { return o.workers(n) }
@@ -53,83 +56,37 @@ func (o Options) workers(n int) int {
 	return w
 }
 
-// Run executes n replications of job across the pool and returns their
-// results ordered by replication index. Replication i runs with seed
+// Run is Stream collecting into a slice: it returns the n results ordered
+// by replication index. Replication i runs with seed
 // xrand.StreamSeed(root, i) — stream 0 is the root seed itself, so a
-// 1-replication run reproduces a direct call with the root seed.
-//
-// If any replication fails, Run stops handing out new replications, waits
-// for in-flight ones, and returns the error of the lowest-indexed
-// replication that failed. Which replications are still attempted after the
-// first failure depends on scheduling, so on error only the presence of a
-// failure is deterministic, not the reported index; successful runs are
-// fully deterministic.
+// 1-replication run reproduces a direct call with the root seed. Errors
+// are Stream's.
 func Run[T any](root int64, n int, opts Options, job Job[T]) ([]T, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("runner: need at least one replication, got %d", n)
-	}
-	results := make([]T, n)
-	errs := make([]error, n)
-
-	workers := opts.workers(n)
-	if workers == 1 {
-		// Serial fast path: no goroutines, same seeds, same results.
-		for rep := 0; rep < n; rep++ {
-			res, err := job(rep, xrand.StreamSeed(root, rep))
-			if err != nil {
-				return nil, fmt.Errorf("runner: replication %d: %w", rep, err)
-			}
-			results[rep] = res
-		}
-		return results, nil
-	}
-
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				rep := int(next.Add(1)) - 1
-				if rep >= n || failed.Load() {
-					return
-				}
-				res, err := job(rep, xrand.StreamSeed(root, rep))
-				if err != nil {
-					errs[rep] = err
-					failed.Store(true)
-					return
-				}
-				results[rep] = res
-			}
-		}()
-	}
-	wg.Wait()
-
-	for rep, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("runner: replication %d: %w", rep, err)
-		}
+	var results []T
+	err := Stream(root, n, opts, job, func(_ int, res T) error {
+		results = append(results, res)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
 
 // Stream executes n replications of job across the pool and hands each
 // result to emit in replication-index order, without collecting them into a
-// slice — the memory contract behind streaming sinks for huge sweeps. The
-// seeds and therefore the results are exactly Run's; only the delivery
-// differs. emit runs on the coordinating goroutine, serially and in order;
+// slice — the memory contract behind streaming sinks for huge sweeps.
+// emit runs on the coordinating goroutine, serially and in order;
 // out-of-order completions wait in a reorder buffer. A claim window
 // (2 × workers) gates how far the pool may run ahead of the oldest
 // unemitted replication, so the buffer holds O(workers) results even when
 // one replication is much slower than its peers — never O(n).
 //
-// An emit error stops the pool and is returned as-is. A job error is
-// reported like Run's: the lowest-indexed failure observed, wrapped with
-// its replication index; which later replications were still attempted
-// depends on scheduling.
+// An emit error stops the pool and is returned as-is. A job error — or a
+// job panic, reported as "panic: <value>" with the goroutine's stack — is
+// the lowest-indexed failure observed, wrapped with its replication
+// index; which later replications were still attempted depends on
+// scheduling. On return every worker goroutine has exited.
 func Stream[T any](root int64, n int, opts Options, job Job[T], emit func(rep int, result T) error) error {
 	if n <= 0 {
 		return fmt.Errorf("runner: need at least one replication, got %d", n)
@@ -138,7 +95,7 @@ func Stream[T any](root int64, n int, opts Options, job Job[T], emit func(rep in
 	if workers == 1 {
 		// Serial fast path: already ordered.
 		for rep := 0; rep < n; rep++ {
-			res, err := job(rep, xrand.StreamSeed(root, rep))
+			res, err := call(job, rep, xrand.StreamSeed(root, rep))
 			if err != nil {
 				return fmt.Errorf("runner: replication %d: %w", rep, err)
 			}
@@ -190,7 +147,7 @@ func Stream[T any](root int64, n int, opts Options, job Job[T], emit func(rep in
 					return
 				default:
 				}
-				res, err := job(rep, xrand.StreamSeed(root, rep))
+				res, err := call(job, rep, xrand.StreamSeed(root, rep))
 				ch <- item{rep: rep, res: res, err: err}
 				if err != nil {
 					return
@@ -242,4 +199,16 @@ func Stream[T any](root int64, n int, opts Options, job Job[T], emit func(rep in
 		return fmt.Errorf("runner: replication %d: %w", jobErrRep, jobErr)
 	}
 	return nil
+}
+
+// call runs one replication, converting a panic into its error so a bad
+// replication fails its run instead of killing the process (and, under
+// pcs-serve, every other run in it).
+func call[T any](job Job[T], rep int, seed int64) (res T, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+		}
+	}()
+	return job(rep, seed)
 }

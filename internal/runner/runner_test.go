@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -267,5 +269,39 @@ func TestStreamClaimWindowBounded(t *testing.T) {
 	if limit := int64(3 * workers); maxAhead > limit {
 		t.Fatalf("pool ran %d replications ahead of the emitter (window should cap near %d)",
 			maxAhead, 2*workers)
+	}
+}
+
+// TestStreamPanicFailsItsReplication: a job that panics at replication 2
+// of 6 becomes that replication's error — naming the replication, the
+// panic value and the stack — on the serial and the pooled path alike,
+// and no worker goroutine outlives the call.
+func TestStreamPanicFailsItsReplication(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		err := Stream(1, 6, Options{Workers: workers},
+			func(rep int, seed int64) (int, error) {
+				if rep == 2 {
+					panic("scheduled in the past")
+				}
+				return rep, nil
+			},
+			func(int, int) error { return nil })
+		if err == nil {
+			t.Fatalf("workers=%d: panicking replication reported no error", workers)
+		}
+		msg := err.Error()
+		for _, want := range []string{"runner: replication 2: panic: scheduled in the past", "runtime/debug.Stack"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("workers=%d: error %q does not contain %q", workers, msg, want)
+			}
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("workers=%d: %d goroutines left running (was %d)", workers, n, before)
+		}
 	}
 }

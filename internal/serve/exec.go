@@ -147,7 +147,7 @@ func (e *executor) pending() []QueueEntry {
 
 // lineBuffer accumulates the NDJSON lines a run streams and broadcasts
 // their arrival: an io.Writer on the producer side (fed by
-// pcs.RunManyStream's encoder), a replay-then-follow reader on the SSE
+// pcs.RunManyStreamFrom's encoder), a replay-then-follow reader on the SSE
 // side. Every subscriber sees the full line sequence from the first frame
 // regardless of when it attached, so MergeStream over a subscription is
 // always MergeStream over the whole stream.

@@ -19,12 +19,8 @@ func FuzzStoreRecover(f *testing.F) {
 	// Seed with the genuine article: a real stream from a testdata/specs
 	// style run, plus the corruption shapes the unit table walks.
 	spec := pcs.RunSpec{Technique: "Basic", Requests: 200, Rate: 100, Seed: 7, Replications: 3}
-	opts, err := spec.Options()
-	if err != nil {
-		f.Fatal(err)
-	}
 	var full bytes.Buffer
-	if _, err := pcs.RunManyStream(opts, spec.Replications, 0, &full); err != nil {
+	if _, err := pcs.RunCells([]pcs.RunSpec{spec}, 0, pcs.StreamTo(&full)); err != nil {
 		f.Fatal(err)
 	}
 	stream := full.Bytes()

@@ -101,8 +101,8 @@ func (c *Client) CancelRun(ctx context.Context, id string) (RunStatus, error) {
 }
 
 // StreamRun subscribes to a run's SSE stream and returns its NDJSON
-// replication frames — the exact bytes pcs.RunManyStream would write
-// locally for the run's spec — once the stream's end event reports a
+// replication frames — the exact bytes pcs.RunCells' emit writes through
+// pcs.StreamTo locally for the run's spec — once the stream's end event reports a
 // terminal state. A stream that ends without its end event (the daemon
 // died mid-run) is a transport error; a stream whose end event reports
 // failed or canceled returns an error naming that state, because re-running
@@ -187,8 +187,8 @@ type CellResult struct {
 	// Retries counts the workers that failed the cell before one
 	// completed it.
 	Retries int `json:"retries,omitempty"`
-	// Frames is the cell's NDJSON replication stream, byte-identical to a
-	// local pcs.RunManyStream at the cell's spec.
+	// Frames is the cell's NDJSON replication stream, byte-identical to
+	// the frames a local pcs.RunCells emits for the cell.
 	Frames []byte `json:"-"`
 	// Report is pcs.MergeStream folded over Frames — the canonical
 	// aggregate, byte-identical to the cell spec's local Report.

@@ -108,6 +108,26 @@ func TestFleetFanOutIdentity(t *testing.T) {
 	if got, want := bytes.Count(archive.Bytes(), []byte("\n")), 12; got != want {
 		t.Fatalf("archived stream has %d frames, want %d", got, want)
 	}
+
+	// Local equals fleet: RunCells over the same cells emits exactly the
+	// fleet's archived stream, and each cell's canonical aggregate is the
+	// fleet's merged report for that cell.
+	var local bytes.Buffer
+	aggs, err := pcs.RunCells(cells, 0, pcs.StreamTo(&local))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(local.Bytes(), archive.Bytes()) {
+		t.Fatalf("local RunCells frames differ from WriteFrames over the fleet:\n got %s\nwant %s", local.Bytes(), archive.Bytes())
+	}
+	for i, agg := range aggs {
+		agg.Workers = 0
+		localJSON, _ := json.Marshal(agg)
+		fleetJSON, _ := json.Marshal(fleetCells[i].Report)
+		if !bytes.Equal(localJSON, fleetJSON) {
+			t.Fatalf("cell %d: local RunCells aggregate diverged from the fleet's report:\n got %s\nwant %s", i, localJSON, fleetJSON)
+		}
+	}
 }
 
 // TestFleetRetriesDeadWorker is the fault case: one of three daemons 500s

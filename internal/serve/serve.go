@@ -3,7 +3,7 @@
 // executes them on a bounded work-queue executor, and exposes their
 // progress as the same NDJSON replication records the CLI streams — over
 // SSE, so pcs.MergeStream re-aggregates a subscription bit-identically to
-// a local pcs.RunManyStream at the same spec.
+// a local pcs.RunCells at the same spec.
 //
 // The API surface (see docs/serve.md for the reference with examples):
 //
@@ -552,8 +552,8 @@ func (s *Server) status(r *run) RunStatus {
 }
 
 // handleCreateRun accepts a RunSpec, validates it (strict JSON, spec
-// validation, and an Options dry resolution so e.g. a missing graph file
-// rejects at submit time), and queues it.
+// validation, no graphFile, and an Options dry resolution so e.g. a
+// traffic spec the run layer rejects fails at submit time), and queues it.
 func (s *Server) handleCreateRun(w http.ResponseWriter, req *http.Request) {
 	spec, err := readRunSpec(req)
 	if err != nil {
@@ -619,10 +619,25 @@ func readRunSpec(req *http.Request) (pcs.RunSpec, error) {
 	if err != nil {
 		return pcs.RunSpec{}, err
 	}
+	if err := rejectGraphFile(spec); err != nil {
+		return pcs.RunSpec{}, err
+	}
 	if _, err := spec.Options(); err != nil {
 		return pcs.RunSpec{}, err
 	}
 	return spec, nil
+}
+
+// rejectGraphFile refuses a client spec that names a graph file: the
+// daemon never opens a server path a network client chose. It runs before
+// anything touches the filesystem; clients send the graph inline under
+// "graph" (pcs-sweep -remote -graph-file does that for them). Specs
+// recovered from -state-dir are the daemon's own state and skip it.
+func rejectGraphFile(spec pcs.RunSpec) error {
+	if spec.GraphFile != "" {
+		return fmt.Errorf("graphFile %q: pcs-serve does not open server paths named by clients; send the graph inline under \"graph\"", spec.GraphFile)
+	}
+	return nil
 }
 
 // readBody reads the request body under the daemon's 1 MiB spec cap.
@@ -674,8 +689,8 @@ func wantWait(req *http.Request) bool {
 // every frame already streamed is replayed, then frames follow live, and a
 // terminal "end" event carries the final state. Collecting the data lines
 // and folding them with pcs.MergeStream reproduces the run's report
-// byte-identically — the frames are the same records pcs.RunManyStream
-// writes for this spec.
+// byte-identically — the frames are the same records pcs.StreamTo writes
+// for this spec under pcs.RunCells.
 func (s *Server) handleStreamRun(w http.ResponseWriter, req *http.Request) {
 	r, ok := s.lookupRun(w, req)
 	if !ok {
@@ -727,6 +742,9 @@ func (s *Server) handleCreateSweep(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	spec, err := pcs.ParseSweepSpec(body)
+	if err == nil {
+		err = rejectGraphFile(spec.Base)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -96,7 +97,7 @@ func TestRejections(t *testing.T) {
 		{"/v1/runs", `{"technique": "warp"}`},         // unknown technique
 		{"/v1/runs", `{"tecnique": "PCS"}`},           // unknown field (strict decode)
 		{"/v1/runs", `not json`},                      // malformed
-		{"/v1/runs", `{"graphFile": "/nope/g.json"}`}, // missing graph file caught at submit
+		{"/v1/runs", `{"graphFile": "/nope/g.json"}`}, // server paths are never opened
 		{"/v1/sweeps", `{"base": {"scenario": "missing"}}`},
 		{"/v1/sweeps", `{"base": {}, "techniques": ["warp"]}`},
 	}
@@ -118,6 +119,43 @@ func TestRejections(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s: %d, want 404", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestSubmitRejectsGraphFile: a client cannot make the daemon open a
+// server path. A run or a sweep base naming graphFile gets 400 naming the
+// field, even when the file exists and is valid; the same graph sent
+// inline under "graph" is accepted.
+func TestSubmitRejectsGraphFile(t *testing.T) {
+	checkGoroutines(t)
+	ts := newTestServer(t, 1)
+	const path = "../../testdata/specs/minigraph.json"
+	graph, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/runs", `{"technique": "Basic", "requests": 50, "rate": 20, "graphFile": "` + path + `"}`},
+		{"/v1/sweeps", `{"base": {"requests": 50, "graphFile": "` + path + `"}, "rates": [20]}`},
+	} {
+		resp, body := postJSON(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("graphFile")) {
+			t.Errorf("POST %s naming graphFile: %d %s, want 400 naming graphFile", c.path, resp.StatusCode, body)
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/runs",
+		`{"technique": "Basic", "requests": 50, "rate": 20, "graph": `+string(graph)+`}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/runs with the graph inline: %d %s, want 202", resp.StatusCode, body)
+	}
+	var created RunStatus
+	if err := json.Unmarshal(body, &created); err != nil {
+		t.Fatal(err)
+	}
+	var done RunStatus
+	getJSON(t, ts.URL+"/v1/runs/"+created.ID+"?wait=1", &done)
+	if done.State != StateDone {
+		t.Fatalf("inline-graph run ended %s: %s", done.State, done.Error)
 	}
 }
 
@@ -154,7 +192,7 @@ func readSSE(t *testing.T, url string) (ndjson []byte, end string) {
 }
 
 // TestStreamMergesBitIdentically is the tentpole invariant: the SSE frames
-// are the same NDJSON records pcs.RunManyStream writes locally for the
+// are the same NDJSON records pcs.RunCells emits locally for the
 // spec, so MergeStream over a subscription reproduces the local aggregate
 // byte for byte — and the daemon's own report matches both.
 func TestStreamMergesBitIdentically(t *testing.T) {
@@ -171,17 +209,14 @@ func TestStreamMergesBitIdentically(t *testing.T) {
 		t.Fatalf("end event %s", end)
 	}
 
-	opts, err := created.Spec.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var local bytes.Buffer
-	localAgg, err := pcs.RunManyStream(opts, 2, 0, &local)
+	localAggs, err := pcs.RunCells([]pcs.RunSpec{created.Spec}, 0, pcs.StreamTo(&local))
 	if err != nil {
 		t.Fatal(err)
 	}
+	localAgg := localAggs[0]
 	if string(streamed) != local.String() {
-		t.Fatalf("SSE frames diverged from local RunManyStream:\n got %s\nwant %s", streamed, local.Bytes())
+		t.Fatalf("SSE frames diverged from local RunCells:\n got %s\nwant %s", streamed, local.Bytes())
 	}
 
 	merged, err := pcs.MergeStream(bytes.NewReader(streamed))

@@ -20,12 +20,8 @@ var storeSpec = pcs.RunSpec{Technique: "Basic", Requests: 300, Rate: 100, Seed: 
 // bytes every recovery path must reproduce.
 func streamFor(t *testing.T, spec pcs.RunSpec) []byte {
 	t.Helper()
-	opts, err := spec.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if _, err := pcs.RunManyStream(opts, spec.Replications, 0, &buf); err != nil {
+	if _, err := pcs.RunCells([]pcs.RunSpec{spec}, 0, pcs.StreamTo(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

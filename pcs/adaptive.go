@@ -1,12 +1,13 @@
 package pcs
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 
 	"repro/internal/runner"
-	"repro/internal/xrand"
+	"repro/internal/shard"
 )
 
 // CITarget is RunUntil's stopping rule: replicate until the 95 %
@@ -33,9 +34,10 @@ type CITarget struct {
 	Workers int
 	// Sink, when non-nil, receives every replication's Result as one
 	// NDJSON line (the StreamedRun format, in replication order) as
-	// batches complete, so an adaptive run leaves the same on-disk trail
-	// as RunManyStream. Writing is observationally free: it changes
-	// neither the stopping point nor the aggregate.
+	// replications complete, so an adaptive run leaves the same on-disk
+	// trail as a fixed-count set streamed through StreamTo. Writing is
+	// observationally free: it changes neither the stopping point nor the
+	// aggregate.
 	Sink io.Writer
 }
 
@@ -79,55 +81,40 @@ func (t CITarget) converged(agg Aggregate) bool {
 // RunUntil runs replication batches of the configured simulation until the
 // CI95 half-widths of the two headline metrics fall below the relative
 // target, or the replication cap is reached (ROADMAP's adaptive
-// replication counts). Replication i always runs with the seed stream
-// xrand.StreamSeed(opts.Seed, i) — the same streams as RunMany — so the
-// aggregate equals RunMany(opts, n) for the n it stops at, is bit-identical
-// for any worker count, and Converged records whether the target was met.
+// replication counts). The batches run on the RunCells job and pool code
+// and fold through the same aggregator, and replication i always runs
+// with the seed stream xrand.StreamSeed(opts.Seed, i) — so the aggregate
+// equals RunCells' for the n it stops at, is bit-identical for any worker
+// count, and Converged records whether the target was met.
 func RunUntil(opts Options, target CITarget) (Aggregate, error) {
 	t := target.withDefaults()
 	if t.RelHalfWidth <= 0 {
 		return Aggregate{}, fmt.Errorf("pcs: RunUntil needs a positive relative CI target, got %g", t.RelHalfWidth)
 	}
 
-	pool := runner.Options{Workers: replicationWorkers(opts, t.Workers)}
-	var enc *streamEncoder
+	pool := runner.Options{Workers: shard.ReplicationWorkers(t.Workers, opts.Shards)}
+	write := func(int, StreamedRun) error { return nil }
 	if t.Sink != nil {
-		enc = newStreamEncoder(t.Sink, opts.Seed)
+		write = StreamTo(t.Sink)
 	}
-	var runs []Result
-	for len(runs) < t.MaxReplications {
+	var a aggregator
+	emit := func(cell int, run StreamedRun) error {
+		a.add(run.Result)
+		return write(cell, run)
+	}
+	for {
 		batch := t.BatchSize
-		if len(runs) == 0 {
+		if a.n == 0 {
 			batch = t.MinReplications
 		}
-		if rem := t.MaxReplications - len(runs); batch > rem {
-			batch = rem
-		}
-		base := len(runs)
-		// The runner's own seed stream restarts at 0 every call, so derive
-		// each replication's seed from its global index instead.
-		batchRuns, err := runner.Run(opts.Seed, batch, pool,
-			func(rep int, _ int64) (Result, error) {
-				o := opts
-				o.Seed = xrand.StreamSeed(opts.Seed, base+rep)
-				return Run(o)
-			})
-		if err != nil {
+		set := replicationSet{opts: opts, from: a.n, to: min(a.n+batch, t.MaxReplications)}
+		if err := runSets(context.Background(), []replicationSet{set}, pool, emit); err != nil {
 			return Aggregate{}, err
 		}
-		if enc != nil {
-			for i, r := range batchRuns {
-				if err := enc.write(base+i, r); err != nil {
-					return Aggregate{}, err
-				}
-			}
-		}
-		runs = append(runs, batchRuns...)
-		agg := aggregateRuns(runs, pool.EffectiveWorkers(len(runs)))
-		if t.converged(agg) {
-			agg.Converged = true
+		agg := a.aggregate(pool.EffectiveWorkers(a.n))
+		agg.Converged = t.converged(agg)
+		if agg.Converged || a.n >= t.MaxReplications {
 			return agg, nil
 		}
 	}
-	return aggregateRuns(runs, pool.EffectiveWorkers(len(runs))), nil
 }

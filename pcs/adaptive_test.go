@@ -45,22 +45,22 @@ func TestRunUntilImpossibleTargetHitsCap(t *testing.T) {
 }
 
 func TestRunUntilMatchesRunManyAtStoppingPoint(t *testing.T) {
-	// RunUntil uses the same seed streams as RunMany, so its aggregate
+	// RunUntil uses the same seed streams as RunCells, so its aggregate
 	// must equal a fixed-count run of the same length.
 	opts := adaptiveOpts(5)
 	agg, err := RunUntil(opts, CITarget{RelHalfWidth: 0.2, MinReplications: 4, MaxReplications: 12, BatchSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := RunMany(opts, agg.Replications)
+	fixed, err := RunCells([]RunSpec{specFor(t, opts, agg.Replications)}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed.Converged = agg.Converged // the only field allowed to differ
-	fixed.Workers = agg.Workers
-	if !reflect.DeepEqual(agg, fixed) {
-		t.Fatalf("RunUntil(%d reps) != RunMany(%d):\n%+v\n%+v",
-			agg.Replications, fixed.Replications, agg.AvgOverallMs, fixed.AvgOverallMs)
+	fixed[0].Converged = agg.Converged // the only field allowed to differ
+	fixed[0].Workers = agg.Workers
+	if !reflect.DeepEqual(agg, fixed[0]) {
+		t.Fatalf("RunUntil(%d reps) != RunCells(%d):\n%+v\n%+v",
+			agg.Replications, fixed[0].Replications, agg.AvgOverallMs, fixed[0].AvgOverallMs)
 	}
 }
 

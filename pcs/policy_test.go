@@ -67,16 +67,10 @@ func TestPolicyRunsBitIdenticalAcrossShardsAndWorkers(t *testing.T) {
 	// bit-identical whether replications run on 1 worker sequentially or
 	// on 4 workers with sharded runs.
 	opts := policyOpts(Basic, "autoscale-burst", "", 41)
-	seq, err := RunManyWorkers(opts, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := runSet(t, specFor(t, opts, 3), 1)
 	o := opts
 	o.Shards = 2
-	par, err := RunManyWorkers(o, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := runSet(t, specFor(t, o, 3), 4)
 	par.Workers = seq.Workers // wall-clock budgeting detail, legitimately differs
 	if !reflect.DeepEqual(par, seq) {
 		t.Fatalf("policy-on aggregate diverged across workers × shards:\npar: %+v\nseq: %+v", par, seq)

@@ -1,11 +1,15 @@
 package pcs
 
 import (
+	"context"
 	"math"
+	"runtime"
+	"sort"
 
 	"repro/internal/runner"
 	"repro/internal/shard"
 	"repro/internal/stats"
+	"repro/internal/xrand"
 )
 
 // MetricSummary describes one latency metric across replications: the
@@ -21,7 +25,8 @@ type MetricSummary struct {
 	P50, P99, Min, Max float64
 }
 
-// Aggregate is the result of RunMany: every Result metric the evaluation
+// Aggregate is the result of a replication set (RunCells, RunUntil,
+// RunSpec.Report, MergeStream): every Result metric the evaluation
 // reports, summarised across n independent replications.
 type Aggregate struct {
 	Technique    string
@@ -47,53 +52,116 @@ type Aggregate struct {
 	// Totals summed over replications.
 	Arrivals, Completed, Migrations int
 
-	// Runs holds the per-replication results in replication order
-	// (replication 0 uses Options.Seed itself, replication i > 0 a seed
-	// derived from it).
+	// Runs holds per-replication results in replication order when a
+	// caller attached them (from RunCells' emit); every pcs entry point
+	// leaves it nil, keeping O(replications) floats instead of Results.
 	Runs []Result
 }
 
-// RunMany executes n independent replications of the configured simulation
-// in parallel across all usable cores and aggregates their metrics.
-// Replication i runs Run with the seed stream xrand.StreamSeed(opts.Seed, i),
-// so the aggregate is deterministic given opts.Seed and n: identical for
-// any worker count and any goroutine interleaving, and RunMany(opts, 1)
-// reproduces Run(opts) exactly.
-func RunMany(opts Options, n int) (Aggregate, error) {
-	return RunManyWorkers(opts, n, 0)
-}
-
-// replicationWorkers budgets the runner pool against intra-run sharding:
-// shard.ReplicationWorkers keeps shards × concurrent replications at the
-// machine's width. Worker counts never reach results.
-func replicationWorkers(opts Options, explicit int) int {
-	return shard.ReplicationWorkers(explicit, opts.Shards)
-}
-
-// RunManyWorkers is RunMany with an explicit worker count; workers <= 0
-// selects GOMAXPROCS, divided by Options.Shards when intra-run sharding is
-// on. The worker count affects wall-clock time only, never the aggregate
-// values.
-func RunManyWorkers(opts Options, n, workers int) (Aggregate, error) {
-	pool := runner.Options{Workers: replicationWorkers(opts, workers)}
-	runs, err := runner.Run(opts.Seed, n, pool, func(rep int, seed int64) (Result, error) {
-		o := opts
-		o.Seed = seed
-		return Run(o)
+// RunCells executes a set of cells — each cell a RunSpec replicated
+// Replications times (0 = 1) — as one flat pool of (cell, replication)
+// jobs, so a 36-cell single-replication sweep and a 1-cell
+// 16-replication set both fill the cores. Replication i of a cell runs
+// Run with the seed xrand.StreamSeed(cell.Seed, i): replication 0 is the
+// cell's own seed, and nothing about the pool reaches a result. workers
+// bounds the pool (0 = GOMAXPROCS, divided by the widest cell's Shards via
+// shard.ReplicationWorkers).
+//
+// emit, when non-nil, receives every run on the calling goroutine in
+// (cell, replication) order; a json.Encoder over the StreamedRun it
+// receives writes the canonical NDJSON frame (StreamTo does exactly
+// that). An emit error stops the pool and is returned.
+//
+// Each cell's Aggregate is the streaming fold MergeStream repeats over
+// the cell's frames: Runs nil, Workers the pool width.
+func RunCells(cells []RunSpec, workers int, emit func(cell int, run StreamedRun) error) ([]Aggregate, error) {
+	sets := make([]replicationSet, len(cells))
+	shards, total := 1, 0
+	for i, cell := range cells {
+		o, err := cell.Options()
+		if err != nil {
+			return nil, err
+		}
+		sets[i] = replicationSet{opts: o, to: max(cell.Replications, 1)}
+		total += sets[i].to
+		width := o.Shards
+		if width < 0 { // all cores
+			width = runtime.GOMAXPROCS(0)
+		}
+		shards = max(shards, width)
+	}
+	pool := runner.Options{Workers: shard.ReplicationWorkers(workers, shards)}
+	folds := make([]aggregator, len(cells))
+	err := runSets(context.Background(), sets, pool, func(cell int, run StreamedRun) error {
+		folds[cell].add(run.Result)
+		if emit == nil {
+			return nil
+		}
+		return emit(cell, run)
 	})
 	if err != nil {
-		return Aggregate{}, err
+		return nil, err
 	}
-	return aggregateRuns(runs, pool.EffectiveWorkers(n)), nil
+	aggs := make([]Aggregate, len(cells))
+	width := pool.EffectiveWorkers(total)
+	for i := range folds {
+		aggs[i] = folds[i].aggregate(width)
+	}
+	return aggs, nil
+}
+
+// replicationSet is replications [from, to) of one configuration.
+type replicationSet struct {
+	opts     Options
+	from, to int
+}
+
+// runSets is the one replication job: it flattens the sets into
+// (set, replication) jobs on one runner pool and hands each run to emit
+// in (set, replication) order. Replication i of a set runs with seed
+// xrand.StreamSeed(set.opts.Seed, i) whatever the set's from, which is
+// what makes a resumed tail (RunManyStreamFrom) or a later batch
+// (RunUntil) the same runs as an uninterrupted set. ctx is checked at
+// every replication boundary: once it is done no replication starts or
+// is emitted, and ctx's error is returned.
+func runSets(ctx context.Context, sets []replicationSet, pool runner.Options, emit func(set int, run StreamedRun) error) error {
+	first := make([]int, len(sets)+1) // first[i] is set i's first flat job
+	for i, s := range sets {
+		first[i+1] = first[i] + s.to - s.from
+	}
+	locate := func(job int) (set, rep int) {
+		set = sort.SearchInts(first, job+1) - 1
+		return set, sets[set].from + job - first[set]
+	}
+	// The runner's own seed stream is unused: seeds derive from each
+	// set's root and the replication's index within its set.
+	return runner.Stream(0, first[len(sets)], pool,
+		func(job int, _ int64) (StreamedRun, error) {
+			if err := ctx.Err(); err != nil {
+				return StreamedRun{}, err
+			}
+			set, rep := locate(job)
+			o := sets[set].opts
+			o.Seed = xrand.StreamSeed(o.Seed, rep)
+			res, err := Run(o)
+			return StreamedRun{Rep: rep, Seed: o.Seed, Result: res}, err
+		},
+		func(job int, run StreamedRun) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			set, _ := locate(job)
+			return emit(set, run)
+		})
 }
 
 // aggregator folds per-replication Results into the across-replication
 // summaries incrementally, holding only the five metric vectors (one
 // float64 per replication each) and the integer totals — not the Results
-// themselves. It backs both the in-memory aggregateRuns and the streaming
-// RunManyStream/MergeStream paths; feeding it the same Results in the same
-// order produces bit-identical Aggregates on every path, because the
-// Welford fold and the totals see the exact same additions.
+// themselves. It is the one fold: RunCells, RunUntil and MergeStream all
+// feed it, and the same Results in the same order produce bit-identical
+// Aggregates on every path, because the Welford fold and the totals see
+// the exact same additions.
 type aggregator struct {
 	n           int
 	technique   string
@@ -125,8 +193,7 @@ func (a *aggregator) add(r Result) {
 	a.migrations += r.Migrations
 }
 
-// aggregate summarises the folded replications. Runs is left nil; callers
-// that kept the Results attach them.
+// aggregate summarises the folded replications. Runs is left nil.
 func (a *aggregator) aggregate(workers int) Aggregate {
 	return Aggregate{
 		Technique:       a.technique,
@@ -143,18 +210,6 @@ func (a *aggregator) aggregate(workers int) Aggregate {
 		Completed:       a.completed,
 		Migrations:      a.migrations,
 	}
-}
-
-// aggregateRuns folds per-replication Results into an Aggregate. It is
-// shared by the fixed-count RunMany and the adaptive RunUntil.
-func aggregateRuns(runs []Result, workers int) Aggregate {
-	var a aggregator
-	for _, r := range runs {
-		a.add(r)
-	}
-	agg := a.aggregate(workers)
-	agg.Runs = runs
-	return agg
 }
 
 // summarizeMetric folds per-replication values of one metric through the

@@ -1,7 +1,9 @@
 package pcs
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/stats"
@@ -19,6 +21,42 @@ func manyTestOptions() Options {
 		ArrivalRate:      50,
 		Requests:         600,
 	}
+}
+
+// specFor is the RunSpec of test Options, replicated n times. It fails the
+// test when the spec does not resolve back to exactly o, so a port from
+// Options can never silently drop a knob.
+func specFor(t testing.TB, o Options, n int) RunSpec {
+	t.Helper()
+	s := RunSpec{
+		Technique: o.Technique.String(), Scenario: o.Scenario, Policy: o.Policy,
+		Seed: o.Seed, Rate: o.ArrivalRate, Requests: o.Requests,
+		Nodes: o.Nodes, SearchComponents: o.SearchComponents,
+		Shards: o.Shards, Lanes: o.Lanes,
+		TrainingMixes: o.TrainingMixes, ProfilingProbes: o.ProfilingProbes,
+		Replications: n,
+	}
+	if got, err := s.Options(); err == nil && !reflect.DeepEqual(got, o) {
+		t.Fatalf("test options do not round-trip through RunSpec:\n got %+v\nwant %+v", got, o)
+	}
+	return s
+}
+
+// runSet runs one cell through RunCells on the given worker count and
+// returns its aggregate with the runs its emit saw attached, in
+// replication order.
+func runSet(t testing.TB, spec RunSpec, workers int) Aggregate {
+	t.Helper()
+	var runs []Result
+	aggs, err := RunCells([]RunSpec{spec}, workers, func(_ int, run StreamedRun) error {
+		runs = append(runs, run.Result)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggs[0].Runs = runs
+	return aggs[0]
 }
 
 func aggregatesEqual(a, b Aggregate) bool {
@@ -39,17 +77,10 @@ func TestRunManyIdenticalForAnyWorkerCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-replication run takes a few seconds")
 	}
-	opts := manyTestOptions()
-	const n = 6
-	ref, err := RunManyWorkers(opts, n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := specFor(t, manyTestOptions(), 6)
+	ref := runSet(t, spec, 1)
 	for _, workers := range []int{2, 4, 8} {
-		got, err := RunManyWorkers(opts, n, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		got := runSet(t, spec, workers)
 		if !aggregatesEqual(ref, got) {
 			t.Fatalf("workers=%d aggregate differs from workers=1:\n%+v\nvs\n%+v",
 				workers, got, ref)
@@ -72,13 +103,10 @@ func TestRunManySingleReplicationReproducesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := RunMany(opts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := runSet(t, specFor(t, opts, 1), 0)
 	if agg.AvgOverallMs.Mean != single.AvgOverallMs ||
 		agg.P99ComponentMs.Mean != single.P99ComponentMs {
-		t.Fatalf("RunMany(opts, 1) = %.6f/%.6f ms, Run(opts) = %.6f/%.6f ms",
+		t.Fatalf("RunCells(1 replication) = %.6f/%.6f ms, Run(opts) = %.6f/%.6f ms",
 			agg.AvgOverallMs.Mean, agg.P99ComponentMs.Mean,
 			single.AvgOverallMs, single.P99ComponentMs)
 	}
@@ -93,10 +121,7 @@ func TestRunManyMergeMatchesSerialReference(t *testing.T) {
 	}
 	opts := manyTestOptions()
 	const n = 5
-	agg, err := RunManyWorkers(opts, n, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := runSet(t, specFor(t, opts, n), 4)
 
 	// Serial reference: run each replication directly with its stream seed
 	// and fold the metrics through the stats machinery by hand.
@@ -132,12 +157,57 @@ func TestRunManyMergeMatchesSerialReference(t *testing.T) {
 }
 
 func TestRunManyPropagatesRunErrors(t *testing.T) {
-	opts := manyTestOptions()
-	opts.Technique = Technique(99)
-	if _, err := RunMany(opts, 3); err == nil {
+	spec := specFor(t, manyTestOptions(), 3)
+	spec.Technique = "no-such-technique"
+	if _, err := RunCells([]RunSpec{spec}, 0, nil); err == nil {
 		t.Fatal("invalid technique should fail")
 	}
-	if _, err := RunMany(manyTestOptions(), 0); err == nil {
+	if _, err := RunCells(nil, 0, nil); err == nil {
 		t.Fatal("zero replications should fail")
+	}
+}
+
+// TestRunCellsFlattensCells pins the executor's contract over several
+// cells: the jobs are flat over (cell, replication), yet each cell's
+// aggregate — and every frame emitted for it, in (cell, replication)
+// order — is exactly that cell run on its own, at any worker count.
+func TestRunCellsFlattensCells(t *testing.T) {
+	a := specFor(t, manyTestOptions(), 3)
+	b := a
+	b.Seed, b.Rate, b.Replications = 12, 70, 2
+	cells := []RunSpec{a, b}
+	var ref bytes.Buffer
+	refAggs, err := RunCells(cells, 1, StreamTo(&ref))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []int
+	var buf bytes.Buffer
+	write := StreamTo(&buf)
+	aggs, err := RunCells(cells, 4, func(cell int, run StreamedRun) error {
+		order = append(order, cell, run.Rep)
+		return write(cell, run)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 0, 0, 1, 0, 2, 1, 0, 1, 1}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("emit order %v, want (cell, rep) pairs %v", order, want)
+	}
+	if !bytes.Equal(buf.Bytes(), ref.Bytes()) {
+		t.Fatal("frames differ between 1 and 4 workers")
+	}
+	for i, cell := range cells {
+		if aggs[i].Workers != 4 || refAggs[i].Workers != 1 {
+			t.Fatalf("cell %d: Workers = %d/%d, want the pool widths 4/1", i, aggs[i].Workers, refAggs[i].Workers)
+		}
+		alone, err := cell.Report()
+		if err != nil {
+			t.Fatal(err)
+		}
+		aggs[i].Workers = 0
+		if !reflect.DeepEqual(aggs[i], alone) {
+			t.Fatalf("cell %d in a batch diverged from its own Report:\n%+v\nvs\n%+v", i, aggs[i], alone)
+		}
 	}
 }

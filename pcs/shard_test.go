@@ -50,16 +50,10 @@ func TestShardedSampledRunMatchesUnshardedSnapshots(t *testing.T) {
 // replication runs sequentially or sharded, at any worker budget.
 func TestRunManyShardsOnlyMovesWallClock(t *testing.T) {
 	opts := equivOpts(PCS, "", 29)
-	seq, err := RunMany(opts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := runSet(t, specFor(t, opts, 3), 0)
 	o := opts
 	o.Shards = 4
-	sharded, err := RunMany(o, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sharded := runSet(t, specFor(t, o, 3), 0)
 	// Workers is a wall-clock budgeting detail and legitimately differs;
 	// every computed value must not.
 	sharded.Workers = seq.Workers

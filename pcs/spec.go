@@ -275,27 +275,18 @@ func (s RunSpec) Options() (Options, error) {
 }
 
 // Report executes the spec — Replications independent replications on
-// Workers workers — and returns its canonical aggregate: the
-// MergeStream-normal form with the execution-detail fields (Workers, the
-// retained Runs) zeroed, so the same spec yields byte-identical report
-// JSON whether it ran locally, under the daemon, or was re-aggregated
-// from a stored stream.
+// Workers workers, as RunCells over this one cell — and returns its
+// canonical aggregate: the MergeStream-normal form with the
+// execution-detail Workers field zeroed (Runs is already nil), so the same
+// spec yields byte-identical report JSON whether it ran locally, under
+// the daemon, or was re-aggregated from a stored stream.
 func (s RunSpec) Report() (Aggregate, error) {
-	o, err := s.Options()
+	aggs, err := RunCells([]RunSpec{s}, s.Workers, nil)
 	if err != nil {
 		return Aggregate{}, err
 	}
-	n := s.Replications
-	if n <= 0 {
-		n = 1
-	}
-	agg, err := RunManyWorkers(o, n, s.Workers)
-	if err != nil {
-		return Aggregate{}, err
-	}
-	agg.Workers = 0
-	agg.Runs = nil
-	return agg, nil
+	aggs[0].Workers = 0
+	return aggs[0], nil
 }
 
 // SweepSpec is the canonical description of a sweep: a Base cell template

@@ -196,29 +196,21 @@ func TestRunSpecGraphFile(t *testing.T) {
 }
 
 // TestRunSpecReportCanonical pins the canonical report: Report equals the
-// normalized RunManyWorkers aggregate and the MergeStream fold of a
-// RunManyStream at the same spec — byte-identical JSON in all three.
+// normalized RunCells aggregate and the MergeStream fold of the frames
+// RunCells emits at the same spec — byte-identical JSON in all three.
 func TestRunSpecReportCanonical(t *testing.T) {
 	spec := RunSpec{Technique: "Basic", Requests: 500, Rate: 100, Seed: 11, Replications: 3}
 	report, err := spec.Report()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := spec.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := RunManyWorkers(opts, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct.Workers = 0
-	direct.Runs = nil
-
 	var ndjson bytes.Buffer
-	if _, err := RunManyStream(opts, 3, 0, &ndjson); err != nil {
+	aggs, err := RunCells([]RunSpec{spec}, 0, StreamTo(&ndjson))
+	if err != nil {
 		t.Fatal(err)
 	}
+	direct := aggs[0]
+	direct.Workers = 0
 	merged, err := MergeStream(bytes.NewReader(ndjson.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -232,10 +224,10 @@ func TestRunSpecReportCanonical(t *testing.T) {
 		return string(data)
 	}
 	if enc(report) != enc(direct) {
-		t.Fatal("Report diverged from normalized RunManyWorkers")
+		t.Fatal("Report diverged from normalized RunCells")
 	}
 	if enc(report) != enc(merged) {
-		t.Fatal("Report diverged from MergeStream over RunManyStream")
+		t.Fatal("Report diverged from MergeStream over RunCells' frames")
 	}
 	if report.Workers != 0 || report.Runs != nil {
 		t.Fatalf("Report not in normal form: workers %d, %d runs", report.Workers, len(report.Runs))

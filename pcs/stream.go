@@ -8,7 +8,7 @@ import (
 	"io"
 
 	"repro/internal/runner"
-	"repro/internal/xrand"
+	"repro/internal/shard"
 )
 
 // StreamedRun is one line of a streamed replication set: NDJSON, one JSON
@@ -21,23 +21,23 @@ type StreamedRun struct {
 	Result Result `json:"result"`
 }
 
-// streamEncoder writes StreamedRun lines for replications derived from one
-// root seed. RunManyStream and CITarget.Sink share it so the on-disk
-// format has a single producer.
-type streamEncoder struct {
-	enc  *json.Encoder
-	root int64
-}
-
-func newStreamEncoder(w io.Writer, root int64) *streamEncoder {
-	return &streamEncoder{enc: json.NewEncoder(w), root: root}
-}
-
-func (e *streamEncoder) write(rep int, r Result) error {
-	if err := e.enc.Encode(StreamedRun{Rep: rep, Seed: xrand.StreamSeed(e.root, rep), Result: r}); err != nil {
-		return fmt.Errorf("pcs: streaming replication %d: %w", rep, err)
+// StreamTo returns a RunCells emit that writes each run to w as one
+// NDJSON StreamedRun frame — the single producer of the frame format that
+// pcs-sim -stream, pcs-sweep -stream, CITarget.Sink and the daemon's
+// store and SSE stream all carry. A sweep's frames are cell after cell,
+// each cell's replications numbered from 0.
+//
+// encoding/json renders float64 with the shortest representation that
+// round-trips exactly, so a cell's frames merged back through MergeStream
+// reproduce its aggregate bit for bit.
+func StreamTo(w io.Writer) func(cell int, run StreamedRun) error {
+	enc := json.NewEncoder(w)
+	return func(_ int, run StreamedRun) error {
+		if err := enc.Encode(run); err != nil {
+			return fmt.Errorf("pcs: streaming replication %d: %w", run.Rep, err)
+		}
+		return nil
 	}
-	return nil
 }
 
 // decodeStream reads an NDJSON replication stream in order, handing each
@@ -62,52 +62,12 @@ func decodeStream(r io.Reader, fn func(StreamedRun)) (int, error) {
 	}
 }
 
-// RunManyStream is RunMany with a streaming sink: each replication's Result
-// is written to sink as one NDJSON line the moment it (and all its
-// predecessors) completes, instead of being collected in memory. Only the
-// five across-replication metric vectors (one float64 per replication each)
-// are retained for the final percentile summaries, so memory is O(n)
-// floats rather than O(n) Results — the difference that matters for huge
-// sweeps. The returned Aggregate carries Runs == nil; everything else is
-// bit-identical to RunManyWorkers(opts, n, workers) with the same
-// arguments, pinned by tests.
-//
-// encoding/json renders float64 with the shortest representation that
-// round-trips exactly, so a written stream merged back through MergeStream
-// reproduces the same aggregate bit for bit.
-func RunManyStream(opts Options, n, workers int, sink io.Writer) (Aggregate, error) {
-	if sink == nil {
-		return Aggregate{}, fmt.Errorf("pcs: RunManyStream needs a sink (use RunMany to aggregate in memory)")
-	}
-	pool := runner.Options{Workers: replicationWorkers(opts, workers)}
-	enc := newStreamEncoder(sink, opts.Seed)
-	var a aggregator
-	err := runner.Stream(opts.Seed, n, pool,
-		func(rep int, seed int64) (Result, error) {
-			o := opts
-			o.Seed = seed
-			return Run(o)
-		},
-		func(rep int, r Result) error {
-			if err := enc.write(rep, r); err != nil {
-				return err
-			}
-			a.add(r)
-			return nil
-		})
-	if err != nil {
-		return Aggregate{}, err
-	}
-	return a.aggregate(pool.EffectiveWorkers(n)), nil
-}
-
-// RunManyStreamFrom is the cancellable, resumable form of RunManyStream:
-// it executes replications [from, n) of the spec'd set and writes each
-// one's NDJSON record to sink in replication order. The frames are
-// byte-identical to the corresponding lines RunManyStream writes for the
-// full set — replication i always runs with seed
-// xrand.StreamSeed(opts.Seed, i) regardless of where the call starts — so
-// appending this call's output to an intact prefix of a previous run's
+// RunManyStreamFrom is the cancellable, resumable replication set the
+// daemon runs: it executes replications [from, n) of opts on the RunCells
+// job and pool code (workers as RunCells budgets them) and writes each
+// one's frame to sink in replication order. Replication i always runs with
+// seed xrand.StreamSeed(opts.Seed, i) regardless of where the call starts,
+// so appending this call's output to an intact prefix of a previous run's
 // stream reconstructs the full stream exactly. That is the daemon's
 // crash-recovery contract: resume from the completed-replication frontier
 // and the stored bytes end up indistinguishable from an uninterrupted run.
@@ -121,7 +81,7 @@ func RunManyStream(opts Options, n, workers int, sink io.Writer) (Aggregate, err
 // saw, so folding the full stream (MergeStream) is its job.
 func RunManyStreamFrom(ctx context.Context, opts Options, n, workers, from int, sink io.Writer) error {
 	if sink == nil {
-		return fmt.Errorf("pcs: RunManyStreamFrom needs a sink (use RunMany to aggregate in memory)")
+		return fmt.Errorf("pcs: RunManyStreamFrom needs a sink (use RunCells to aggregate in memory)")
 	}
 	if from < 0 || from > n {
 		return fmt.Errorf("pcs: RunManyStreamFrom resume point %d outside [0, %d]", from, n)
@@ -129,30 +89,12 @@ func RunManyStreamFrom(ctx context.Context, opts Options, n, workers, from int, 
 	if from == n {
 		return nil // nothing left to run; the stored prefix is the stream
 	}
-	pool := runner.Options{Workers: replicationWorkers(opts, workers)}
-	enc := newStreamEncoder(sink, opts.Seed)
-	// runner.Stream numbers this call's replications 0..n-from-1; the job
-	// and the emit both shift by from so seeds and frame indexes are those
-	// of the full set.
-	return runner.Stream(opts.Seed, n-from, pool,
-		func(rep int, _ int64) (Result, error) {
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
-			}
-			o := opts
-			o.Seed = xrand.StreamSeed(opts.Seed, from+rep)
-			return Run(o)
-		},
-		func(rep int, r Result) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return enc.write(from+rep, r)
-		})
+	pool := runner.Options{Workers: shard.ReplicationWorkers(workers, opts.Shards)}
+	return runSets(ctx, []replicationSet{{opts: opts, from: from, to: n}}, pool, StreamTo(sink))
 }
 
-// MergeStream folds an NDJSON replication stream (as written by
-// RunManyStream or CITarget.Sink) back into its Aggregate. The merge is the
+// MergeStream folds one cell's NDJSON replication stream (as written by
+// StreamTo, CITarget.Sink or the daemon) back into its Aggregate. The merge is the
 // same fold the runs went through when they were produced, so the summaries
 // come out bit-identical to the Aggregate the original call returned. Lines
 // must be complete and in replication order — a gap or reordering is

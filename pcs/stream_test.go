@@ -19,26 +19,41 @@ func streamOpts(seed int64) Options {
 	}
 }
 
-// TestRunManyStreamBitIdenticalToRunMany is the streaming acceptance gate:
-// the streamed aggregate equals the in-memory one except for Runs (which
-// streaming deliberately does not retain), and the NDJSON lines decode to
-// exactly the Runs RunMany held in memory.
+// TestRunManyStreamBitIdenticalToRunMany is the streaming acceptance
+// gate, in two checks: RunCells with an emit computes the aggregate it
+// computes without one (observation is free), and MergeStream over the
+// emitted frames reproduces it bit for bit (modulo the wall-clock-only
+// Workers). The frames decode to exactly the runs the emit saw, each
+// reproducible from its recorded seed.
 func TestRunManyStreamBitIdenticalToRunMany(t *testing.T) {
 	const n, workers = 7, 3
 	opts := streamOpts(41)
-	inMem, err := RunManyWorkers(opts, n, workers)
+	spec := specFor(t, opts, n)
+	silent, err := RunCells([]RunSpec{spec}, workers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	streamed, err := RunManyStream(opts, n, workers, &buf)
+	write := StreamTo(&buf)
+	var runs []Result
+	streamed, err := RunCells([]RunSpec{spec}, workers, func(cell int, run StreamedRun) error {
+		runs = append(runs, run.Result)
+		return write(cell, run)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := inMem
-	want.Runs = nil
-	if !reflect.DeepEqual(want, streamed) {
-		t.Errorf("streamed aggregate diverged\nin-memory: %+v\nstreamed:  %+v", want, streamed)
+	if !reflect.DeepEqual(silent, streamed) {
+		t.Errorf("emitting changed the aggregate\nsilent:   %+v\nstreamed: %+v", silent, streamed)
+	}
+	merged, err := MergeStream(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := silent[0]
+	want.Workers = 0
+	if !reflect.DeepEqual(want, merged) {
+		t.Errorf("MergeStream over the frames diverged\nlive:   %+v\nmerged: %+v", want, merged)
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != n {
 		t.Fatalf("stream has %d lines, want %d", lines, n)
@@ -48,9 +63,9 @@ func TestRunManyStreamBitIdenticalToRunMany(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rec := range recs {
-		if !reflect.DeepEqual(rec.Result, inMem.Runs[i]) {
+		if !reflect.DeepEqual(rec.Result, runs[i]) {
 			t.Fatalf("replication %d round-tripped differently\nmem:  %+v\nfile: %+v",
-				i, inMem.Runs[i], rec.Result)
+				i, runs[i], rec.Result)
 		}
 		if rec.Rep != i {
 			t.Fatalf("replication %d recorded as %d", i, rec.Rep)
@@ -70,16 +85,24 @@ func TestRunManyStreamBitIdenticalToRunMany(t *testing.T) {
 	}
 }
 
+// streamFrames runs n replications of opts through RunCells on the given
+// workers and returns the emitted frames and the live aggregate.
+func streamFrames(t *testing.T, opts Options, n, workers int) ([]byte, Aggregate) {
+	t.Helper()
+	var buf bytes.Buffer
+	aggs, err := RunCells([]RunSpec{specFor(t, opts, n)}, workers, StreamTo(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), aggs[0]
+}
+
 // TestMergeStreamReproducesAggregate: the on-disk stream folds back into
 // the same aggregate, bit for bit (modulo the wall-clock-only Workers
 // field, which a file cannot know).
 func TestMergeStreamReproducesAggregate(t *testing.T) {
-	var buf bytes.Buffer
-	streamed, err := RunManyStream(streamOpts(43), 6, 2, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := MergeStream(&buf)
+	frames, streamed := streamFrames(t, streamOpts(43), 6, 2)
+	merged, err := MergeStream(bytes.NewReader(frames))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +122,9 @@ func TestMergeStreamRejectsCorruption(t *testing.T) {
 	if _, err := MergeStream(strings.NewReader("not json\n")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	var buf bytes.Buffer
-	if _, err := RunManyStream(streamOpts(45), 3, 1, &buf); err != nil {
-		t.Fatal(err)
-	}
+	frames, _ := streamFrames(t, streamOpts(45), 3, 1)
 	// Drop the middle line: the gap must be detected.
-	lines := strings.SplitAfter(buf.String(), "\n")
+	lines := strings.SplitAfter(string(frames), "\n")
 	if _, err := MergeStream(strings.NewReader(lines[0] + lines[2])); err == nil {
 		t.Fatal("gapped stream accepted")
 	}
@@ -130,17 +150,16 @@ func TestRunUntilSinkMatchesAggregate(t *testing.T) {
 	if len(recs) != agg.Replications {
 		t.Fatalf("sink has %d replications, aggregate %d", len(recs), agg.Replications)
 	}
-	for i, rec := range recs {
-		if !reflect.DeepEqual(rec.Result, agg.Runs[i]) {
-			t.Fatalf("sink replication %d differs from aggregate's", i)
-		}
+	// The sink holds exactly the frames a fixed-count set of the same
+	// length emits.
+	if fixed, _ := streamFrames(t, streamOpts(47), agg.Replications, 2); !bytes.Equal(buf.Bytes(), fixed) {
+		t.Fatal("adaptive sink differs from the fixed-count frames of the same length")
 	}
 	merged, err := MergeStream(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := agg
-	want.Runs = nil
 	want.Workers = 0
 	want.Converged = false // execution-time knowledge, not in the file
 	if !reflect.DeepEqual(want, merged) {
@@ -148,24 +167,24 @@ func TestRunUntilSinkMatchesAggregate(t *testing.T) {
 	}
 }
 
+// TestRunManyStreamNeedsSink: the daemon's streaming entry point refuses
+// to run without somewhere to put the frames.
 func TestRunManyStreamNeedsSink(t *testing.T) {
-	if _, err := RunManyStream(streamOpts(49), 2, 1, nil); err == nil {
+	if err := RunManyStreamFrom(context.Background(), streamOpts(49), 2, 1, 0, nil); err == nil {
 		t.Fatal("nil sink accepted")
 	}
 }
 
 // TestRunManyStreamFromReconstructsFullStream is the resume contract: the
 // frames RunManyStreamFrom writes for [from, n) are byte-identical to the
-// tail of a full RunManyStream, for every split point — so an interrupted
-// stream plus a resumed tail is indistinguishable from an uninterrupted
-// run.
+// tail of the full set's RunCells frames, for every split point — so an
+// interrupted stream plus a resumed tail is indistinguishable from an
+// uninterrupted run.
 func TestRunManyStreamFromReconstructsFullStream(t *testing.T) {
 	const n = 6
 	opts := streamOpts(51)
-	var full bytes.Buffer
-	if _, err := RunManyStream(opts, n, 2, &full); err != nil {
-		t.Fatal(err)
-	}
+	frames, _ := streamFrames(t, opts, n, 2)
+	full := bytes.NewBuffer(frames)
 	lines := strings.SplitAfter(full.String(), "\n")
 	for from := 0; from <= n; from++ {
 		var resumed bytes.Buffer
@@ -230,11 +249,8 @@ func TestRunManyStreamFromCancellation(t *testing.T) {
 	if len(recs) == 0 || len(recs) >= 50 {
 		t.Fatalf("canceled run emitted %d frames, want a strict prefix", len(recs))
 	}
-	var full bytes.Buffer
-	if _, err := RunManyStream(opts, 50, 2, &full); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(full.String(), buf.String()) {
+	full, _ := streamFrames(t, opts, 50, 2)
+	if !strings.HasPrefix(string(full), buf.String()) {
 		t.Fatal("canceled run's frames are not a prefix of the full stream")
 	}
 }

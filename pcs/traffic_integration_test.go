@@ -125,10 +125,7 @@ func TestTenantStormAcceptance(t *testing.T) {
 	for i, combo := range []struct{ workers, shards int }{{1, 1}, {4, 2}, {8, 4}, {2, 8}} {
 		o := small
 		o.Shards = combo.shards
-		agg, err := RunManyWorkers(o, 3, combo.workers)
-		if err != nil {
-			t.Fatalf("workers=%d shards=%d: %v", combo.workers, combo.shards, err)
-		}
+		agg := runSet(t, specFor(t, o, 3), combo.workers)
 		agg.Workers = 0 // wall-clock budgeting detail, legitimately varies
 		if i == 0 {
 			ref = agg
