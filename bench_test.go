@@ -94,6 +94,7 @@ func BenchmarkFig7SchedulerScalability(b *testing.B) {
 	}
 	for _, p := range ladder {
 		b.Run(fmt.Sprintf("m=%d/k=%d", p.M, p.K), func(b *testing.B) {
+			b.ReportAllocs()
 			src := xrand.New(1)
 			in, err := experiments.SyntheticMatrixInput("", p.M, p.K, 10, 100, src)
 			if err != nil {
@@ -203,6 +204,7 @@ func BenchmarkMatrixBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("sequential", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := scheduler.BuildAndSchedule(in, scheduler.Config{Epsilon: 1e9}); err != nil {
 				b.Fatal(err)
@@ -212,6 +214,7 @@ func BenchmarkMatrixBuild(b *testing.B) {
 	// Machine-independent sub-benchmark name (bench-gate compares runs
 	// across machines by name); the core count is a metric instead.
 	b.Run("sharded", func(b *testing.B) {
+		b.ReportAllocs()
 		pool := shard.NewPool(runtime.GOMAXPROCS(0))
 		defer pool.Close()
 		sharded := in

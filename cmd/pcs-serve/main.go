@@ -27,9 +27,26 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"time"
 
 	"repro/internal/serve"
 )
+
+// newServer wraps the daemon's handler in an http.Server that bounds what
+// a silent client can hold: a connection that has not sent its request
+// headers within headerTimeout is closed, and so is a keep-alive
+// connection idle for two minutes. It sets no WriteTimeout, because SSE
+// streams and ?wait=1 polls outlive any fixed deadline and a write
+// deadline cuts them off mid-stream. It sets no ReadTimeout either; spec
+// bodies are capped at 1 MiB, but a client stalled inside one is not
+// bounded yet.
+func newServer(h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: headerTimeout,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
 
 func main() {
 	log.SetFlags(0)
@@ -60,5 +77,5 @@ func main() {
 	// The resolved address on stdout is the startup handshake: scripts
 	// (like the CI smoke) read it to find the port when -addr ends in :0.
 	fmt.Printf("pcs-serve listening on http://%s (capacity %d tokens)\n", ln.Addr(), tokens)
-	log.Fatal(http.Serve(ln, s.Handler()))
+	log.Fatal(newServer(s.Handler(), 10*time.Second).Serve(ln))
 }

@@ -1,7 +1,9 @@
 package predictor
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/shard"
@@ -76,6 +78,11 @@ func (in *MatrixInput) validate() error {
 // The matrix tracks a virtual allocation: Migrate commits a migration
 // within the scheduling round and incrementally updates the affected
 // entries per Algorithm 2, without waiting for the physical migration.
+//
+// Each distinct window prediction is evaluated once per fill region (see
+// docs/architecture.md, "Performance-matrix evaluation discipline"): self
+// terms once per (stage, node), origin terms once per row, and stage
+// maxima read off members kept in descending latency order.
 type Matrix struct {
 	in MatrixInput
 
@@ -85,10 +92,17 @@ type Matrix struct {
 	cur       []float64    // current predicted latency per component
 	stageLat  []float64    // Eq. 3 per stage
 	overall   float64      // Eq. 4
-	stageOf   [][]int      // stage -> member component indices
+	stageOf   [][]int      // stage -> member component indices, cur descending
 	removed   []bool       // rows frozen after their component migrated
+	onTouched []bool       // Migrate's full-row marks, reused across calls
 
-	// L and SelfGain are exposed read-only to the scheduler.
+	// selfLat[s*k+n] is Table III row 1 for any stage-s component moved
+	// onto node n: latencyOn reads the component only through its
+	// stage's model, so one evaluation serves every member.
+	selfLat []float64
+
+	// L and SelfGain are exposed read-only to the scheduler. Their rows
+	// are capacity-capped windows of two contiguous m·k arrays.
 	L        [][]float64
 	SelfGain [][]float64
 
@@ -99,34 +113,50 @@ type Matrix struct {
 	scratches []*scratch
 }
 
-// scratch is the per-shard workspace of computeEntry: the latency
-// overrides a hypothetical migration imposes on co-hosted components.
+// scratch is the per-shard workspace of computeEntry: the current row's
+// origin terms, and the latency overrides a hypothetical migration imposes
+// on co-hosted components, folded into per-stage maxima.
 type scratch struct {
-	overrideIdx []int
-	overrideVal []float64
-	overrideSet []int // epoch marker per component
+	// originIdx/originVal hold the row loaded by loadRow: the predicted
+	// latency of every other component on the row's node once the row's
+	// component leaves it (Table III, U' = U − U_ci).
+	originIdx []int
+	originVal []float64
+
+	overrideSet []int     // epoch marker per component: overridden
+	stageSet    []int     // epoch marker per stage: holds an override
+	stageMax    []float64 // max(0, overrides) per marked stage
 	epoch       int
 }
 
-func newScratch(m int) *scratch {
+func newScratch(m, stages int) *scratch {
 	return &scratch{
-		overrideIdx: make([]int, 0, 64),
-		overrideVal: make([]float64, m),
+		originIdx:   make([]int, 0, 16),
+		originVal:   make([]float64, 0, 16),
 		overrideSet: make([]int, m),
+		stageSet:    make([]int, stages),
+		stageMax:    make([]float64, stages),
 	}
 }
 
-func (sc *scratch) set(h int, v float64) {
-	if sc.overrideSet[h] != sc.epoch {
-		sc.overrideIdx = append(sc.overrideIdx, h)
-		sc.overrideSet[h] = sc.epoch
+// override records component h's latency v in the current entry's world
+// and folds it into its stage's maximum. Each component is overridden at
+// most once per entry.
+func (sc *scratch) override(h, stage int, v float64) {
+	sc.overrideSet[h] = sc.epoch
+	if sc.stageSet[stage] != sc.epoch {
+		sc.stageSet[stage] = sc.epoch
+		sc.stageMax[stage] = 0
 	}
-	sc.overrideVal[h] = v
+	if v > sc.stageMax[stage] {
+		sc.stageMax[stage] = v
+	}
 }
 
 // BuildMatrix constructs the matrix: current latencies for every component
-// (Eq. 1→2), stage and overall latencies (Eq. 3–4), then every entry
-// L[i][j] via the Table III contention updates.
+// (Eq. 1→2), stage and overall latencies (Eq. 3–4), the per-(stage, node)
+// self terms, then every entry L[i][j] via the Table III contention
+// updates.
 func BuildMatrix(in MatrixInput) (*Matrix, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -142,12 +172,14 @@ func BuildMatrix(in MatrixInput) (*Matrix, error) {
 		stageLat:  make([]float64, in.NumStages),
 		stageOf:   make([][]int, in.NumStages),
 		removed:   make([]bool, m),
+		onTouched: make([]bool, m),
+		selfLat:   make([]float64, in.NumStages*k),
 		L:         make([][]float64, m),
 		SelfGain:  make([][]float64, m),
 		scratches: make([]*scratch, in.Pool.Shards()),
 	}
 	for s := range mat.scratches {
-		mat.scratches[s] = newScratch(m)
+		mat.scratches[s] = newScratch(m, in.NumStages)
 	}
 	for i, c := range in.Components {
 		mat.alloc[i] = c.Node
@@ -162,17 +194,27 @@ func BuildMatrix(in MatrixInput) (*Matrix, error) {
 		}
 	})
 	mat.refreshStageLatencies()
+	// Self terms, one region by node: each reads the frozen input and
+	// delta and writes its node's slots.
+	in.Pool.Run(k, func(_, lo, hi int) {
+		for n := lo; n < hi; n++ {
+			mat.refreshSelfTerms(n)
+		}
+	})
 
+	lRows := make([]float64, m*k)
+	gRows := make([]float64, m*k)
 	for i := 0; i < m; i++ {
-		mat.L[i] = make([]float64, k)
-		mat.SelfGain[i] = make([]float64, k)
+		mat.L[i] = lRows[i*k : (i+1)*k : (i+1)*k]
+		mat.SelfGain[i] = gRows[i*k : (i+1)*k : (i+1)*k]
 	}
 	// Entry fill: each shard owns a contiguous row range and its private
 	// scratch; entries read only barrier-frozen state (cur, stageLat,
-	// delta, the input) and write their own L/SelfGain cells.
+	// selfLat, delta, the input) and write their own L/SelfGain cells.
 	in.Pool.Run(m, func(s, lo, hi int) {
 		sc := mat.scratches[s]
 		for i := lo; i < hi; i++ {
+			mat.loadRow(i, sc)
 			for j := 0; j < k; j++ {
 				mat.computeEntry(i, j, sc)
 			}
@@ -228,25 +270,62 @@ func (mat *Matrix) latencyOn(i, node int, adj vec4) float64 {
 }
 
 // refreshStageLatencies recomputes Eq. 3 per stage and Eq. 4 overall from
-// the cached per-component latencies.
+// the cached per-component latencies, re-sorting each stage's members by
+// cur descending so a stage's maximum is its first member's latency.
+// Latencies are never NaN (ExpectedLatency guards against it), so the
+// order is total and the maximum is exactly the scan's.
 func (mat *Matrix) refreshStageLatencies() {
 	for s, members := range mat.stageOf {
+		slices.SortStableFunc(members, func(a, b int) int {
+			return cmp.Compare(mat.cur[b], mat.cur[a])
+		})
 		max := 0.0
-		for _, i := range members {
-			if mat.cur[i] > max {
-				max = mat.cur[i]
-			}
+		if len(members) > 0 && mat.cur[members[0]] > max {
+			max = mat.cur[members[0]]
 		}
 		mat.stageLat[s] = max
 	}
 	mat.overall = OverallLatency(mat.stageLat)
 }
 
+// refreshSelfTerms recomputes node n's self terms under the current delta.
+// A stage with no members is skipped: its model may be nil.
+func (mat *Matrix) refreshSelfTerms(n int) {
+	k := mat.in.NumNodes
+	for s, members := range mat.stageOf {
+		if len(members) > 0 {
+			mat.selfLat[s*k+n] = mat.latencyOn(members[0], n, vec4{})
+		}
+	}
+}
+
+// loadRow evaluates row i's origin terms into sc: the latency of every
+// other component on ci's node once ci has left it (U' = U − U_ci). They do
+// not depend on the destination, so every entry of the row shares them.
+// Fills call loadRow at the start of each row, so the terms never outlive
+// the region whose frozen delta they were computed from.
+func (mat *Matrix) loadRow(i int, sc *scratch) {
+	a := mat.alloc[i]
+	di := mat.in.Components[i].Demand
+	sc.originIdx = sc.originIdx[:0]
+	sc.originVal = sc.originVal[:0]
+	for _, h := range mat.nodeComps[a] {
+		if h == i {
+			continue
+		}
+		adj := negv(mat.in.Components[h].Demand)
+		adj = addv(adj, di, -1)
+		sc.originIdx = append(sc.originIdx, h)
+		sc.originVal = append(sc.originVal, mat.latencyOn(h, a, adj))
+	}
+}
+
 // computeEntry fills L[i][j] and SelfGain[i][j]: the hypothetical world
 // where ci sits on nj, with the Table III contention updates applied to
 // every component on ci's origin and destination nodes. sc is the calling
-// shard's private scratch; everything else it touches is read-only during
-// a parallel fill except the (i, j) cells themselves.
+// shard's private scratch, holding row i's origin terms (loadRow);
+// everything else it touches is read-only during a parallel fill except
+// the (i, j) cells themselves.
 func (mat *Matrix) computeEntry(i, j int, sc *scratch) {
 	a := mat.alloc[i]
 	if j == a {
@@ -254,53 +333,42 @@ func (mat *Matrix) computeEntry(i, j int, sc *scratch) {
 		mat.SelfGain[i][j] = 0
 		return
 	}
-	di := mat.in.Components[i].Demand
+	comps := mat.in.Components
+	di := comps[i].Demand
 	sc.epoch++
-	sc.overrideIdx = sc.overrideIdx[:0]
 
 	// ci itself: U' = U_nj (Table III row 1).
-	li := mat.latencyOn(i, j, vec4{})
-	sc.set(i, li)
+	li := mat.selfLat[comps[i].Stage*mat.in.NumNodes+j]
+	sc.override(i, comps[i].Stage, li)
 
 	// Components remaining on the origin node: U' = U − U_ci.
-	for _, h := range mat.nodeComps[a] {
-		if h == i {
-			continue
-		}
-		adj := negv(mat.in.Components[h].Demand)
-		adj = addv(adj, di, -1)
-		sc.set(h, mat.latencyOn(h, a, adj))
+	for n, h := range sc.originIdx {
+		sc.override(h, comps[h].Stage, sc.originVal[n])
 	}
 	// Components already on the destination node: U' = U + U_ci.
 	for _, h := range mat.nodeComps[j] {
-		adj := negv(mat.in.Components[h].Demand)
+		adj := negv(comps[h].Demand)
 		adj = addv(adj, di, +1)
-		sc.set(h, mat.latencyOn(h, j, adj))
+		sc.override(h, comps[h].Stage, mat.latencyOn(h, j, adj))
 	}
 
 	// Eq. 3–4 with overrides; only stages containing changed components
-	// can change.
+	// can change. An affected stage's maximum is the largest of 0, its
+	// overridden values and the cur of its first member not overridden —
+	// the maximum of the same values a full member scan would see.
 	overall := 0.0
 	for s, members := range mat.stageOf {
-		affected := false
-		for _, h := range sc.overrideIdx {
-			if mat.in.Components[h].Stage == s {
-				affected = true
-				break
-			}
-		}
-		if !affected {
+		if sc.stageSet[s] != sc.epoch {
 			overall += mat.stageLat[s]
 			continue
 		}
-		max := 0.0
+		max := sc.stageMax[s]
 		for _, h := range members {
-			v := mat.cur[h]
-			if sc.overrideSet[h] == sc.epoch {
-				v = sc.overrideVal[h]
-			}
-			if v > max {
-				max = v
+			if sc.overrideSet[h] != sc.epoch {
+				if mat.cur[h] > max {
+					max = mat.cur[h]
+				}
+				break
 			}
 		}
 		overall += max
@@ -379,13 +447,16 @@ func (mat *Matrix) Migrate(i, j int) {
 	mat.removed[i] = true
 
 	// Refresh the cached current latencies of everything on the two
-	// touched nodes (including the migrated component), then Eq. 3–4.
+	// touched nodes (including the migrated component), then Eq. 3–4 and
+	// the two nodes' self terms.
 	for _, n := range [2]int{a, j} {
 		for _, h := range mat.nodeComps[n] {
 			mat.cur[h] = mat.latencyOn(h, n, negv(mat.in.Components[h].Demand))
 		}
 	}
 	mat.refreshStageLatencies()
+	mat.refreshSelfTerms(a)
+	mat.refreshSelfTerms(j)
 
 	// Algorithm 2's incremental update, one barrier region over a
 	// canonical row worklist: rows hosted on a touched node recompute all
@@ -394,7 +465,8 @@ func (mat *Matrix) Migrate(i, j int) {
 	// shard, entries read only the state committed above, and a full-row
 	// recompute subsumes the two-column one, so the sharded fill lands the
 	// same floats the sequential loops did.
-	onTouched := make([]bool, len(mat.L))
+	onTouched := mat.onTouched
+	clear(onTouched)
 	for _, n := range [2]int{a, j} {
 		for _, h := range mat.nodeComps[n] {
 			onTouched[h] = true
@@ -406,6 +478,7 @@ func (mat *Matrix) Migrate(i, j int) {
 			if mat.removed[h] {
 				continue
 			}
+			mat.loadRow(h, sc)
 			if onTouched[h] {
 				for v := 0; v < mat.in.NumNodes; v++ {
 					mat.computeEntry(h, v, sc)

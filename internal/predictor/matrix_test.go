@@ -29,6 +29,22 @@ func testMatrixInput(t *testing.T, m, k int, lambda float64, seed int64) MatrixI
 		}
 		comps[i] = ComponentState{Stage: stage, Node: src.Intn(k), Demand: demand}
 	}
+	return MatrixInput{
+		Components:  comps,
+		NumStages:   3,
+		NumNodes:    k,
+		NodeSamples: testNodeSamples(src, k, comps),
+		Lambda:      lambda,
+		Models:      []*ServiceTimeModel{model, model, model},
+		Queue:       MG1,
+		Params:      DefaultLatencyParams(),
+	}
+}
+
+// testNodeSamples draws a six-sample contention window per node around a
+// random base load, then adds every component's demand to its node's
+// samples.
+func testNodeSamples(src *xrand.Source, k int, comps []ComponentState) [][]cluster.Vector {
 	cap := cluster.DefaultCapacity()
 	nodeSamples := make([][]cluster.Vector, k)
 	for n := 0; n < k; n++ {
@@ -48,16 +64,7 @@ func testMatrixInput(t *testing.T, m, k int, lambda float64, seed int64) MatrixI
 			nodeSamples[c.Node][w] = nodeSamples[c.Node][w].Add(c.Demand)
 		}
 	}
-	return MatrixInput{
-		Components:  comps,
-		NumStages:   3,
-		NumNodes:    k,
-		NodeSamples: nodeSamples,
-		Lambda:      lambda,
-		Models:      []*ServiceTimeModel{model, model, model},
-		Queue:       MG1,
-		Params:      DefaultLatencyParams(),
-	}
+	return nodeSamples
 }
 
 func TestBuildMatrixValidation(t *testing.T) {
