@@ -67,7 +67,7 @@ func BenchmarkFig6ServicePerformance(b *testing.B) {
 					if min := int(60 * rate); requests < min {
 						requests = min
 					}
-					res, err := pcs.Run(pcs.Options{
+					res, err := pcs.Run(pcs.RunSpec{
 						Technique:   tech,
 						Seed:        1,
 						ArrivalRate: rate,
@@ -125,7 +125,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 	for _, epsUs := range []float64{0, 5, 20, 100, 1000} { // microseconds
 		b.Run(fmt.Sprintf("eps=%.0fus", epsUs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := pcs.Run(pcs.Options{
+				res, err := pcs.Run(pcs.RunSpec{
 					Technique:      pcs.PCS,
 					Seed:           1,
 					ArrivalRate:    200,
@@ -150,7 +150,7 @@ func BenchmarkAblationQueueModel(b *testing.B) {
 	for _, qm := range []string{"mg1", "mm1", "none"} {
 		b.Run(qm, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := pcs.Run(pcs.Options{
+				res, err := pcs.Run(pcs.RunSpec{
 					Technique:   pcs.PCS,
 					Seed:        1,
 					ArrivalRate: 300,
@@ -175,7 +175,7 @@ func BenchmarkAblationRegressionDegree(b *testing.B) {
 	for _, degree := range []int{1, 2} {
 		b.Run(fmt.Sprintf("degree=%d", degree), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := pcs.Run(pcs.Options{
+				res, err := pcs.Run(pcs.RunSpec{
 					Technique:        pcs.PCS,
 					Seed:             1,
 					ArrivalRate:      200,
@@ -238,7 +238,7 @@ func BenchmarkMatrixBuild(b *testing.B) {
 // reported either way (a 1-core machine necessarily reports ~1×, so the
 // ratio is only enforced where the cores exist).
 func BenchmarkShardedRun(b *testing.B) {
-	opts := pcs.Options{
+	opts := pcs.RunSpec{
 		Technique:   pcs.PCS,
 		Scenario:    "large-cluster",
 		Seed:        1,
@@ -318,7 +318,7 @@ func BenchmarkShardedRun(b *testing.B) {
 // enforced where the cores exist and the timing is averaged over more
 // than one iteration.
 func BenchmarkLanedRun(b *testing.B) {
-	opts := pcs.Options{
+	opts := pcs.RunSpec{
 		Technique:          pcs.PCS,
 		Scenario:           "large-cluster",
 		Seed:               1,
@@ -401,11 +401,11 @@ func BenchmarkLanedRun(b *testing.B) {
 // run as cores allow.
 func BenchmarkParallelSweep(b *testing.B) {
 	spec := pcs.RunSpec{
-		Technique:        "Basic",
+		Technique:        pcs.Basic,
 		Seed:             1,
 		Nodes:            10,
 		SearchComponents: 20,
-		Rate:             100,
+		ArrivalRate:      100,
 		Requests:         4000,
 		Replications:     8,
 	}
@@ -497,7 +497,7 @@ func BenchmarkTrafficSources(b *testing.B) {
 // BENCH_SEED.json; bench-gate skips it until the seed is regenerated.
 func BenchmarkTrafficTenantStorm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := pcs.Run(pcs.Options{
+		res, err := pcs.Run(pcs.RunSpec{
 			Technique:   pcs.Basic,
 			Scenario:    "tenant-storm",
 			Seed:        int64(i + 1),
@@ -517,7 +517,7 @@ func BenchmarkTrafficTenantStorm(b *testing.B) {
 // simulated per wall second) at the Fig. 6 deployment size.
 func BenchmarkSimulationThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := pcs.Run(pcs.Options{
+		res, err := pcs.Run(pcs.RunSpec{
 			Technique:   pcs.Basic,
 			Seed:        int64(i + 1),
 			ArrivalRate: 100,
@@ -541,8 +541,8 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 // bit-identical; the laned cells must additionally match each other
 // exactly (invariant #10 extended to DAG runs).
 func BenchmarkDAGRun(b *testing.B) {
-	opts := func(scenario string, lanes int) pcs.Options {
-		return pcs.Options{
+	opts := func(scenario string, lanes int) pcs.RunSpec {
+		return pcs.RunSpec{
 			Technique:   pcs.Basic,
 			Scenario:    scenario,
 			Seed:        1,
@@ -551,7 +551,7 @@ func BenchmarkDAGRun(b *testing.B) {
 			Lanes:       lanes,
 		}
 	}
-	run := func(b *testing.B, o pcs.Options) pcs.Result {
+	run := func(b *testing.B, o pcs.RunSpec) pcs.Result {
 		var first pcs.Result
 		for i := 0; i < b.N; i++ {
 			res, err := pcs.Run(o)

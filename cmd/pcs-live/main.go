@@ -53,11 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts, err := spec.Options()
-	if err != nil {
-		log.Fatal(err)
-	}
-	sim, err := pcs.NewSimulation(opts)
+	sim, err := pcs.NewSimulation(spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -73,8 +73,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts, err := spec.Options()
-	if err != nil {
+	// Resolve once, so a -graph-file is read here rather than once per
+	// replication.
+	if spec, err = spec.Options(); err != nil {
 		log.Fatal(err)
 	}
 	replications, workers := spec.Replications, spec.Workers
@@ -123,7 +124,7 @@ func main() {
 		if sink != nil {
 			target.Sink = sink
 		}
-		agg, err := pcs.RunUntil(opts, target)
+		agg, err := pcs.RunUntil(spec, target)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -156,7 +157,7 @@ func main() {
 		return
 	}
 
-	sim, err := pcs.NewSimulation(opts)
+	sim, err := pcs.NewSimulation(spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -74,11 +74,8 @@ func main() {
 	}
 	// The graph travels inline, so a daemon never opens a path named by
 	// its client, and every cell reads the file's content once.
-	if spec.GraphFile != "" {
-		if spec.Graph, err = pcs.LoadGraphSpec(spec.GraphFile); err != nil {
-			log.Fatal(err)
-		}
-		spec.GraphFile = ""
+	if spec, err = spec.Options(); err != nil {
+		log.Fatal(err)
 	}
 	sweep := sweepSpec(spec, techList, rateList)
 
@@ -110,7 +107,7 @@ func main() {
 			}
 		}
 		cfg := experiments.PolicyGridConfig{Base: spec, Techniques: techList, Policies: pols}
-		cfg.Base.Rate = rateList[0]
+		cfg.Base.ArrivalRate = rateList[0]
 		res, err := experiments.RunPolicyGrid(cfg, stream)
 		if err != nil {
 			log.Fatal(err)
@@ -138,11 +135,7 @@ func sweepSpec(base pcs.RunSpec, techList []pcs.Technique, rates []float64) pcs.
 	if len(techList) == 0 {
 		techList = pcs.Techniques()
 	}
-	names := make([]string, len(techList))
-	for i, t := range techList {
-		names[i] = t.String()
-	}
-	return pcs.SweepSpec{Base: base, Techniques: names, Rates: rates}
+	return pcs.SweepSpec{Base: base, Techniques: techList, Rates: rates}
 }
 
 // runRemote dispatches the sweep across a pcs-serve fleet and prints the
@@ -157,7 +150,7 @@ func runRemote(sweep pcs.SweepSpec, workers []string) {
 	fmt.Fprintln(tw, "technique\trate\tavg overall (ms)\tp99 component (ms)\tworker\tretries")
 	for _, cell := range cells {
 		fmt.Fprintf(tw, "%s\t%g\t%.3f ± %.3f\t%.3f ± %.3f\t%s\t%d\n",
-			cell.Spec.Technique, cell.Spec.Rate,
+			cell.Spec.Technique, cell.Spec.ArrivalRate,
 			cell.Report.AvgOverallMs.Mean, cell.Report.AvgOverallMs.CI95,
 			cell.Report.P99ComponentMs.Mean, cell.Report.P99ComponentMs.CI95,
 			cell.Worker, cell.Retries)

@@ -26,7 +26,7 @@ func main() {
 	flag.Parse()
 
 	run := func(policy string) pcs.Result {
-		sim, err := pcs.NewSimulation(pcs.Options{
+		sim, err := pcs.NewSimulation(pcs.RunSpec{
 			Scenario:    *scenarioName,
 			Policy:      policy,
 			ArrivalRate: *rate,

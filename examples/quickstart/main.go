@@ -24,7 +24,7 @@ func main() {
 	fmt.Printf("λ=%.0f req/s, %d requests, seed %d\n\n", *rate, *requests, *seed)
 
 	for _, tech := range []pcs.Technique{pcs.Basic, pcs.PCS} {
-		res, err := pcs.Run(pcs.Options{
+		res, err := pcs.Run(pcs.RunSpec{
 			Technique:   tech,
 			Scenario:    *scenarioName,
 			ArrivalRate: *rate,

@@ -36,7 +36,7 @@ func main() {
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "technique\tavg overall (ms)\tp99 component (ms)\tmigrations")
 	for _, tech := range pcs.Techniques() {
-		res, err := pcs.Run(pcs.Options{
+		res, err := pcs.Run(pcs.RunSpec{
 			Technique:   tech,
 			Scenario:    *scenarioName,
 			ArrivalRate: *rate,

@@ -122,7 +122,7 @@ func AddTraffic(fs *flag.FlagSet) TrafficFlags {
 	}
 }
 
-// Spec translates the parsed traffic flags into an Options.Traffic value.
+// Spec translates the parsed traffic flags into a RunSpec.Traffic value.
 // Nil (with a nil error) means neither flag was given: the run keeps the
 // scenario's scripted traffic or the scalar Poisson path.
 func (tf TrafficFlags) Spec() (*pcs.TrafficSpec, error) {
@@ -286,10 +286,12 @@ func (sf *SpecFlags) Spec() (pcs.RunSpec, error) {
 		spec.Lanes = *sf.lanes
 	}
 	if sf.technique != nil && use("technique") {
-		spec.Technique = *sf.technique
+		if err := spec.Technique.UnmarshalText([]byte(*sf.technique)); err != nil {
+			return pcs.RunSpec{}, err
+		}
 	}
 	if sf.rate != nil && use("rate") {
-		spec.Rate = *sf.rate
+		spec.ArrivalRate = *sf.rate
 	}
 	if sf.replications != nil && use("replications") {
 		spec.Replications = *sf.replications

@@ -159,14 +159,28 @@ func writeFile(t *testing.T, name, content string) string {
 // means the evaluation default run.
 func TestSpecFlagsDefaults(t *testing.T) {
 	spec := specFlags(t)
-	if spec.Technique != "PCS" || spec.Requests != 20000 || spec.Seed != 1 ||
-		spec.Rate != 100 || spec.Replications != 1 || spec.Shards != 1 ||
+	if spec.Technique != pcs.PCS || spec.Requests != 20000 || spec.Seed != 1 ||
+		spec.ArrivalRate != 100 || spec.Replications != 1 || spec.Shards != 1 ||
 		spec.SchedulingInterval != 5 || spec.QueueModel != "mg1" {
 		t.Fatalf("default spec %+v", spec)
 	}
 	spec = specFlags(t, "-technique", "Basic", "-rate", "250", "-seed", "9")
-	if spec.Technique != "Basic" || spec.Rate != 250 || spec.Seed != 9 {
+	if spec.Technique != pcs.Basic || spec.ArrivalRate != 250 || spec.Seed != 9 {
 		t.Fatalf("flag spec %+v", spec)
+	}
+	// -technique takes every ParseTechnique spelling; empty is Basic.
+	for name, want := range map[string]pcs.Technique{"red-3": pcs.RED3, "RI90": pcs.RI90, "": pcs.Basic} {
+		if got := specFlags(t, "-technique", name).Technique; got != want {
+			t.Fatalf("-technique %q = %s, want %s", name, got, want)
+		}
+	}
+	fs := newSet()
+	sf := AddSpec(fs).AddRun()
+	if err := fs.Parse([]string{"-technique", "warp"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sf.Spec(); err == nil {
+		t.Fatal("-technique warp accepted")
 	}
 }
 
@@ -177,7 +191,7 @@ func TestSpecFlagsFilePrecedence(t *testing.T) {
 		`{"technique": "RED-3", "scenario": "ecommerce", "seed": 77, "rate": 40, "requests": 900}`)
 
 	spec := specFlags(t, "-spec-file", path)
-	if spec.Technique != "RED-3" || spec.Seed != 77 || spec.Rate != 40 || spec.Requests != 900 {
+	if spec.Technique != pcs.RED3 || spec.Seed != 77 || spec.ArrivalRate != 40 || spec.Requests != 900 {
 		t.Fatalf("file spec %+v", spec)
 	}
 	// Flag defaults (technique PCS, requests 20000...) must NOT clobber
@@ -187,10 +201,10 @@ func TestSpecFlagsFilePrecedence(t *testing.T) {
 	}
 
 	spec = specFlags(t, "-spec-file", path, "-seed", "5", "-technique", "PCS")
-	if spec.Seed != 5 || spec.Technique != "PCS" {
+	if spec.Seed != 5 || spec.Technique != pcs.PCS {
 		t.Fatalf("explicit flags did not override the file: %+v", spec)
 	}
-	if spec.Rate != 40 || spec.Requests != 900 {
+	if spec.ArrivalRate != 40 || spec.Requests != 900 {
 		t.Fatalf("untouched fields changed: %+v", spec)
 	}
 }

@@ -85,7 +85,7 @@ func TestFig6TinySweep(t *testing.T) {
 	spec := pcs.SweepSpec{
 		Base:       pcs.RunSpec{Seed: 1, Requests: 1500, Nodes: 10, SearchComponents: 20},
 		Rates:      []float64{50},
-		Techniques: []string{"Basic", "PCS"},
+		Techniques: []pcs.Technique{pcs.Basic, pcs.PCS},
 	}
 	res, err := RunFig6(spec, nil)
 	if err != nil {
@@ -94,8 +94,8 @@ func TestFig6TinySweep(t *testing.T) {
 	if len(res.Cells) != 2 {
 		t.Fatalf("cells = %d", len(res.Cells))
 	}
-	basic := res.Cell("Basic", 50)
-	p := res.Cell("PCS", 50)
+	basic := res.Cell(pcs.Basic, 50)
+	p := res.Cell(pcs.PCS, 50)
 	if basic == nil || p == nil {
 		t.Fatal("missing cells")
 	}
@@ -114,7 +114,7 @@ func TestFig6TinySweep(t *testing.T) {
 	}
 
 	// A subset that includes a baseline prints the headline.
-	spec.Techniques = []string{"RED-3", "PCS"}
+	spec.Techniques = []pcs.Technique{pcs.RED3, pcs.PCS}
 	withBase, err := RunFig6(spec, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -134,13 +134,13 @@ func TestFig6ScenarioSweep(t *testing.T) {
 		Base: pcs.RunSpec{Seed: 1, Scenario: "social-feed", Requests: 1200,
 			Nodes: 10, SearchComponents: 24},
 		Rates:      []float64{50},
-		Techniques: []string{"Basic"},
+		Techniques: []pcs.Technique{pcs.Basic},
 	}
 	res, err := RunFig6(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell := res.Cell("Basic", 50)
+	cell := res.Cell(pcs.Basic, 50)
 	if cell == nil || cell.Report.Completed == 0 {
 		t.Fatal("scenario sweep produced no results")
 	}
@@ -153,7 +153,7 @@ func TestFig6ScenarioSweep(t *testing.T) {
 	}
 
 	if _, err := RunFig6(pcs.SweepSpec{Base: pcs.RunSpec{Scenario: "bogus", Requests: 100},
-		Rates: []float64{10}, Techniques: []string{"Basic"}}, nil); err == nil {
+		Rates: []float64{10}, Techniques: []pcs.Technique{pcs.Basic}}, nil); err == nil {
 		t.Fatal("unknown scenario accepted by RunFig6")
 	}
 }
@@ -240,7 +240,7 @@ func TestFig6ReplicatedSweepDeterministicAcrossWorkers(t *testing.T) {
 		Base: pcs.RunSpec{Seed: 5, Requests: 800, Nodes: 8, SearchComponents: 12,
 			Replications: 3},
 		Rates:      []float64{50},
-		Techniques: []string{"Basic", "RED-3"},
+		Techniques: []pcs.Technique{pcs.Basic, pcs.RED3},
 	}
 	one := base
 	one.Base.Workers = 1
@@ -278,13 +278,13 @@ func TestFig6SingleReplicationMatchesHistoricalSweep(t *testing.T) {
 	spec := pcs.SweepSpec{
 		Base:       pcs.RunSpec{Seed: 3, Requests: 800, Nodes: 8, SearchComponents: 12},
 		Rates:      []float64{50},
-		Techniques: []string{"Basic"},
+		Techniques: []pcs.Technique{pcs.Basic},
 	}
 	res, err := RunFig6(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := pcs.Run(pcs.Options{
+	direct, err := pcs.Run(pcs.RunSpec{
 		Technique:        pcs.Basic,
 		Seed:             spec.Base.Seed ^ int64(50)<<16 ^ int64(pcs.Basic)<<8,
 		Nodes:            8,
@@ -295,7 +295,7 @@ func TestFig6SingleReplicationMatchesHistoricalSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell := res.Cell("Basic", 50)
+	cell := res.Cell(pcs.Basic, 50)
 	if cell == nil {
 		t.Fatal("missing cell")
 	}
@@ -363,7 +363,7 @@ func TestFig6StreamWritesEveryRun(t *testing.T) {
 		Base: pcs.RunSpec{Seed: 9, Requests: 600, Nodes: 8, SearchComponents: 12,
 			Replications: 2},
 		Rates:      []float64{40, 80},
-		Techniques: []string{"Basic", "RED-3"},
+		Techniques: []pcs.Technique{pcs.Basic, pcs.RED3},
 	}
 	res, err := RunFig6(spec, &buf)
 	if err != nil {
@@ -387,7 +387,7 @@ func TestFig6StreamWritesEveryRun(t *testing.T) {
 	if recs[0].Result.Technique != "Basic" || recs[0].Result.ArrivalRate != 40 || recs[0].Rep != 0 {
 		t.Fatalf("first record %+v not (Basic, 40, rep 0)", recs[0])
 	}
-	cell := res.Cell("Basic", 40)
+	cell := res.Cell(pcs.Basic, 40)
 	if cell == nil {
 		t.Fatal("missing cell")
 	}
@@ -437,7 +437,7 @@ func TestFig6HonoursEverySpecField(t *testing.T) {
 		Base: pcs.RunSpec{Seed: 4, Requests: 600, Nodes: 8, SearchComponents: 12,
 			SchedulingInterval: 1, WarmupFraction: -1, MonitorNoiseSigma: 0.3},
 		Rates:      []float64{20},
-		Techniques: []string{"Basic", "PCS"},
+		Techniques: []pcs.Technique{pcs.Basic, pcs.PCS},
 	}
 	tuned, err := RunFig6(spec, nil)
 	if err != nil {
@@ -460,7 +460,7 @@ func TestFig6HonoursEverySpecField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if untuned.Cell("PCS", 20).Report.AvgOverallMs == tuned.Cell("PCS", 20).Report.AvgOverallMs {
+	if untuned.Cell(pcs.PCS, 20).Report.AvgOverallMs == tuned.Cell(pcs.PCS, 20).Report.AvgOverallMs {
 		t.Fatal("tuning fields left the PCS cell unchanged: they never reached the run")
 	}
 }

@@ -56,12 +56,12 @@ type Fig6Result struct {
 
 // fig6Baselines are the redundancy and reissue techniques PCS's headline
 // reductions are measured against.
-var fig6Baselines = []string{"RED-3", "RED-5", "RI-90", "RI-99"}
+var fig6Baselines = []pcs.Technique{pcs.RED3, pcs.RED5, pcs.RI90, pcs.RI99}
 
 // Cell returns the measurement for a technique at a rate, or nil.
-func (r Fig6Result) Cell(technique string, rate float64) *Cell {
+func (r Fig6Result) Cell(technique pcs.Technique, rate float64) *Cell {
 	for i := range r.Cells {
-		if r.Cells[i].Spec.Technique == technique && r.Cells[i].Spec.Rate == rate {
+		if r.Cells[i].Spec.Technique == technique && r.Cells[i].Spec.ArrivalRate == rate {
 			return &r.Cells[i]
 		}
 	}
@@ -89,13 +89,13 @@ func RunFig6(spec pcs.SweepSpec, stream io.Writer) (Fig6Result, error) {
 }
 
 // axes lists the sweep's techniques and rates in expansion order.
-func (r Fig6Result) axes() (techniques []string, rates []float64) {
+func (r Fig6Result) axes() (techniques []pcs.Technique, rates []float64) {
 	for _, c := range r.Cells {
 		if !slices.Contains(techniques, c.Spec.Technique) {
 			techniques = append(techniques, c.Spec.Technique)
 		}
-		if !slices.Contains(rates, c.Spec.Rate) {
-			rates = append(rates, c.Spec.Rate)
+		if !slices.Contains(rates, c.Spec.ArrivalRate) {
+			rates = append(rates, c.Spec.ArrivalRate)
 		}
 	}
 	return techniques, rates
@@ -108,11 +108,11 @@ func (r Fig6Result) headlineReductions() (p99, overall float64) {
 	var p99Sum, overallSum float64
 	var n int
 	for _, pcsCell := range r.Cells {
-		if pcsCell.Spec.Technique != "PCS" {
+		if pcsCell.Spec.Technique != pcs.PCS {
 			continue
 		}
 		for _, b := range fig6Baselines {
-			bc := r.Cell(b, pcsCell.Spec.Rate)
+			bc := r.Cell(b, pcsCell.Spec.ArrivalRate)
 			if bc == nil || bc.Report.P99ComponentMs.Mean <= 0 || bc.Report.AvgOverallMs.Mean <= 0 {
 				continue
 			}
@@ -161,8 +161,8 @@ func (r Fig6Result) WriteTable(w io.Writer) {
 	// The headline aggregate compares PCS against the redundancy/reissue
 	// techniques; with a technique subset that lacks them there is nothing
 	// to report.
-	hasBaseline := slices.ContainsFunc(techniques, func(t string) bool { return slices.Contains(fig6Baselines, t) })
-	if hasBaseline && slices.Contains(techniques, "PCS") {
+	hasBaseline := slices.ContainsFunc(techniques, func(t pcs.Technique) bool { return slices.Contains(fig6Baselines, t) })
+	if hasBaseline && slices.Contains(techniques, pcs.PCS) {
 		fmt.Fprintf(w, "PCS reduction vs redundancy/reissue: p99 component %.2f%% (paper: 67.05%%), avg overall %.2f%% (paper: 64.16%%)\n",
 			r.P99ReductionPct, r.OverallReductionPct)
 	}

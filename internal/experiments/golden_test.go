@@ -50,7 +50,7 @@ func TestFig6TableGolden(t *testing.T) {
 			Base: pcs.RunSpec{Seed: 2, Requests: 600, Nodes: 8, SearchComponents: 12,
 				Replications: reps},
 			Rates:      []float64{10, 20},
-			Techniques: []string{"Basic", "RED-3", "PCS"},
+			Techniques: []pcs.Technique{pcs.Basic, pcs.RED3, pcs.PCS},
 		}
 		res, err := RunFig6(spec, nil)
 		if err != nil {
@@ -68,7 +68,7 @@ func TestPolicyGridTableGolden(t *testing.T) {
 	}
 	for _, reps := range []int{1, 3} {
 		cfg := PolicyGridConfig{
-			Base: pcs.RunSpec{Seed: 7, Scenario: "autoscale-burst", Rate: 400, Requests: 3000,
+			Base: pcs.RunSpec{Seed: 7, Scenario: "autoscale-burst", ArrivalRate: 400, Requests: 3000,
 				Nodes: 8, SearchComponents: 12, Replications: reps},
 			Policies:   []string{"none", "threshold-autoscale"},
 			Techniques: []pcs.Technique{pcs.Basic, pcs.RI90},

@@ -17,7 +17,7 @@ type PolicyGridConfig struct {
 	// Base is the cell template: deployment, traffic, rate, requests,
 	// replications, workers and tuning. An unset deployment selects
 	// "autoscale-burst" (the burst-elasticity scenario built for this
-	// comparison), Rate 0 selects 100 req/s (scenario steering scripts
+	// comparison), ArrivalRate 0 selects 100 req/s (scenario steering scripts
 	// its bursts relative to it) and Requests 0 selects 20000. Its seed
 	// is the grid's root: every cell derives its own from its technique.
 	Base pcs.RunSpec
@@ -40,8 +40,8 @@ func (c PolicyGridConfig) withDefaults() PolicyGridConfig {
 	if len(c.Techniques) == 0 {
 		c.Techniques = []pcs.Technique{pcs.Basic, pcs.PCS}
 	}
-	if c.Base.Rate <= 0 {
-		c.Base.Rate = 100
+	if c.Base.ArrivalRate <= 0 {
+		c.Base.ArrivalRate = 100
 	}
 	if c.Base.Requests <= 0 {
 		c.Base.Requests = 20000
@@ -56,7 +56,7 @@ type PolicyGridResult struct {
 
 // Cell returns the measurement for a technique under a policy, or nil.
 // The open-loop baseline is policy "none".
-func (r PolicyGridResult) Cell(technique, policyName string) *Cell {
+func (r PolicyGridResult) Cell(technique pcs.Technique, policyName string) *Cell {
 	for i := range r.Cells {
 		if r.Cells[i].Spec.Technique == technique && r.Cells[i].Spec.Policy == policyName {
 			return &r.Cells[i]
@@ -84,7 +84,7 @@ func RunPolicyGrid(cfg PolicyGridConfig, stream io.Writer) (PolicyGridResult, er
 	for _, tech := range c.Techniques {
 		for _, pol := range c.Policies {
 			cell := c.Base
-			cell.Technique = tech.String()
+			cell.Technique = tech
 			cell.Policy = pol
 			cell.Seed = c.Base.Seed ^ int64(tech)<<16
 			cells = append(cells, cell)
@@ -117,7 +117,7 @@ func (r PolicyGridResult) WriteTable(w io.Writer) {
 	}
 	first := r.Cells[0]
 	fmt.Fprintf(w, "closed-loop policy grid · scenario %s · λ=%.0f req/s · %d replication(s)\n\n",
-		first.Spec.Scenario, first.Spec.Rate, first.Report.Replications)
+		first.Spec.Scenario, first.Spec.ArrivalRate, first.Report.Replications)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "technique\tpolicy\tavg overall ms\tp99 comp ms\tactions\tΔavg vs open-loop\tΔp99 vs open-loop")
 	for _, cell := range r.Cells {

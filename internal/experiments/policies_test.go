@@ -16,7 +16,7 @@ import (
 // same sizing argument).
 func policyGridConfig() PolicyGridConfig {
 	return PolicyGridConfig{
-		Base: pcs.RunSpec{Seed: 7, Scenario: "autoscale-burst", Rate: 400, Requests: 6000,
+		Base: pcs.RunSpec{Seed: 7, Scenario: "autoscale-burst", ArrivalRate: 400, Requests: 6000,
 			Nodes: 8, SearchComponents: 12},
 		Policies:   []string{"none", "threshold-autoscale"},
 		Techniques: []pcs.Technique{pcs.Basic},
@@ -40,8 +40,8 @@ func TestPolicyGridAutoscaleBeatsOpenLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := res.Cell("Basic", "none")
-	closed := res.Cell("Basic", "threshold-autoscale")
+	open := res.Cell(pcs.Basic, "none")
+	closed := res.Cell(pcs.Basic, "threshold-autoscale")
 	if open == nil || closed == nil {
 		t.Fatalf("grid missing cells: %+v", res.Cells)
 	}
@@ -145,7 +145,7 @@ func TestPolicyGridReplicatedCellsCarryCIs(t *testing.T) {
 				cell.Spec.Technique, cell.Spec.Policy, cell)
 		}
 	}
-	closed := res.Cell("Basic", "threshold-autoscale")
+	closed := res.Cell(pcs.Basic, "threshold-autoscale")
 	if closed == nil || meanActions(closed.Report.Runs) == 0 {
 		t.Fatal("replicated autoscaler cells never acted")
 	}
@@ -158,13 +158,13 @@ func TestFig6PolicyOption(t *testing.T) {
 		Base: pcs.RunSpec{Seed: 9, Scenario: "brownout-overload", Policy: "brownout",
 			Requests: 4000, Nodes: 8, SearchComponents: 12},
 		Rates:      []float64{400},
-		Techniques: []string{"Basic"},
+		Techniques: []pcs.Technique{pcs.Basic},
 	}
 	res, err := RunFig6(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell := res.Cell("Basic", 400)
+	cell := res.Cell(pcs.Basic, 400)
 	if cell == nil {
 		t.Fatal("missing cell")
 	}

@@ -3,12 +3,12 @@
 // defaults the world around it should use. The paper evaluates one
 // deployment (the Nutch-style search engine); the reproduction grows
 // "as many scenarios as you can imagine" by registering more entries here
-// and selecting them by name via pcs.Options.Scenario or the -scenario
+// and selecting them by name via pcs.RunSpec.Scenario or the -scenario
 // flag of the cmd/ tools.
 //
 // Scenarios are self-describing: Names/Describe let CLIs list what is
 // available, and every entry carries enough defaults that
-// pcs.Run(pcs.Options{Scenario: name}) is a complete, runnable world.
+// pcs.Run(pcs.RunSpec{Scenario: name}) is a complete, runnable world.
 package scenario
 
 import (
@@ -158,7 +158,7 @@ type Scenario struct {
 	// pure-data traffic.Spec the simulation layer builds a fresh source
 	// from on every run (sessions, traces, bursty MMPP, multi-tenant
 	// mixes). Nil keeps the scalar Poisson workload at the run's
-	// ArrivalRate; Options.Traffic overrides a scripted spec.
+	// ArrivalRate; RunSpec.Traffic overrides a scripted spec.
 	Traffic *traffic.Spec
 	// Graph, if non-nil, makes this a service-DAG scenario: a pure-data
 	// graph.Spec the simulation layer compiles into the runtime plan on

@@ -8,11 +8,13 @@ import (
 
 // job is one queued unit of work: an execution closure with the token cost
 // it holds while running, labelled with the run id it executes so the
-// queue is introspectable (GET /v1/queue) and cancellable by id.
+// queue is introspectable (GET /v1/queue) and cancellable by id. fn returns
+// the job's publication — the terminal transition clients observe, or nil —
+// which the executor applies only after releasing the job's tokens.
 type job struct {
 	id      string
 	cost    int
-	fn      func()
+	fn      func() (publish func())
 	aborted bool
 	started bool
 }
@@ -73,9 +75,10 @@ func newExecutor(capacity int) *executor {
 
 // submit enqueues fn at the given cost (clamped to [1, capacity] so no job
 // is unrunnable) and starts it as soon as it reaches the queue head with
-// enough tokens free. The returned ticket can dequeue the job before it
-// starts.
-func (e *executor) submit(id string, cost int, fn func()) *ticket {
+// enough tokens free. The publication fn returns runs after the job's
+// tokens are back, so whoever observes it observes them released. The
+// returned ticket can dequeue the job before it starts.
+func (e *executor) submit(id string, cost int, fn func() (publish func())) *ticket {
 	if cost < 1 {
 		cost = 1
 	}
@@ -99,14 +102,17 @@ func (e *executor) dispatchLocked() {
 		j.started = true
 		e.avail -= j.cost
 		go func() {
-			defer e.release(j.cost)
-			j.fn()
+			publish := j.fn()
+			e.release(j.cost)
+			if publish != nil {
+				publish()
+			}
 		}()
 	}
 }
 
 // release returns a finished job's tokens and re-dispatches. Tokens are
-// released exactly once per started job (the deferred call in
+// released exactly once per started job (the job goroutine in
 // dispatchLocked is the only caller); over-release would mean a bookkeeping
 // bug upstream, so it panics rather than silently widening the budget.
 func (e *executor) release(cost int) {

@@ -18,7 +18,7 @@ import (
 func FuzzStoreRecover(f *testing.F) {
 	// Seed with the genuine article: a real stream from a testdata/specs
 	// style run, plus the corruption shapes the unit table walks.
-	spec := pcs.RunSpec{Technique: "Basic", Requests: 200, Rate: 100, Seed: 7, Replications: 3}
+	spec := pcs.RunSpec{Technique: pcs.Basic, Requests: 200, ArrivalRate: 100, Seed: 7, Replications: 3}
 	var full bytes.Buffer
 	if _, err := pcs.RunCells([]pcs.RunSpec{spec}, 0, pcs.StreamTo(&full)); err != nil {
 		f.Fatal(err)

@@ -228,7 +228,7 @@ func (d SweepDispatch) Run(ctx context.Context) ([]CellResult, error) {
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("serve: sweep cell %d (%s/λ=%g): %w",
-				i, cells[i].Technique, cells[i].Rate, err)
+				i, cells[i].Technique, cells[i].ArrivalRate, err)
 		}
 	}
 	return results, nil

@@ -17,7 +17,7 @@ import (
 // shard 3 ways with every daemon owning four cells.
 var fleetSweep = pcs.SweepSpec{
 	Base:       pcs.RunSpec{Seed: 3, Requests: 60},
-	Techniques: []string{"Basic", "RED-3"},
+	Techniques: []pcs.Technique{pcs.Basic, pcs.RED3},
 	Rates:      []float64{1, 2, 3, 4, 5, 6},
 }
 
@@ -64,7 +64,7 @@ func TestFleetFanOutIdentity(t *testing.T) {
 
 	workersSeen := map[string]int{}
 	for i, cell := range fleetCells {
-		if cell.Spec.Technique != cells[i].Technique || cell.Spec.Rate != cells[i].Rate {
+		if cell.Spec.Technique != cells[i].Technique || cell.Spec.ArrivalRate != cells[i].ArrivalRate {
 			t.Fatalf("cell %d out of canonical order: %+v", i, cell.Spec)
 		}
 		workersSeen[cell.Worker]++

@@ -277,7 +277,7 @@ func (s *Server) replay() error {
 		s.specReps += n
 		s.mu.Unlock()
 		if !terminalState(r.snapshotState()) {
-			r.ticket = s.exec.submit(r.id, s.runCost(r.spec), func() { s.execute(r) })
+			r.ticket = s.exec.submit(r.id, s.runCost(r.spec), func() func() { return s.execute(r) })
 		}
 	}
 	sweepIDs, sweepRecs, err := s.store.loadSweeps()
@@ -437,8 +437,8 @@ func (r *run) snapshotState() string {
 }
 
 // newRun registers a run for the spec, persists it (when durable), and
-// submits it to the executor. Callers must have validated the spec
-// (including Options resolution).
+// submits it to the executor. Callers must have validated the spec and
+// refused its client-named paths.
 func (s *Server) newRun(spec pcs.RunSpec) (*run, error) {
 	s.mu.Lock()
 	s.runSeq++
@@ -456,7 +456,7 @@ func (s *Server) newRun(spec pcs.RunSpec) (*run, error) {
 			return nil, err
 		}
 	}
-	r.ticket = s.exec.submit(r.id, s.runCost(spec), func() { s.execute(r) })
+	r.ticket = s.exec.submit(r.id, s.runCost(spec), func() func() { return s.execute(r) })
 	return r, nil
 }
 
@@ -478,57 +478,56 @@ func (s *Server) finish(r *run, state, errMsg string, report *pcs.Aggregate) {
 	}
 }
 
-// execute runs a registered run to a terminal state: the replications
-// stream as NDJSON into the run's broadcast buffer (feeding any SSE
-// subscribers live) and, when durable, into the store's fsynced frames
-// file; the final report is MergeStream's fold over exactly those frames —
-// the same bytes a subscriber saw — so the daemon can never report
-// something its stream does not support. A canceled context stops the run
-// at the next replication boundary and lands StateCanceled.
-func (s *Server) execute(r *run) {
+// execute runs a registered run to its end and returns the terminal
+// transition that publishes it; the executor applies that transition after
+// releasing the run's tokens, so a client that sees the terminal state
+// never sees the run still holding them. The replications stream as NDJSON
+// into the run's broadcast buffer (feeding any SSE subscribers live) and,
+// when durable, into the store's fsynced frames file; the final report is
+// MergeStream's fold over exactly those frames — the same bytes a
+// subscriber saw — so the daemon can never report something its stream
+// does not support. A canceled context stops the run at the next
+// replication boundary and lands StateCanceled.
+func (s *Server) execute(r *run) (publish func()) {
 	r.mu.Lock()
 	if terminalState(r.state) {
 		// Canceled between dispatch and here; nothing to run.
 		r.mu.Unlock()
-		return
+		return nil
 	}
 	r.state = StateRunning
 	r.mu.Unlock()
 
-	opts, err := r.spec.Options()
-	if err != nil {
-		s.finish(r, StateFailed, err.Error(), nil)
-		return
+	land := func(state, errMsg string, report *pcs.Aggregate) func() {
+		return func() { s.finish(r, state, errMsg, report) }
 	}
-	n := r.spec.Replications
-	if n < 1 {
-		n = 1
+	spec, err := r.spec.Options()
+	if err != nil {
+		return land(StateFailed, err.Error(), nil)
 	}
 	var sink io.Writer = r.buf
 	if s.store != nil {
 		ff, err := s.store.frameWriter(r.id, r.intactBytes)
 		if err != nil {
-			s.finish(r, StateFailed, err.Error(), nil)
-			return
+			return land(StateFailed, err.Error(), nil)
 		}
 		defer ff.Close()
 		// Durable before broadcast: a frame an SSE subscriber saw is a
 		// frame the store can replay.
 		sink = io.MultiWriter(ff, r.buf)
 	}
-	err = pcs.RunManyStreamFrom(r.ctx, opts, n, r.spec.Workers, r.resumeFrom, sink)
+	err = pcs.RunManyStreamFrom(r.ctx, spec, r.resumeFrom, sink)
 	switch {
 	case err == nil:
 		agg, merr := pcs.MergeStream(bytes.NewReader(r.buf.bytes()))
 		if merr != nil {
-			s.finish(r, StateFailed, fmt.Sprintf("merging own stream: %v", merr), nil)
-			return
+			return land(StateFailed, fmt.Sprintf("merging own stream: %v", merr), nil)
 		}
-		s.finish(r, StateDone, "", &agg)
+		return land(StateDone, "", &agg)
 	case errors.Is(err, context.Canceled):
-		s.finish(r, StateCanceled, "", nil)
+		return land(StateCanceled, "", nil)
 	default:
-		s.finish(r, StateFailed, err.Error(), nil)
+		return land(StateFailed, err.Error(), nil)
 	}
 }
 
@@ -551,9 +550,9 @@ func (s *Server) status(r *run) RunStatus {
 	return RunStatus{ID: r.id, State: state, Spec: r.spec, Error: errMsg, Report: report}
 }
 
-// handleCreateRun accepts a RunSpec, validates it (strict JSON, spec
-// validation, no graphFile, and an Options dry resolution so e.g. a
-// traffic spec the run layer rejects fails at submit time), and queues it.
+// handleCreateRun accepts a RunSpec, validates it (strict JSON, no
+// client-named server path, and spec validation, so e.g. a malformed
+// traffic spec fails at submit time), and queues it.
 func (s *Server) handleCreateRun(w http.ResponseWriter, req *http.Request) {
 	spec, err := readRunSpec(req)
 	if err != nil {
@@ -619,25 +618,46 @@ func readRunSpec(req *http.Request) (pcs.RunSpec, error) {
 	if err != nil {
 		return pcs.RunSpec{}, err
 	}
-	if err := rejectGraphFile(spec); err != nil {
+	if err := rejectClientPaths(spec); err != nil {
 		return pcs.RunSpec{}, err
 	}
-	if _, err := spec.Options(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return pcs.RunSpec{}, err
 	}
 	return spec, nil
 }
 
-// rejectGraphFile refuses a client spec that names a graph file: the
-// daemon never opens a server path a network client chose. It runs before
-// anything touches the filesystem; clients send the graph inline under
+// rejectClientPaths refuses a client spec that names a file — a graphFile,
+// or a trace path anywhere in its traffic — naming the field: the daemon
+// never opens a server path a network client chose. It runs before
+// anything touches the filesystem; clients send a graph inline under
 // "graph" (pcs-sweep -remote -graph-file does that for them). Specs
 // recovered from -state-dir are the daemon's own state and skip it.
-func rejectGraphFile(spec pcs.RunSpec) error {
+func rejectClientPaths(spec pcs.RunSpec) error {
 	if spec.GraphFile != "" {
 		return fmt.Errorf("graphFile %q: pcs-serve does not open server paths named by clients; send the graph inline under \"graph\"", spec.GraphFile)
 	}
+	if field, path := tracePath(spec.Traffic, "traffic"); path != "" {
+		return fmt.Errorf("%s %q: pcs-serve does not open server paths named by clients", field, path)
+	}
 	return nil
+}
+
+// tracePath returns the first trace path a traffic spec names, with its
+// field path, or "" when it names none.
+func tracePath(t *pcs.TrafficSpec, field string) (string, string) {
+	if t == nil {
+		return "", ""
+	}
+	if t.Path != "" {
+		return field + ".path", t.Path
+	}
+	for i := range t.Tenants {
+		if f, p := tracePath(&t.Tenants[i].Source, fmt.Sprintf("%s.tenants[%d].source", field, i)); p != "" {
+			return f, p
+		}
+	}
+	return "", ""
 }
 
 // readBody reads the request body under the daemon's 1 MiB spec cap.
@@ -743,7 +763,7 @@ func (s *Server) handleCreateSweep(w http.ResponseWriter, req *http.Request) {
 	}
 	spec, err := pcs.ParseSweepSpec(body)
 	if err == nil {
-		err = rejectGraphFile(spec.Base)
+		err = rejectClientPaths(spec.Base)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -753,12 +773,6 @@ func (s *Server) handleCreateSweep(w http.ResponseWriter, req *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	for _, cell := range cells {
-		if _, err := cell.Options(); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
 	}
 	sw := &sweep{spec: spec}
 	for _, cell := range cells {
@@ -808,8 +822,8 @@ func (s *Server) sweepStatus(sw *sweep) SweepStatus {
 		}
 		out.Cells = append(out.Cells, SweepCellStatus{
 			RunID:     cell.id,
-			Technique: cell.spec.Technique,
-			Rate:      cell.spec.Rate,
+			Technique: cell.spec.Technique.String(),
+			Rate:      cell.spec.ArrivalRate,
 			Policy:    cell.spec.Policy,
 			Seed:      cell.spec.Seed,
 			State:     state,

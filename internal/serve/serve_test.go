@@ -93,24 +93,36 @@ func TestRunLifecycle(t *testing.T) {
 // TestRejections walks the API's error surface.
 func TestRejections(t *testing.T) {
 	ts := newTestServer(t, 1)
-	cases := []struct{ path, body string }{
-		{"/v1/runs", `{"technique": "warp"}`},         // unknown technique
-		{"/v1/runs", `{"tecnique": "PCS"}`},           // unknown field (strict decode)
-		{"/v1/runs", `not json`},                      // malformed
-		{"/v1/runs", `{"graphFile": "/nope/g.json"}`}, // server paths are never opened
-		{"/v1/sweeps", `{"base": {"scenario": "missing"}}`},
-		{"/v1/sweeps", `{"base": {}, "techniques": ["warp"]}`},
+	const tenantTrace = `{"traffic": {"kind": "multi-tenant", "tenants": [
+		{"name": "a", "source": {"kind": "poisson", "rate": 5}},
+		{"name": "b", "source": {"kind": "trace", "path": "/etc/hostname"}}]}}`
+	// want, when set, is a fragment the error must carry: the field named.
+	cases := []struct{ path, body, want string }{
+		{"/v1/runs", `{"technique": "warp"}`, "warp"}, // unknown technique
+		{"/v1/runs", `{"technique": 3}`, ""},          // techniques are names
+		{"/v1/runs", `{"tecnique": "PCS"}`, ""},       // unknown field (strict decode)
+		{"/v1/runs", `not json`, ""},                  // malformed
+		// Server paths are never opened, wherever the spec names one.
+		{"/v1/runs", `{"graphFile": "/nope/g.json"}`, "graphFile"},
+		{"/v1/runs", `{"traffic": {"kind": "trace", "path": "/etc/hostname"}}`, "traffic.path"},
+		{"/v1/runs", tenantTrace, "traffic.tenants[1].source.path"},
+		{"/v1/runs", `{"traffic": {"kind": "bogus"}}`, "bogus"}, // fails at submit, not at run
+		{"/v1/sweeps", `{"base": {"scenario": "missing"}}`, ""},
+		{"/v1/sweeps", `{"base": {}, "techniques": ["warp"]}`, "warp"},
+		{"/v1/sweeps", `{"base": {"traffic": {"kind": "trace", "path": "/etc/hostname"}}}`, "traffic.path"},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, ts.URL+c.path, c.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s %q: %d %s, want 400", c.path, c.body, resp.StatusCode, body)
 		}
-		if !bytes.Contains(body, []byte(`"error"`)) {
-			t.Errorf("POST %s %q: no error body: %s", c.path, c.body, body)
+		if !bytes.Contains(body, []byte(`"error"`)) || !bytes.Contains(body, []byte(c.want)) {
+			t.Errorf("POST %s %q: error body %s, want one naming %q", c.path, c.body, body, c.want)
 		}
 	}
-	for _, path := range []string{"/v1/runs/run-99", "/v1/runs/run-99/stream", "/v1/sweeps/sweep-9"} {
+	// A rejected POST creates nothing: run-1 and sweep-1 were never issued.
+	for _, path := range []string{"/v1/runs/run-99", "/v1/runs/run-99/stream", "/v1/sweeps/sweep-9",
+		"/v1/runs/run-1", "/v1/sweeps/sweep-1"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -119,6 +131,29 @@ func TestRejections(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s: %d, want 404", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestSpecEchoIsCanonical: the accepted spec echoes with the technique's
+// canonical name, whatever spelling the client sent, and Basic (the zero
+// technique) is omitted.
+func TestSpecEchoIsCanonical(t *testing.T) {
+	checkGoroutines(t)
+	ts := newTestServer(t, 1)
+	for sent, echo := range map[string]string{"red-3": `"technique": "RED-3"`, "basic": ""} {
+		resp, body := postJSON(t, ts.URL+"/v1/runs",
+			`{"technique": "`+sent+`", "requests": 50, "rate": 20}`)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST technique %q: %d %s", sent, resp.StatusCode, body)
+		}
+		if echo != "" && !bytes.Contains(body, []byte(echo)) || echo == "" && bytes.Contains(body, []byte(`"technique"`)) {
+			t.Errorf("technique %q echoed as %s, want %q", sent, body, echo)
+		}
+		var created RunStatus
+		if err := json.Unmarshal(body, &created); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, ts.URL+"/v1/runs/"+created.ID)
 	}
 }
 
@@ -367,9 +402,9 @@ func TestExecutorFIFO(t *testing.T) {
 	release1 := make(chan struct{})
 	release2 := make(chan struct{})
 	started := make(chan int, 3)
-	e.submit("run-1", 1, func() { started <- 1; <-release1 })
-	e.submit("run-2", 2, func() { started <- 2; <-release2 })
-	e.submit("run-3", 1, func() { started <- 3 })
+	e.submit("run-1", 1, func() func() { started <- 1; <-release1; return nil })
+	e.submit("run-2", 2, func() func() { started <- 2; <-release2; return nil })
+	e.submit("run-3", 1, func() func() { started <- 3; return nil })
 
 	if got := <-started; got != 1 {
 		t.Fatalf("first start %d", got)
@@ -400,6 +435,24 @@ func TestExecutorFIFO(t *testing.T) {
 	}
 }
 
+// TestExecutorReleasesBeforePublishing pins the order clients rely on: a
+// job's publication — the terminal transition its run's watchers observe —
+// runs after the job's tokens are back, so occupancy read from inside it
+// already shows them released.
+func TestExecutorReleasesBeforePublishing(t *testing.T) {
+	e := newExecutor(1)
+	inUse := make(chan int, 1)
+	e.submit("run-1", 1, func() func() {
+		return func() {
+			_, n := e.stats()
+			inUse <- n
+		}
+	})
+	if n := <-inUse; n != 0 {
+		t.Fatalf("publication saw %d tokens in use, want 0", n)
+	}
+}
+
 // TestExecutorAbort extends the FIFO pin to cancellation: aborting a
 // queued job dequeues it without disturbing the survivors' order, a wide
 // abort at the head unblocks the jobs behind it, and a started job cannot
@@ -408,10 +461,10 @@ func TestExecutorAbort(t *testing.T) {
 	e := newExecutor(2)
 	blockA := make(chan struct{})
 	started := make(chan string, 4)
-	tA := e.submit("a", 2, func() { started <- "a"; <-blockA })
-	tB := e.submit("b", 2, func() { started <- "b" })
-	tC := e.submit("c", 1, func() { started <- "c" })
-	tD := e.submit("d", 1, func() { started <- "d" })
+	tA := e.submit("a", 2, func() func() { started <- "a"; <-blockA; return nil })
+	tB := e.submit("b", 2, func() func() { started <- "b"; return nil })
+	tC := e.submit("c", 1, func() func() { started <- "c"; return nil })
+	tD := e.submit("d", 1, func() func() { started <- "d"; return nil })
 
 	if got := <-started; got != "a" {
 		t.Fatalf("first start %q", got)

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 // storeSpec is the run the recovery tests stream: small enough to be fast,
 // three replications so the frontier has interior resume points.
-var storeSpec = pcs.RunSpec{Technique: "Basic", Requests: 300, Rate: 100, Seed: 7, Replications: 3}
+var storeSpec = pcs.RunSpec{Technique: pcs.Basic, Requests: 300, ArrivalRate: 100, Seed: 7, Replications: 3}
 
 // streamFor renders the spec's full local NDJSON stream — the reference
 // bytes every recovery path must reproduce.
@@ -266,6 +267,36 @@ func TestRestartResumesInterruptedRun(t *testing.T) {
 		if !bytes.Equal(stored, full) {
 			t.Fatalf("frontier %d: stored frames diverged from the uninterrupted stream:\n got %q\nwant %q",
 				frontier, stored, full)
+		}
+	}
+}
+
+// TestRestartReplaysEarlierSpellings: a store written before technique
+// names were canonicalised ("red-3", an explicit "Basic") replays — the
+// specs decode to the same runs, which resume and report as a fresh
+// submission of the same spec would.
+func TestRestartReplaysEarlierSpellings(t *testing.T) {
+	dir := t.TempDir()
+	stored := map[string]string{
+		"run-1": `{"technique":"Basic","requests":60,"rate":20,"seed":3}`,
+		"run-2": `{"technique":"red-3","requests":60,"rate":20,"seed":3}`,
+	}
+	for id, spec := range stored {
+		writeStoredRun(t, dir, id, []byte(spec), nil, nil)
+	}
+	ts := newDurableServer(t, 2, dir)
+	for id, want := range map[string]pcs.Technique{"run-1": pcs.Basic, "run-2": pcs.RED3} {
+		var done RunStatus
+		getJSON(t, ts.URL+"/v1/runs/"+id+"?wait=1", &done)
+		if done.State != StateDone || done.Spec.Technique != want {
+			t.Fatalf("%s replayed as %+v, want a done %s run", id, done, want)
+		}
+		local, err := pcs.RunSpec{Technique: want, Requests: 60, ArrivalRate: 20, Seed: 3}.Report()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*done.Report, local) {
+			t.Fatalf("%s report diverged from a fresh run of its spec", id)
 		}
 	}
 }

@@ -130,7 +130,7 @@ func (p *Pool) Run(n int, fn func(shard, lo, hi int)) {
 // ReplicationWorkers budgets a replication pool's worker count against
 // intra-run sharding, so workers × shards stays at the machine's width
 // instead of oversubscribing it. An explicit (positive) worker count
-// always wins. shards follows pcs.Options.Shards semantics: <= 1 is
+// always wins. shards follows pcs.RunSpec.Shards semantics: <= 1 is
 // sequential (return the caller's value unchanged, letting the runner
 // default to GOMAXPROCS), negative means all cores. Worker counts never
 // reach results; this is a wall-clock decision only.

@@ -106,26 +106,6 @@ func rSquared(xs, ys []float64, predict func(float64) float64) float64 {
 	return r2
 }
 
-// Pearson returns the Pearson correlation coefficient of xs and ys, or 0
-// when either series has no variance.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
 // SolveLinearSystem solves A·x = b by Gaussian elimination with partial
 // pivoting. A and b are not modified. It returns ErrSingular when no unique
 // solution exists.
@@ -174,25 +154,4 @@ func SolveLinearSystem(a [][]float64, b []float64) ([]float64, error) {
 		x[i] = sum / m[i][i]
 	}
 	return x, nil
-}
-
-// MeanAbsPctError returns the mean absolute percentage error of predictions
-// against actuals, in percent. Pairs with a zero actual value are skipped.
-func MeanAbsPctError(actual, predicted []float64) float64 {
-	if len(actual) != len(predicted) || len(actual) == 0 {
-		return 0
-	}
-	var sum float64
-	var n int
-	for i := range actual {
-		if actual[i] == 0 {
-			continue
-		}
-		sum += math.Abs(predicted[i]-actual[i]) / math.Abs(actual[i]) * 100
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

@@ -131,46 +131,6 @@ func TestFitPolyRecoversRandomLines(t *testing.T) {
 	}
 }
 
-func TestPearsonPerfectCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if got := Pearson(xs, ys); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("Pearson = %v, want 1", got)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if got := Pearson(xs, neg); !almostEqual(got, -1, 1e-12) {
-		t.Fatalf("Pearson = %v, want -1", got)
-	}
-}
-
-func TestPearsonNoVariance(t *testing.T) {
-	if got := Pearson([]float64{1, 1, 1}, []float64{1, 2, 3}); got != 0 {
-		t.Fatalf("Pearson with constant series = %v, want 0", got)
-	}
-}
-
-func TestPearsonBounds(t *testing.T) {
-	f := func(xs, ys []float64) bool {
-		n := len(xs)
-		if len(ys) < n {
-			n = len(ys)
-		}
-		xs, ys = xs[:n], ys[:n]
-		for i := 0; i < n; i++ {
-			if math.IsNaN(xs[i]) || math.IsInf(xs[i], 0) || math.IsNaN(ys[i]) || math.IsInf(ys[i], 0) {
-				return true
-			}
-			xs[i] = math.Mod(xs[i], 1e6)
-			ys[i] = math.Mod(ys[i], 1e6)
-		}
-		r := Pearson(xs, ys)
-		return r >= -1-1e-9 && r <= 1+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSolveLinearSystemKnown(t *testing.T) {
 	a := [][]float64{
 		{2, 1, -1},
@@ -254,20 +214,5 @@ func TestSolveLinearSystemRandomRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMeanAbsPctError(t *testing.T) {
-	actual := []float64{100, 200}
-	pred := []float64{110, 180}
-	// (10% + 10%) / 2 = 10%
-	if got := MeanAbsPctError(actual, pred); !almostEqual(got, 10, 1e-9) {
-		t.Fatalf("MAPE = %v, want 10", got)
-	}
-	if got := MeanAbsPctError([]float64{0, 100}, []float64{5, 100}); got != 0 {
-		t.Fatalf("MAPE skipping zero actuals = %v, want 0", got)
-	}
-	if MeanAbsPctError(nil, nil) != 0 {
-		t.Fatal("empty MAPE should be 0")
 	}
 }

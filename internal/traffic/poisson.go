@@ -10,7 +10,7 @@ import (
 // (the M in its M/G/1 model): exponential interarrival gaps at rate λ,
 // retargetable mid-run. It reproduces internal/xrand.ArrivalProcess draw
 // for draw and float-op for float-op — gap = Exp(1/λ) accumulated onto an
-// internal clock — because the Options.ArrivalRate compat shim is pinned
+// internal clock — because the RunSpec.ArrivalRate compat shim is pinned
 // byte-identical to the pre-redesign tree.
 type Poisson struct {
 	src  *xrand.Source

@@ -25,55 +25,76 @@ const (
 )
 
 // Spec is the pure-data description of a traffic source, mirroring the
-// policy.Spec pattern: scenarios and Options carry Specs, and every
+// policy.Spec pattern: scenarios and run specs carry Specs, and every
 // replication constructs a fresh Source from its own stream — sources are
 // stateful and must never be shared across runs. Fields beyond Kind apply
-// per kind; Validate rejects mixtures that don't parse.
+// per kind; Validate rejects mixtures that don't parse. The JSON encoding
+// is the "traffic" object of a pcs.RunSpec (docs/traffic.md).
 type Spec struct {
 	// Kind selects the source: one of the Kind constants.
-	Kind string
+	//
+	//   - "poisson": memoryless arrivals at Rate — the paper's own
+	//     workload, made explicit.
+	//   - "trace": replay a recorded NDJSON/CSV arrival trace from Path,
+	//     streamed so multi-gigabyte traces never load into memory.
+	//     NDJSON records are {"t": seconds, "tenant": "...", "class":
+	//     "..."} per line; CSV rows are t[,tenant[,class]].
+	//   - "sessions": a closed population of Users flows, each issuing a
+	//     request then thinking for a lognormal(ThinkSeconds, ThinkSigma)
+	//     think time — offered load emerges from population size.
+	//   - "mmpp": Markov-modulated Poisson burstiness cycling through
+	//     Rates[i]-intensity states held for mean Sojourns[i] seconds.
+	//   - "multi-tenant": per-tenant sources composed under token-bucket
+	//     admission, with per-tenant latency/drop breakdowns in the run's
+	//     result.
+	Kind string `json:"kind"`
 
 	// Rate is the Poisson λ, or the nominal pacing rate of a trace
-	// replay; 0 defers to the run's ArrivalRate. Sessions and MMPP derive
-	// their intensity from their own fields and ignore Rate.
-	Rate float64
+	// replay that steering scales against; 0 defers to the run's
+	// ArrivalRate. Sessions and MMPP derive their intensity from their own
+	// fields and ignore Rate.
+	Rate float64 `json:"rate,omitempty"`
 
 	// Path and Format configure KindTrace: Path is the trace file,
-	// Format one of FormatAuto/FormatNDJSON/FormatCSV.
-	Path   string
-	Format string
+	// Format one of FormatAuto ("", inferred from the extension),
+	// FormatNDJSON or FormatCSV.
+	Path   string `json:"path,omitempty"`
+	Format string `json:"format,omitempty"`
 
 	// Users, ThinkSeconds and ThinkSigma configure KindSessions: Users
 	// concurrent flows with lognormal(ThinkSeconds, ThinkSigma) think
 	// times (sigma 0 selects 0.5).
-	Users        int
-	ThinkSeconds float64
-	ThinkSigma   float64
+	Users        int     `json:"users,omitempty"`
+	ThinkSeconds float64 `json:"thinkSeconds,omitempty"`
+	ThinkSigma   float64 `json:"thinkSigma,omitempty"`
 
 	// Rates, Sojourns and HeavyTail configure KindMMPP: state i runs at
 	// Rates[i] arrivals/second for a mean of Sojourns[i] seconds;
 	// HeavyTail draws sojourns from a bounded Pareto instead of an
-	// exponential.
-	Rates     []float64
-	Sojourns  []float64
-	HeavyTail bool
+	// exponential, giving spike durations a power-law tail.
+	Rates     []float64 `json:"rates,omitempty"`
+	Sojourns  []float64 `json:"sojourns,omitempty"`
+	HeavyTail bool      `json:"heavyTail,omitempty"`
 
 	// Tenants configures KindMultiTenant.
-	Tenants []TenantSpec
+	Tenants []TenantSpec `json:"tenants,omitempty"`
 }
 
 // TenantSpec is one tenant inside a KindMultiTenant spec.
 type TenantSpec struct {
-	// Name tags the tenant's arrivals; unique and non-empty.
-	Name string
+	// Name tags the tenant's arrivals and keys the per-tenant breakdown
+	// in the run's result; unique and non-empty.
+	Name string `json:"name"`
 	// Source describes the tenant's own arrival process; nesting another
 	// multi-tenant is rejected.
-	Source Spec
+	Source Spec `json:"source"`
 	// AdmitRate and Burst configure the tenant's token bucket: at most
-	// AdmitRate admitted requests/second with Burst depth. AdmitRate 0
-	// means unlimited.
-	AdmitRate float64
-	Burst     int
+	// AdmitRate admitted requests/second via a deterministic token
+	// bucket, with Burst depth — how far above AdmitRate the tenant may
+	// spike before denials start (0 with a positive AdmitRate selects 1).
+	// AdmitRate 0 admits everything.
+	AdmitRate float64 `json:"admitRate,omitempty"`
+	Burst     int     `json:"burst,omitempty"`
 }
 
 // Validate checks the spec is well-formed without constructing anything.

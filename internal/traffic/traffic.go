@@ -12,7 +12,7 @@
 // with, never reads wall-clock time, and is driven from the engine's
 // sequential event chain — one Next call per arrival, in arrival order. A
 // run over any source therefore replays bit-identically at any worker or
-// shard count, and the scalar Options.ArrivalRate path survives as a
+// shard count, and the scalar RunSpec.ArrivalRate path survives as a
 // compat shim constructing a Poisson source from the same stream fork the
 // pre-redesign code used (pinned byte-for-byte against PR 5 goldens).
 //

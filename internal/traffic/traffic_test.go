@@ -13,7 +13,7 @@ import (
 // TestPoissonMatchesArrivalProcess is the compat cornerstone: Poisson must
 // consume the identical draw sequence — and produce the identical float64
 // timestamps — as the pre-redesign xrand.ArrivalProcess, including across
-// mid-stream rate changes, because the Options.ArrivalRate shim's
+// mid-stream rate changes, because the RunSpec.ArrivalRate shim's
 // byte-identity to PR 5 rests on it.
 func TestPoissonMatchesArrivalProcess(t *testing.T) {
 	const seed = 12345

@@ -83,16 +83,16 @@ func (t CITarget) converged(agg Aggregate) bool {
 // target, or the replication cap is reached (ROADMAP's adaptive
 // replication counts). The batches run on the RunCells job and pool code
 // and fold through the same aggregator, and replication i always runs
-// with the seed stream xrand.StreamSeed(opts.Seed, i) — so the aggregate
+// with the seed stream xrand.StreamSeed(spec.Seed, i) — so the aggregate
 // equals RunCells' for the n it stops at, is bit-identical for any worker
 // count, and Converged records whether the target was met.
-func RunUntil(opts Options, target CITarget) (Aggregate, error) {
+func RunUntil(spec RunSpec, target CITarget) (Aggregate, error) {
 	t := target.withDefaults()
 	if t.RelHalfWidth <= 0 {
 		return Aggregate{}, fmt.Errorf("pcs: RunUntil needs a positive relative CI target, got %g", t.RelHalfWidth)
 	}
 
-	pool := runner.Options{Workers: shard.ReplicationWorkers(t.Workers, opts.Shards)}
+	pool := runner.Options{Workers: shard.ReplicationWorkers(t.Workers, spec.Shards)}
 	write := func(int, StreamedRun) error { return nil }
 	if t.Sink != nil {
 		write = StreamTo(t.Sink)
@@ -107,7 +107,7 @@ func RunUntil(opts Options, target CITarget) (Aggregate, error) {
 		if a.n == 0 {
 			batch = t.MinReplications
 		}
-		set := replicationSet{opts: opts, from: a.n, to: min(a.n+batch, t.MaxReplications)}
+		set := replicationSet{spec: spec, from: a.n, to: min(a.n+batch, t.MaxReplications)}
 		if err := runSets(context.Background(), []replicationSet{set}, pool, emit); err != nil {
 			return Aggregate{}, err
 		}

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-func adaptiveOpts(seed int64) Options {
-	return Options{
+func adaptiveOpts(seed int64) RunSpec {
+	return RunSpec{
 		Technique:        Basic,
 		Seed:             seed,
 		Nodes:            8,
@@ -52,7 +52,8 @@ func TestRunUntilMatchesRunManyAtStoppingPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := RunCells([]RunSpec{specFor(t, opts, agg.Replications)}, 0, nil)
+	opts.Replications = agg.Replications
+	fixed, err := RunCells([]RunSpec{opts}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,8 @@ func conformanceCells() []conformanceCell {
 // count with vary applied, and fails when any serialized report differs
 // from the baseline bytes. It returns the baseline Result so callers can
 // layer run-shape assertions (DataPlane, outcome mix) on top.
-func assertVariedBitIdentical(t *testing.T, label, axis string, opts Options,
-	counts []int, vary func(*Options, int)) Result {
+func assertVariedBitIdentical(t *testing.T, label, axis string, opts RunSpec,
+	counts []int, vary func(*RunSpec, int)) Result {
 	t.Helper()
 	baseline, err := Run(opts)
 	if err != nil {
@@ -90,20 +90,20 @@ func assertVariedBitIdentical(t *testing.T, label, axis string, opts Options,
 
 // assertShardsBitIdentical pins reports byte-identical across worker
 // shard counts 1, 2, 4 and 8.
-func assertShardsBitIdentical(t *testing.T, label string, opts Options) Result {
+func assertShardsBitIdentical(t *testing.T, label string, opts RunSpec) Result {
 	t.Helper()
 	return assertVariedBitIdentical(t, label, "shards", opts, shardCounts,
-		func(o *Options, n int) { o.Shards = n })
+		func(o *RunSpec, n int) { o.Shards = n })
 }
 
 // assertLanesBitIdentical pins laned reports byte-identical across lane
 // counts: opts (which must select Lanes=1, the reference) against 2, 4
 // and 8 lanes. It also checks the baseline really ran the laned plane —
 // a silent fallback to the sequential path would make the pin vacuous.
-func assertLanesBitIdentical(t *testing.T, label string, opts Options) Result {
+func assertLanesBitIdentical(t *testing.T, label string, opts RunSpec) Result {
 	t.Helper()
 	res := assertVariedBitIdentical(t, label, "lanes", opts, laneCounts[1:],
-		func(o *Options, n int) { o.Lanes = n })
+		func(o *RunSpec, n int) { o.Lanes = n })
 	if res.DataPlane != "laned" {
 		t.Fatalf("%s: DataPlane = %q, want laned", label, res.DataPlane)
 	}
@@ -112,7 +112,7 @@ func assertLanesBitIdentical(t *testing.T, label string, opts Options) Result {
 
 // sampledRun advances a simulation through a 31-sample observation
 // schedule and returns the final Result with the snapshot series.
-func sampledRun(t *testing.T, label string, opts Options) (Result, []Snapshot) {
+func sampledRun(t *testing.T, label string, opts RunSpec) (Result, []Snapshot) {
 	t.Helper()
 	s, err := NewSimulation(opts)
 	if err != nil {
@@ -130,8 +130,8 @@ func sampledRun(t *testing.T, label string, opts Options) (Result, []Snapshot) {
 // and final Result of the sampled baseline, and that Result equals the
 // unobserved run's — sampling perturbs nothing, parallelism moves only
 // the wall clock.
-func assertSampledMatches(t *testing.T, label, axis string, opts Options,
-	counts []int, vary func(*Options, int)) {
+func assertSampledMatches(t *testing.T, label, axis string, opts RunSpec,
+	counts []int, vary func(*RunSpec, int)) {
 	t.Helper()
 	plain, err := Run(opts)
 	if err != nil {
@@ -224,7 +224,7 @@ func assertMonotonicSnapshots(t *testing.T, label string, snaps []Snapshot) {
 // conservationOpts keeps the full scenario × technique × plane grid of
 // the conservation property affordable. Conservation is exact, so scale
 // does not weaken the check.
-func conservationOpts(tech Technique, scenarioName string, seed int64) Options {
+func conservationOpts(tech Technique, scenarioName string, seed int64) RunSpec {
 	o := equivOpts(tech, scenarioName, seed)
 	o.Requests = 240
 	o.SearchComponents = 8
@@ -274,8 +274,8 @@ func TestConservationAllScenariosTechniques(t *testing.T) {
 func TestDAGSampledRunMatrix(t *testing.T) {
 	assertSampledMatches(t, "dag-timeout/PCS", "shards",
 		equivOpts(PCS, "dag-timeout", 23), shardCounts[1:],
-		func(o *Options, n int) { o.Shards = n })
+		func(o *RunSpec, n int) { o.Shards = n })
 	assertSampledMatches(t, "dag-timeout/PCS/laned", "lanes",
 		lanedOpts(PCS, "dag-timeout", 23), laneCounts[1:],
-		func(o *Options, n int) { o.Lanes = n })
+		func(o *RunSpec, n int) { o.Lanes = n })
 }

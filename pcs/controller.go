@@ -9,7 +9,7 @@ import (
 // the arrival rate, fail and restore nodes, swap the execution technique.
 // Every method schedules a deterministic action on the simulation's own
 // event queue, so a steered run is exactly as reproducible as an unsteered
-// one — same Options, same schedule, same seed ⇒ bit-identical Result, for
+// one — same RunSpec, same schedule, same seed ⇒ bit-identical Result, for
 // any way of slicing the run.
 //
 // Actions registered at the same virtual time fire in registration order
@@ -195,14 +195,14 @@ func (c *Controller) SetAdmissionFactorAt(t, f float64) error {
 //
 // Swapping to PCS selects the Basic dispatch policy, exactly as a PCS run
 // does; it does not conjure a trained scheduler — only a simulation built
-// with Options.Technique == PCS has one, and that scheduler keeps running
+// with RunSpec.Technique == PCS has one, and that scheduler keeps running
 // across swaps. Result.Technique continues to report the configured
 // technique, not the swap history.
 func (c *Controller) SetTechniqueAt(t float64, tech Technique) error {
 	if err := c.at(t); err != nil {
 		return err
 	}
-	policy, err := policyFor(optionsForTechnique(c.sim.opts, tech))
+	policy, err := policyFor(tech, c.sim.opts.CancelDelaySeconds)
 	if err != nil {
 		return err
 	}
@@ -213,11 +213,4 @@ func (c *Controller) SetTechniqueAt(t float64, tech Technique) error {
 	svc := c.sim.svc
 	c.sim.engine.At(t, func(float64) { _ = svc.SetPolicy(policy) })
 	return nil
-}
-
-// optionsForTechnique returns opts with the technique replaced — the shape
-// policyFor consumes.
-func optionsForTechnique(o Options, tech Technique) Options {
-	o.Technique = tech
-	return o
 }

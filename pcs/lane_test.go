@@ -12,7 +12,7 @@ var laneCounts = []int{1, 2, 4, 8}
 
 // lanedOpts is equivOpts with the laned data plane on. Lanes=1 is the
 // reference: the same laned physics on a single queue.
-func lanedOpts(tech Technique, scenarioName string, seed int64) Options {
+func lanedOpts(tech Technique, scenarioName string, seed int64) RunSpec {
 	o := equivOpts(tech, scenarioName, seed)
 	o.Lanes = 1
 	return o
@@ -32,21 +32,21 @@ func TestLanedRunBitIdenticalAllScenariosTechniques(t *testing.T) {
 }
 
 // TestLanedRunBitIdenticalTraceAndPolicyOverride covers the two cells the
-// scenario table cannot: an Options-level trace replay (file-driven
+// scenario table cannot: a RunSpec-level trace replay (file-driven
 // arrivals) and an explicit policy override on an otherwise policy-free
 // scenario, each pinned byte-identical across lane counts.
 func TestLanedRunBitIdenticalTraceAndPolicyOverride(t *testing.T) {
 	cases := []struct {
 		name string
-		opts Options
+		opts RunSpec
 	}{
-		{"trace-replay", func() Options {
+		{"trace-replay", func() RunSpec {
 			o := lanedOpts(Basic, "", 19)
 			o.Traffic = &TrafficSpec{Kind: "trace", Path: "../testdata/traces/sample-1k.ndjson"}
 			o.Requests = 1000
 			return o
 		}()},
-		{"policy-override", func() Options {
+		{"policy-override", func() RunSpec {
 			o := lanedOpts(RED3, "", 19)
 			o.Policy = "pid-throttle"
 			return o
@@ -80,7 +80,7 @@ func TestLanedRunBitIdenticalTraceAndPolicyOverride(t *testing.T) {
 func TestLanedSampledRunMatchesAcrossLanes(t *testing.T) {
 	assertSampledMatches(t, "node-failure/PCS/laned", "lanes",
 		lanedOpts(PCS, "node-failure", 23), laneCounts[1:],
-		func(o *Options, n int) { o.Lanes = n })
+		func(o *RunSpec, n int) { o.Lanes = n })
 }
 
 // TestLanedStepwiseEquivalence pins slicing invariance in laned mode: a

@@ -8,7 +8,7 @@
 // (RI-90, RI-99), or PCS itself (monitor → performance predictor →
 // greedy component-level scheduler). A minimal session:
 //
-//	result, err := pcs.Run(pcs.Options{
+//	result, err := pcs.Run(pcs.RunSpec{
 //		Technique:   pcs.PCS,
 //		ArrivalRate: 100, // requests/second
 //		Requests:    20000,
@@ -74,6 +74,39 @@ func (t Technique) String() string {
 	}
 }
 
+// MarshalText encodes the technique as its paper name (String), the form
+// RunSpec JSON carries.
+func (t Technique) MarshalText() ([]byte, error) {
+	if err := t.check(); err != nil {
+		return nil, err
+	}
+	return []byte(t.String()), nil
+}
+
+// UnmarshalText decodes a technique name with ParseTechnique; the empty
+// name is Basic.
+func (t *Technique) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*t = Basic
+		return nil
+	}
+	v, err := ParseTechnique(string(text))
+	if err != nil {
+		return err
+	}
+	*t = v
+	return nil
+}
+
+// check rejects a value outside the six techniques, which only Go code can
+// construct: every decoded name went through ParseTechnique.
+func (t Technique) check() error {
+	if t < Basic || t > PCS {
+		return fmt.Errorf("pcs: unknown technique %d", int(t))
+	}
+	return nil
+}
+
 // Techniques lists all six compared techniques in the paper's order.
 func Techniques() []Technique {
 	return []Technique{Basic, RED3, RED5, RI90, RI99, PCS}
@@ -96,12 +129,8 @@ func ParseTechnique(s string) (Technique, error) {
 }
 
 // Scenarios lists the registered scenario names selectable via
-// Options.Scenario.
+// RunSpec.Scenario.
 func Scenarios() []string { return scenario.Names() }
-
-// DescribeScenarios renders one "name — description" line per registered
-// scenario, for CLI usage text.
-func DescribeScenarios() string { return scenario.Describe() }
 
 // ScenarioFlagUsage is the usage string every CLI attaches to its -scenario
 // flag: the valid names up front so -h shows the choices at a glance, then
@@ -112,12 +141,8 @@ func ScenarioFlagUsage() string {
 }
 
 // Policies lists the registered closed-loop policy names selectable via
-// Options.Policy (plus the implicit "none").
+// RunSpec.Policy (plus the implicit "none").
 func Policies() []string { return policy.Names() }
-
-// DescribePolicies renders one "name — description" line per registered
-// policy, for CLI usage text.
-func DescribePolicies() string { return policy.Describe() }
 
 // PolicyFlagUsage is the usage string every CLI attaches to its -policy
 // flag.
@@ -126,58 +151,73 @@ func PolicyFlagUsage() string {
 		strings.Join(policy.Names(), ", "), policy.None, policy.None, policy.Describe())
 }
 
-// Options configures one simulation run. The zero value of every field
-// selects the evaluation default noted on it; deployment and workload
-// fields whose default says "scenario default" resolve against the
-// selected Scenario.
-type Options struct {
-	// Technique is the execution technique (default Basic).
-	Technique Technique
+// RunSpec is the one description of a run: every knob a Go caller, a CLI
+// flag, an experiment config or an HTTP client can turn, as pure data with
+// a stable JSON encoding. pcs-sim, pcs-sweep, pcs-live, the experiments
+// drivers and the pcs-serve daemon all run RunSpecs, so "a run" means the
+// same thing everywhere: the same RunSpec JSON drives `pcs-sim
+// -spec-file`, `POST /v1/runs` and an experiments cell to identical
+// reports.
+//
+// The zero value of every field selects the evaluation default noted on
+// it, so the empty spec is the evaluation default run; deployment and
+// workload fields whose default says "scenario default" resolve against
+// the selected Scenario. Replications and Workers describe the
+// replication set a spec-level execution (RunCells, Report, the daemon)
+// runs; a single Run ignores them.
+type RunSpec struct {
+	// Technique is the execution technique (default Basic). JSON carries
+	// its paper name; decoding accepts every ParseTechnique spelling, and
+	// the empty name is Basic.
+	Technique Technique `json:"technique,omitempty"`
 	// Scenario names the deployment to simulate (default "nutch-search",
-	// the paper's own). See Scenarios() for the registered names.
-	Scenario string
+	// the paper's own). See Scenarios() for the registered names. At
+	// most one of Scenario, Graph and GraphFile may be set.
+	Scenario string `json:"scenario,omitempty"`
 	// Policy names the closed-loop policy evaluated at PolicyInterval
 	// cadence (see Policies() for the registered names). Empty keeps the
 	// scenario's scripted policy, if it has one; "none" disables even
 	// that.
-	Policy string
+	Policy string `json:"policy,omitempty"`
 	// PolicyInterval is the virtual seconds between policy evaluations
 	// (default 1, the monitoring cadence). It only matters when a policy
 	// is in play.
-	PolicyInterval float64
+	PolicyInterval float64 `json:"policyInterval,omitempty"`
 	// Seed drives all randomness; runs are deterministic given a seed.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
+	// ArrivalRate is the request arrival rate λ in requests/second
+	// (default 100; JSON "rate"). When Traffic is nil it is the whole
+	// workload description — the scalar compat path, which constructs a
+	// Poisson source exactly as every release before the traffic
+	// redesign did (byte-identical reports, pinned by tests). With a
+	// Traffic spec in play it remains the run's nominal intensity: the
+	// horizon and steering base, and the fallback rate for spec kinds
+	// whose Rate field is 0.
+	ArrivalRate float64 `json:"rate,omitempty"`
+	// Requests is the number of arrivals to generate (default 20000).
+	Requests int `json:"requests,omitempty"`
 	// Nodes is the cluster size (0 selects the scenario default; 30 for
 	// nutch-search, the paper's testbed).
-	Nodes int
+	Nodes int `json:"nodes,omitempty"`
 	// SearchComponents is the fan-out of the scenario's dominant stage
 	// (0 selects the scenario default; 100 searching components for
 	// nutch-search, the paper's Fig. 6 deployment). The remaining stages
 	// are sized by the scenario's topology.
-	SearchComponents int
-	// ArrivalRate is the request arrival rate λ in requests/second
-	// (default 100). When Traffic is nil it is the whole workload
-	// description — the scalar compat path, which constructs a Poisson
-	// source exactly as every release before the traffic redesign did
-	// (byte-identical reports, pinned by tests). With a Traffic spec in
-	// play it remains the run's nominal intensity: the horizon and
-	// steering base, and the fallback rate for spec kinds whose Rate
-	// field is 0.
-	ArrivalRate float64
+	SearchComponents int `json:"searchComponents,omitempty"`
 	// Traffic, when non-nil, describes the arrival process — trace
 	// replay, session populations, bursty MMPP, multi-tenant mixes with
 	// admission control — instead of the scalar Poisson λ. It overrides
 	// the scenario's scripted traffic, if any. See TrafficSpec for the
 	// kinds and docs/traffic.md for the authoring guide.
-	Traffic *TrafficSpec
+	Traffic *TrafficSpec `json:"traffic,omitempty"`
 	// Graph, when non-nil, deploys a custom service DAG instead of a
 	// registered scenario: the spec is validated and compiled exactly as
 	// a built-in DAG scenario's, with the DAG workload defaults around
-	// it. Scenario must be empty — a run deploys one service. CLIs fill
-	// it from -graph-file; RunSpec from its graph/graphFile fields.
-	Graph *GraphSpec
-	// Requests is the number of arrivals to generate (default 20000).
-	Requests int
+	// it. GraphFile does the same by naming a JSON GraphSpec file, which
+	// Options() loads and inlines under Graph (CLIs fill it from
+	// -graph-file). Both pass graph validation before the world is built.
+	Graph     *GraphSpec `json:"graph,omitempty"`
+	GraphFile string     `json:"graphFile,omitempty"`
 	// Shards is the number of worker shards a single simulation fans its
 	// window-barrier work across: profiling, performance-matrix
 	// construction, monitor sampling and demand ticks — the control-plane
@@ -186,7 +226,7 @@ type Options struct {
 	// sequential path; negative selects all usable cores. Replication
 	// runners budget their worker count against Shards so shards ×
 	// concurrent replications stays within the machine.
-	Shards int
+	Shards int `json:"shards,omitempty"`
 	// Lanes selects the laned data plane: the request path (dispatch,
 	// queueing, service, cancellation, completion) runs as a conservative
 	// parallel discrete-event system with one affinity class per component
@@ -199,38 +239,44 @@ type Options struct {
 	// keeps the sequential data plane and its exact historical reports;
 	// negative selects all usable cores. Requires CancelDelaySeconds ≥
 	// 2×LaneTransitDelay (or cancellation disabled).
-	Lanes int
+	Lanes int `json:"lanes,omitempty"`
+	// Replications is the number of independent replications a spec-level
+	// execution aggregates (0 = 1); Workers bounds its worker pool (0 =
+	// all cores). Neither ever affects the computed values.
+	Replications int `json:"replications,omitempty"`
+	Workers      int `json:"workers,omitempty"`
+
 	// WarmupFraction of the run's duration is excluded from metrics
 	// (default 0.15; -1 disables warmup exclusion entirely).
-	WarmupFraction float64
+	WarmupFraction float64 `json:"warmupFraction,omitempty"`
 	// DrainSeconds extends the horizon past the last arrival so in-flight
 	// requests can finish (default 10; -1 ends the run at the last
 	// arrival).
-	DrainSeconds float64
-
-	// BatchConcurrency is the average number of co-located batch jobs per
-	// node (0 selects the scenario default; 2 for nutch-search).
-	BatchConcurrency float64
-	// MinInputMB/MaxInputMB bound batch-job input sizes (0 selects the
-	// scenario defaults; 1 MB and 10 GB for nutch-search, the paper's
-	// Fig. 6 sweep).
-	MinInputMB, MaxInputMB float64
-	// TwoPhaseJobs controls map→reduce demand shifts inside batch jobs:
-	// 0 keeps the scenario default, positive forces them on, negative
-	// (-1) forces them off.
-	TwoPhaseJobs int
-
+	DrainSeconds float64 `json:"drainSeconds,omitempty"`
 	// CancelDelaySeconds is the redundancy cancellation-message delay
 	// (default 3 ms — network plus coordination latency on the paper's
 	// 1 GbE/Storm testbed; replicas that start within this window of each
 	// other all run to completion, §VI-C's "cancellation messages both in
 	// flight" effect; -1 makes cancellation instantaneous).
-	CancelDelaySeconds float64
+	CancelDelaySeconds float64 `json:"cancelDelaySeconds,omitempty"`
+
+	// BatchConcurrency is the average number of co-located batch jobs per
+	// node (0 selects the scenario default; 2 for nutch-search).
+	BatchConcurrency float64 `json:"batchConcurrency,omitempty"`
+	// MinInputMB/MaxInputMB bound batch-job input sizes (0 selects the
+	// scenario defaults; 1 MB and 10 GB for nutch-search, the paper's
+	// Fig. 6 sweep).
+	MinInputMB float64 `json:"minInputMB,omitempty"`
+	MaxInputMB float64 `json:"maxInputMB,omitempty"`
+	// TwoPhaseJobs controls map→reduce demand shifts inside batch jobs:
+	// 0 keeps the scenario default, positive forces them on, negative
+	// (-1) forces them off.
+	TwoPhaseJobs int `json:"twoPhaseJobs,omitempty"`
 
 	// SchedulingInterval is PCS's interval in seconds (default 5; see
 	// DESIGN.md on time compression vs the paper's 600 s — batch-job
 	// lifetimes are compressed by the same factor).
-	SchedulingInterval float64
+	SchedulingInterval float64 `json:"schedulingInterval,omitempty"`
 	// EpsilonSeconds is the migration threshold ε: migrations predicted to
 	// reduce overall latency by less are throttled. The paper sets ε to
 	// offset its migration cost (5 ms against a 100 ms acceptable latency,
@@ -238,30 +284,29 @@ type Options struct {
 	// compressed ~20× and migrations are cheap (components keep serving),
 	// so the default is 0.000005 (0.005 ms); the threshold ablation bench
 	// sweeps it.
-	EpsilonSeconds float64
+	EpsilonSeconds float64 `json:"epsilonSeconds,omitempty"`
+	// QueueModel selects the predictor's queueing formula: "mg1"
+	// (default), "mm1", or "none".
+	QueueModel string `json:"queueModel,omitempty"`
 	// MaxMigrationsPerInterval caps migrations per scheduling round
 	// (default 20, the upper end of the 10–20 components the paper reports
 	// migrating per interval). 0 keeps the default; -1 removes the cap.
-	MaxMigrationsPerInterval int
+	MaxMigrationsPerInterval int `json:"maxMigrationsPerInterval,omitempty"`
 	// RegressionDegree is the polynomial degree of the per-resource
 	// regressions used by the runtime predictor (default 1: linear fits
 	// stay monotone when the scheduler extrapolates beyond the profiled
 	// contention range; the Fig. 5 accuracy experiment uses degree 2
 	// in-range).
-	RegressionDegree int
-	// QueueModel selects the predictor's queueing formula: "mg1"
-	// (default), "mm1", or "none".
-	QueueModel string
+	RegressionDegree int `json:"regressionDegree,omitempty"`
 	// TrainingMixes is the number of random co-runner backgrounds profiled
 	// when training PCS's models (default 150).
-	TrainingMixes int
+	TrainingMixes int `json:"trainingMixes,omitempty"`
 	// ProfilingProbes is the number of probe requests per training sample
 	// (default 300).
-	ProfilingProbes int
-
+	ProfilingProbes int `json:"profilingProbes,omitempty"`
 	// MonitorNoiseSigma is the relative measurement noise of the monitor
 	// (default 0.02).
-	MonitorNoiseSigma float64
+	MonitorNoiseSigma float64 `json:"monitorNoiseSigma,omitempty"`
 }
 
 // withDefaults fills the scenario-independent defaults. For the fields
@@ -269,7 +314,7 @@ type Options struct {
 // WarmupFraction, DrainSeconds, CancelDelaySeconds — any negative value is
 // an explicit "off" (mirroring MaxMigrationsPerInterval: 0 keeps the
 // default, -1 disables).
-func (o Options) withDefaults() Options {
+func (o RunSpec) withDefaults() RunSpec {
 	if o.ArrivalRate <= 0 {
 		o.ArrivalRate = 100
 	}
@@ -337,7 +382,7 @@ func (o Options) withDefaults() Options {
 // applyScenario fills the deployment and workload fields the selected
 // scenario defaults: cluster size and the batch-interference knobs.
 // Explicitly set fields win over the scenario.
-func (o Options) applyScenario(sc scenario.Scenario) Options {
+func (o RunSpec) applyScenario(sc scenario.Scenario) RunSpec {
 	o.Scenario = sc.Name
 	if o.Nodes <= 0 {
 		o.Nodes = sc.Nodes
@@ -411,7 +456,7 @@ type Result struct {
 	// sorted by name; nil for untenanted traffic.
 	Tenants []TenantResult `json:",omitempty"`
 	// DataPlane names the request path's execution mode: "laned" when the
-	// run used the conservative parallel data plane (Options.Lanes ≥ 1),
+	// run used the conservative parallel data plane (RunSpec.Lanes ≥ 1),
 	// empty for the sequential engine loop. The value depends only on the
 	// mode — never on the lane count — so it never breaks byte-identity
 	// across lane counts, and sequential reports keep their exact
@@ -451,27 +496,27 @@ type GraphCounters struct {
 // metrics. It is a thin wrapper over the steppable Simulation:
 // NewSimulation followed by Finish, with nothing in between. Callers who
 // want to observe or steer a run mid-flight use Simulation directly.
-func Run(opts Options) (Result, error) {
-	s, err := NewSimulation(opts)
+func Run(spec RunSpec) (Result, error) {
+	s, err := NewSimulation(spec)
 	if err != nil {
 		return Result{}, err
 	}
 	return s.Finish(), nil
 }
 
-func policyFor(o Options) (service.Policy, error) {
-	switch o.Technique {
+func policyFor(tech Technique, cancelDelay float64) (service.Policy, error) {
+	switch tech {
 	case Basic, PCS:
 		return baseline.Basic{}, nil
 	case RED3:
-		return baseline.NewRedundancy(3, o.CancelDelaySeconds), nil
+		return baseline.NewRedundancy(3, cancelDelay), nil
 	case RED5:
-		return baseline.NewRedundancy(5, o.CancelDelaySeconds), nil
+		return baseline.NewRedundancy(5, cancelDelay), nil
 	case RI90:
 		return baseline.NewReissue(90), nil
 	case RI99:
 		return baseline.NewReissue(99), nil
 	default:
-		return nil, fmt.Errorf("pcs: unknown technique %d", int(o.Technique))
+		return nil, tech.check()
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-func smallOpts(tech Technique, seed int64) Options {
-	return Options{
+func smallOpts(tech Technique, seed int64) RunSpec {
+	return RunSpec{
 		Technique:        tech,
 		Seed:             seed,
 		Nodes:            10,
@@ -114,7 +114,7 @@ func TestRunPCSBeatsBasicUnderLoad(t *testing.T) {
 	// run-to-run variance at this reduced scale.
 	var basicOverall, basicP99, pcsOverall, pcsP99 float64
 	for _, seed := range []int64{4, 5, 6} {
-		opts := func(tech Technique) Options {
+		opts := func(tech Technique) RunSpec {
 			o := smallOpts(tech, seed)
 			o.ArrivalRate = 250
 			o.Requests = 15000
@@ -177,7 +177,7 @@ func TestStageAndOverallLatencyExported(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
+	o := RunSpec{}.withDefaults()
 	if o.ArrivalRate != 100 || o.Requests != 20000 {
 		t.Fatalf("workload defaults: %+v", o)
 	}
@@ -185,13 +185,13 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatalf("scheduling defaults: %+v", o)
 	}
 	// -1 removes the migration cap.
-	o2 := Options{MaxMigrationsPerInterval: -1}.withDefaults()
+	o2 := RunSpec{MaxMigrationsPerInterval: -1}.withDefaults()
 	if o2.MaxMigrationsPerInterval != 0 {
 		t.Fatalf("uncapped = %d", o2.MaxMigrationsPerInterval)
 	}
 	// Deployment and batch-interference defaults come from the scenario,
 	// resolved when the simulation is built.
-	s, err := NewSimulation(Options{Technique: Basic, Requests: 100})
+	s, err := NewSimulation(RunSpec{Technique: Basic, Requests: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +206,11 @@ func TestNegativeOneDisablesZeroValueTraps(t *testing.T) {
 	// 0 keeps each default; -1 (any negative) is an explicit "off" that
 	// used to be unreachable because withDefaults coerced ≤0 back to the
 	// default.
-	def := Options{}.withDefaults()
+	def := RunSpec{}.withDefaults()
 	if def.CancelDelaySeconds != 0.003 || def.WarmupFraction != 0.15 || def.DrainSeconds != 10 {
 		t.Fatalf("defaults: %+v", def)
 	}
-	off := Options{CancelDelaySeconds: -1, WarmupFraction: -1, DrainSeconds: -1}.withDefaults()
+	off := RunSpec{CancelDelaySeconds: -1, WarmupFraction: -1, DrainSeconds: -1}.withDefaults()
 	if off.CancelDelaySeconds != 0 {
 		t.Fatalf("CancelDelaySeconds -1 → %v, want 0 (instant cancellation)", off.CancelDelaySeconds)
 	}
@@ -221,7 +221,7 @@ func TestNegativeOneDisablesZeroValueTraps(t *testing.T) {
 		t.Fatalf("DrainSeconds -1 → %v, want 0 (no drain)", off.DrainSeconds)
 	}
 	// Explicit values still win.
-	set := Options{CancelDelaySeconds: 0.01, WarmupFraction: 0.3, DrainSeconds: 5}.withDefaults()
+	set := RunSpec{CancelDelaySeconds: 0.01, WarmupFraction: 0.3, DrainSeconds: 5}.withDefaults()
 	if set.CancelDelaySeconds != 0.01 || set.WarmupFraction != 0.3 || set.DrainSeconds != 5 {
 		t.Fatalf("explicit values clobbered: %+v", set)
 	}

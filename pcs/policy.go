@@ -39,7 +39,7 @@ func (s *Simulation) PolicyName() string {
 func (s *Simulation) PolicyLog() []PolicyAction { return s.policyLog }
 
 // resolvePolicy turns the run's policy selection into a fresh policy
-// instance: Options.Policy names a registered policy ("none" disables,
+// instance: RunSpec.Policy names a registered policy ("none" disables,
 // empty defers to the scenario), and the scenario may script a spec of its
 // own. Every simulation builds its own instance — policies are stateful,
 // and sharing one across replications would break replay determinism.

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/policy"
 )
 
 // policyOpts sizes policy runs so the closed loop actually engages while
@@ -11,7 +13,7 @@ import (
 // search components), so per-instance load must come from the arrival
 // rate — λ=400 against the scenarios' scripted bursts/overloads reliably
 // crosses the built-in policies' pressure thresholds at any seed.
-func policyOpts(tech Technique, scenarioName, policyName string, seed int64) Options {
+func policyOpts(tech Technique, scenarioName, policyName string, seed int64) RunSpec {
 	o := equivOpts(tech, scenarioName, seed)
 	o.Policy = policyName
 	o.ArrivalRate = 400
@@ -21,7 +23,7 @@ func policyOpts(tech Technique, scenarioName, policyName string, seed int64) Opt
 
 // policyCells is the scenario × policy table of determinism invariant #8:
 // the two scenario-scripted policies, plus each registered policy forced
-// onto a plain scenario through Options.Policy.
+// onto a plain scenario through RunSpec.Policy.
 func policyCells() []struct{ scenario, policy string } {
 	return []struct{ scenario, policy string }{
 		{"autoscale-burst", ""},                      // scenario-scripted threshold autoscaler
@@ -67,10 +69,11 @@ func TestPolicyRunsBitIdenticalAcrossShardsAndWorkers(t *testing.T) {
 	// bit-identical whether replications run on 1 worker sequentially or
 	// on 4 workers with sharded runs.
 	opts := policyOpts(Basic, "autoscale-burst", "", 41)
-	seq := runSet(t, specFor(t, opts, 3), 1)
+	opts.Replications = 3
+	seq := runSet(t, opts, 1)
 	o := opts
 	o.Shards = 2
-	par := runSet(t, specFor(t, o, 3), 4)
+	par := runSet(t, o, 4)
 	par.Workers = seq.Workers // wall-clock budgeting detail, legitimately differs
 	if !reflect.DeepEqual(par, seq) {
 		t.Fatalf("policy-on aggregate diverged across workers × shards:\npar: %+v\nseq: %+v", par, seq)
@@ -112,7 +115,7 @@ func TestPolicyScenariosRegistered(t *testing.T) {
 			t.Fatalf("%s: closing the loop changed nothing (suspicious)", name)
 		}
 	}
-	if _, err := Run(Options{Policy: "warp-drive", Requests: 100}); err == nil {
+	if _, err := Run(RunSpec{Policy: "warp-drive", Requests: 100}); err == nil {
 		t.Fatal("unknown policy name accepted")
 	}
 }
@@ -308,7 +311,7 @@ func TestPolicyFlagUsageListsPolicies(t *testing.T) {
 	if !strings.Contains(usage, "none") {
 		t.Error("PolicyFlagUsage() missing the \"none\" escape hatch")
 	}
-	if DescribePolicies() == "" {
-		t.Error("DescribePolicies() empty")
+	if d := policy.Describe(); d == "" || !strings.Contains(usage, d) {
+		t.Error("PolicyFlagUsage() lacks the policy descriptions")
 	}
 }

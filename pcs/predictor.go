@@ -6,7 +6,7 @@ import (
 	"repro/internal/predictor"
 )
 
-// queueModelFor parses the Options.QueueModel string.
+// queueModelFor parses the RunSpec.QueueModel string.
 func queueModelFor(s string) (predictor.QueueModel, error) {
 	switch s {
 	case "", "mg1":

@@ -78,13 +78,13 @@ func RunCells(cells []RunSpec, workers int, emit func(cell int, run StreamedRun)
 	sets := make([]replicationSet, len(cells))
 	shards, total := 1, 0
 	for i, cell := range cells {
-		o, err := cell.Options()
+		spec, err := cell.Options()
 		if err != nil {
 			return nil, err
 		}
-		sets[i] = replicationSet{opts: o, to: max(cell.Replications, 1)}
+		sets[i] = replicationSet{spec: spec, to: max(cell.Replications, 1)}
 		total += sets[i].to
-		width := o.Shards
+		width := spec.Shards
 		if width < 0 { // all cores
 			width = runtime.GOMAXPROCS(0)
 		}
@@ -112,14 +112,14 @@ func RunCells(cells []RunSpec, workers int, emit func(cell int, run StreamedRun)
 
 // replicationSet is replications [from, to) of one configuration.
 type replicationSet struct {
-	opts     Options
+	spec     RunSpec
 	from, to int
 }
 
 // runSets is the one replication job: it flattens the sets into
 // (set, replication) jobs on one runner pool and hands each run to emit
 // in (set, replication) order. Replication i of a set runs with seed
-// xrand.StreamSeed(set.opts.Seed, i) whatever the set's from, which is
+// xrand.StreamSeed(set.spec.Seed, i) whatever the set's from, which is
 // what makes a resumed tail (RunManyStreamFrom) or a later batch
 // (RunUntil) the same runs as an uninterrupted set. ctx is checked at
 // every replication boundary: once it is done no replication starts or
@@ -141,10 +141,10 @@ func runSets(ctx context.Context, sets []replicationSet, pool runner.Options, em
 				return StreamedRun{}, err
 			}
 			set, rep := locate(job)
-			o := sets[set].opts
-			o.Seed = xrand.StreamSeed(o.Seed, rep)
-			res, err := Run(o)
-			return StreamedRun{Rep: rep, Seed: o.Seed, Result: res}, err
+			spec := sets[set].spec
+			spec.Seed = xrand.StreamSeed(spec.Seed, rep)
+			res, err := Run(spec)
+			return StreamedRun{Rep: rep, Seed: spec.Seed, Result: res}, err
 		},
 		func(job int, run StreamedRun) error {
 			if err := ctx.Err(); err != nil {

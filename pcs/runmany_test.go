@@ -10,36 +10,18 @@ import (
 	"repro/internal/xrand"
 )
 
-// manyTestOptions is a deliberately small deployment so multi-replication
-// tests stay fast; Basic avoids the PCS training pass.
-func manyTestOptions() Options {
-	return Options{
+// manyTestSpec is a deliberately small deployment, replicated n times, so
+// multi-replication tests stay fast; Basic avoids the PCS training pass.
+func manyTestSpec(n int) RunSpec {
+	return RunSpec{
 		Technique:        Basic,
 		Seed:             11,
 		Nodes:            8,
 		SearchComponents: 12,
 		ArrivalRate:      50,
 		Requests:         600,
+		Replications:     n,
 	}
-}
-
-// specFor is the RunSpec of test Options, replicated n times. It fails the
-// test when the spec does not resolve back to exactly o, so a port from
-// Options can never silently drop a knob.
-func specFor(t testing.TB, o Options, n int) RunSpec {
-	t.Helper()
-	s := RunSpec{
-		Technique: o.Technique.String(), Scenario: o.Scenario, Policy: o.Policy,
-		Seed: o.Seed, Rate: o.ArrivalRate, Requests: o.Requests,
-		Nodes: o.Nodes, SearchComponents: o.SearchComponents,
-		Shards: o.Shards, Lanes: o.Lanes,
-		TrainingMixes: o.TrainingMixes, ProfilingProbes: o.ProfilingProbes,
-		Replications: n,
-	}
-	if got, err := s.Options(); err == nil && !reflect.DeepEqual(got, o) {
-		t.Fatalf("test options do not round-trip through RunSpec:\n got %+v\nwant %+v", got, o)
-	}
-	return s
 }
 
 // runSet runs one cell through RunCells on the given worker count and
@@ -77,7 +59,7 @@ func TestRunManyIdenticalForAnyWorkerCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-replication run takes a few seconds")
 	}
-	spec := specFor(t, manyTestOptions(), 6)
+	spec := manyTestSpec(6)
 	ref := runSet(t, spec, 1)
 	for _, workers := range []int{2, 4, 8} {
 		got := runSet(t, spec, workers)
@@ -98,15 +80,15 @@ func TestRunManySingleReplicationReproducesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run takes a second")
 	}
-	opts := manyTestOptions()
-	single, err := Run(opts)
+	spec := manyTestSpec(1)
+	single, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := runSet(t, specFor(t, opts, 1), 0)
+	agg := runSet(t, spec, 0)
 	if agg.AvgOverallMs.Mean != single.AvgOverallMs ||
 		agg.P99ComponentMs.Mean != single.P99ComponentMs {
-		t.Fatalf("RunCells(1 replication) = %.6f/%.6f ms, Run(opts) = %.6f/%.6f ms",
+		t.Fatalf("RunCells(1 replication) = %.6f/%.6f ms, Run(spec) = %.6f/%.6f ms",
 			agg.AvgOverallMs.Mean, agg.P99ComponentMs.Mean,
 			single.AvgOverallMs, single.P99ComponentMs)
 	}
@@ -119,9 +101,9 @@ func TestRunManyMergeMatchesSerialReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-replication run takes a few seconds")
 	}
-	opts := manyTestOptions()
 	const n = 5
-	agg := runSet(t, specFor(t, opts, n), 4)
+	spec := manyTestSpec(n)
+	agg := runSet(t, spec, 4)
 
 	// Serial reference: run each replication directly with its stream seed
 	// and fold the metrics through the stats machinery by hand.
@@ -129,8 +111,8 @@ func TestRunManyMergeMatchesSerialReference(t *testing.T) {
 	vals := make([]float64, n)
 	totalCompleted := 0
 	for i := 0; i < n; i++ {
-		o := opts
-		o.Seed = xrand.StreamSeed(opts.Seed, i)
+		o := spec
+		o.Seed = xrand.StreamSeed(spec.Seed, i)
 		r, err := Run(o)
 		if err != nil {
 			t.Fatal(err)
@@ -157,8 +139,8 @@ func TestRunManyMergeMatchesSerialReference(t *testing.T) {
 }
 
 func TestRunManyPropagatesRunErrors(t *testing.T) {
-	spec := specFor(t, manyTestOptions(), 3)
-	spec.Technique = "no-such-technique"
+	spec := manyTestSpec(3)
+	spec.Technique = Technique(42)
 	if _, err := RunCells([]RunSpec{spec}, 0, nil); err == nil {
 		t.Fatal("invalid technique should fail")
 	}
@@ -172,9 +154,9 @@ func TestRunManyPropagatesRunErrors(t *testing.T) {
 // aggregate — and every frame emitted for it, in (cell, replication)
 // order — is exactly that cell run on its own, at any worker count.
 func TestRunCellsFlattensCells(t *testing.T) {
-	a := specFor(t, manyTestOptions(), 3)
+	a := manyTestSpec(3)
 	b := a
-	b.Seed, b.Rate, b.Replications = 12, 70, 2
+	b.Seed, b.ArrivalRate, b.Replications = 12, 70, 2
 	cells := []RunSpec{a, b}
 	var ref bytes.Buffer
 	refAggs, err := RunCells(cells, 1, StreamTo(&ref))

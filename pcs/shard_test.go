@@ -42,7 +42,7 @@ func TestShardedRunBitIdenticalAllScenariosTechniques(t *testing.T) {
 func TestShardedSampledRunMatchesUnshardedSnapshots(t *testing.T) {
 	assertSampledMatches(t, "node-failure/PCS", "shards",
 		equivOpts(PCS, "node-failure", 23), shardCounts[1:],
-		func(o *Options, n int) { o.Shards = n })
+		func(o *RunSpec, n int) { o.Shards = n })
 }
 
 // TestRunManyShardsOnlyMovesWallClock pins the shards × replications
@@ -50,10 +50,11 @@ func TestShardedSampledRunMatchesUnshardedSnapshots(t *testing.T) {
 // replication runs sequentially or sharded, at any worker budget.
 func TestRunManyShardsOnlyMovesWallClock(t *testing.T) {
 	opts := equivOpts(PCS, "", 29)
-	seq := runSet(t, specFor(t, opts, 3), 0)
+	opts.Replications = 3
+	seq := runSet(t, opts, 0)
 	o := opts
 	o.Shards = 4
-	sharded := runSet(t, specFor(t, o, 3), 0)
+	sharded := runSet(t, o, 0)
 	// Workers is a wall-clock budgeting detail and legitimately differs;
 	// every computed value must not.
 	sharded.Workers = seq.Workers

@@ -15,7 +15,6 @@ import (
 	"repro/internal/service"
 	"repro/internal/shard"
 	"repro/internal/sim"
-	"repro/internal/traffic"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
@@ -25,10 +24,10 @@ import (
 // scheduling controller, assembled by NewSimulation but not yet run.
 // Callers advance it with RunTo or Step, observe it with Snapshot at any
 // point, and close it with Finish. Driving a Simulation step by step and
-// calling Run produce bit-identical Results for the same Options: the
+// calling Run produce bit-identical Results for the same RunSpec: the
 // engine's event order does not depend on where the run is sliced.
 type Simulation struct {
-	opts Options // fully resolved (defaults + scenario applied)
+	opts RunSpec // fully resolved (defaults + scenario applied)
 	sc   scenario.Scenario
 
 	engine  *sim.Engine
@@ -38,7 +37,7 @@ type Simulation struct {
 	mon     *monitor.Monitor
 	ctrl    *scheduler.Controller // nil unless Technique == PCS
 	pool    *shard.Pool           // nil unless max(Shards, Lanes) > 1
-	plane   *lane.Plane           // nil unless Options.Lanes > 0
+	plane   *lane.Plane           // nil unless RunSpec.Lanes > 0
 
 	// pol, when non-nil, is the run's closed-loop policy, evaluated by an
 	// engine ticker at PolicyInterval cadence; policyLog records the
@@ -63,13 +62,21 @@ type Simulation struct {
 	onSample       func(Snapshot)
 }
 
-// NewSimulation resolves opts against its scenario, builds the whole world
+// NewSimulation resolves spec against its scenario, builds the whole world
 // (topology placement, batch generator, monitor, and — for PCS — profiling,
 // model training and the controller), and schedules the initial events:
 // batch-job arrivals, monitor samples, scheduling intervals and the request
-// stream. No virtual time passes until the caller advances the clock.
-func NewSimulation(opts Options) (*Simulation, error) {
-	o := opts.withDefaults()
+// stream. No virtual time passes until the caller advances the clock. It
+// fills defaults but does not Validate; a spec that still names a
+// GraphFile is resolved through Options() first.
+func NewSimulation(spec RunSpec) (*Simulation, error) {
+	if spec.GraphFile != "" {
+		var err error
+		if spec, err = spec.Options(); err != nil {
+			return nil, err
+		}
+	}
+	o := spec.withDefaults()
 	sc, err := resolveScenario(o)
 	if err != nil {
 		return nil, err
@@ -104,7 +111,7 @@ func NewSimulation(opts Options) (*Simulation, error) {
 		TwoPhase:          o.TwoPhaseJobs > 0,
 	})
 
-	policy, err := policyFor(o)
+	policy, err := policyFor(o.Technique, o.CancelDelaySeconds)
 	if err != nil {
 		return fail(err)
 	}
@@ -200,13 +207,17 @@ func NewSimulation(opts Options) (*Simulation, error) {
 	if ctrl != nil {
 		ctrl.Start()
 	}
-	// The arrival path: an Options.Traffic spec wins, then the scenario's
+	// The arrival path: a RunSpec.Traffic spec wins, then the scenario's
 	// scripted traffic, then the scalar compat shim. The spec's source is
 	// built from the same service-stream fork StartArrivals takes, so an
 	// explicit {Kind: "poisson"} spec reproduces the scalar path's draws
 	// exactly.
 	trafficName := ""
-	if tspec := resolveTraffic(o, sc); tspec == nil {
+	tspec := o.Traffic
+	if tspec == nil {
+		tspec = sc.Traffic
+	}
+	if tspec == nil {
 		svc.StartArrivals(o.ArrivalRate, o.Requests)
 	} else {
 		src, err := tspec.New(svc.RNG().Fork(), o.ArrivalRate)
@@ -243,11 +254,11 @@ func NewSimulation(opts Options) (*Simulation, error) {
 	return s, nil
 }
 
-// resolveScenario picks the run's deployment: a custom Options.Graph
+// resolveScenario picks the run's deployment: a custom RunSpec.Graph
 // becomes an unregistered DAG scenario (Scenario must then be empty — a
 // run deploys one service); otherwise the named scenario is looked up in
 // the registry.
-func resolveScenario(o Options) (scenario.Scenario, error) {
+func resolveScenario(o RunSpec) (scenario.Scenario, error) {
 	if o.Graph == nil {
 		return scenario.Get(o.Scenario)
 	}
@@ -257,16 +268,6 @@ func resolveScenario(o Options) (scenario.Scenario, error) {
 			o.Scenario, o.Graph.Name)
 	}
 	return scenario.FromGraph(o.Graph)
-}
-
-// resolveTraffic picks the run's traffic spec: Options.Traffic wins, then
-// the scenario's scripted traffic; nil selects the scalar compat path.
-func resolveTraffic(o Options, sc scenario.Scenario) *traffic.Spec {
-	if o.Traffic != nil {
-		spec := o.Traffic.toSpec()
-		return &spec
-	}
-	return sc.Traffic
 }
 
 // applySteering translates the scenario's steering script (if any) into
@@ -302,9 +303,9 @@ func (s *Simulation) applySteering(window float64) error {
 	return nil
 }
 
-// Options returns the fully resolved options the simulation runs with:
+// Options returns the fully resolved spec the simulation runs with:
 // defaults filled and scenario defaults applied.
-func (s *Simulation) Options() Options { return s.opts }
+func (s *Simulation) Options() RunSpec { return s.opts }
 
 // Scenario returns the name of the scenario the simulation deploys.
 func (s *Simulation) Scenario() string { return s.sc.Name }
@@ -422,7 +423,7 @@ func (s *Simulation) Step() bool {
 
 // RunTo advances the simulation to virtual time t (clamped to the horizon
 // — past it the world has no more scheduled work; shrink or grow runs via
-// Options instead). It returns the clock after the advance. RunTo is
+// the RunSpec instead). It returns the clock after the advance. RunTo is
 // idempotent for t <= Now(). With a sampler installed the advance is
 // internally sliced at the sample times; the executed event sequence is
 // identical either way.

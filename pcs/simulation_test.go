@@ -2,14 +2,17 @@ package pcs
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // equivOpts keeps the technique × scenario equivalence matrix fast: tiny
 // cluster, short run, cheap PCS training. Equivalence is exact, so scale
 // does not weaken the check.
-func equivOpts(tech Technique, scenarioName string, seed int64) Options {
-	return Options{
+func equivOpts(tech Technique, scenarioName string, seed int64) RunSpec {
+	return RunSpec{
 		Technique:        tech,
 		Scenario:         scenarioName,
 		Seed:             seed,
@@ -25,7 +28,7 @@ func equivOpts(tech Technique, scenarioName string, seed int64) Options {
 // stepwise drives a Simulation to its horizon in pieces — quarter-horizon
 // RunTo slices with Snapshot observations in between, then single Steps,
 // then Finish — exercising every way a caller can advance the clock.
-func stepwise(t *testing.T, opts Options) Result {
+func stepwise(t *testing.T, opts RunSpec) Result {
 	t.Helper()
 	s, err := NewSimulation(opts)
 	if err != nil {
@@ -157,7 +160,7 @@ func TestSimulationFinishIdempotent(t *testing.T) {
 }
 
 func TestRunScenarioEcommerceEndToEnd(t *testing.T) {
-	res, err := Run(Options{
+	res, err := Run(RunSpec{
 		Technique:   Basic,
 		Scenario:    "ecommerce",
 		Seed:        2,
@@ -185,8 +188,8 @@ func TestScenariosListed(t *testing.T) {
 	if len(names) < 4 {
 		t.Fatalf("Scenarios() = %v, want ≥4", names)
 	}
-	if DescribeScenarios() == "" {
-		t.Fatal("DescribeScenarios() empty")
+	if d := scenario.Describe(); d == "" || !strings.Contains(ScenarioFlagUsage(), d) {
+		t.Fatal("ScenarioFlagUsage() lacks the scenario descriptions")
 	}
 }
 

@@ -19,100 +19,10 @@ import (
 // authoring guide.
 type GraphSpec = graph.Spec
 
-// RunSpec is the canonical, serializable description of one run: every
-// knob a CLI flag, an experiment config or an HTTP client can turn,
-// as pure data with a stable JSON encoding. It is the single decode path
-// into Options — pcs-sim, pcs-sweep, pcs-live, the experiments drivers and
-// the pcs-serve daemon all assemble their Options through it, so "a run"
-// means the same thing everywhere: the same RunSpec JSON drives
-// `pcs-sim -spec-file`, `POST /v1/runs` and an experiments cell to
-// identical reports.
-//
-// Zero values defer to the same defaults Options documents (and, for the
-// deployment fields, to the selected scenario), so the empty spec is the
-// evaluation default run. Fields follow Options one for one except:
-//
-//   - Technique is a name ("PCS", "red-3", ...) parsed by ParseTechnique;
-//     empty selects Basic.
-//   - Rate is Options.ArrivalRate under its CLI name.
-//   - Graph/GraphFile deploy a custom service DAG (below).
-//   - Replications and Workers describe the replication set a spec-level
-//     execution (Report, the daemon) runs, which single-run Options do not
-//     carry.
-type RunSpec struct {
-	// Technique names the execution technique (ParseTechnique grammar;
-	// empty = Basic).
-	Technique string `json:"technique,omitempty"`
-	// Scenario names the registered deployment (empty = the default
-	// scenario). Mutually exclusive with Graph/GraphFile.
-	Scenario string `json:"scenario,omitempty"`
-	// Policy names the closed-loop policy ("" defers to the scenario's
-	// script, "none" disables it).
-	Policy string `json:"policy,omitempty"`
-	// PolicyInterval is the seconds between policy evaluations (0 = 1).
-	PolicyInterval float64 `json:"policyInterval,omitempty"`
-	// Seed drives all randomness; runs are deterministic given a seed.
-	Seed int64 `json:"seed,omitempty"`
-	// Rate is the arrival rate λ in requests/second (0 = 100).
-	Rate float64 `json:"rate,omitempty"`
-	// Requests is the number of arrivals to generate (0 = 20000).
-	Requests int `json:"requests,omitempty"`
-	// Nodes is the cluster size (0 = scenario default).
-	Nodes int `json:"nodes,omitempty"`
-	// SearchComponents is the dominant-stage fan-out (0 = scenario
-	// default).
-	SearchComponents int `json:"searchComponents,omitempty"`
-	// Traffic, when non-nil, describes the arrival process instead of the
-	// scalar Poisson λ (see TrafficSpec).
-	Traffic *TrafficSpec `json:"traffic,omitempty"`
-	// Graph, when non-nil, deploys this inline service DAG instead of a
-	// registered scenario; GraphFile does the same by loading a JSON
-	// GraphSpec from a file at Options() time. Both pass graph.Validate
-	// before the world is built, and at most one of Scenario, Graph and
-	// GraphFile may be set.
-	Graph     *GraphSpec `json:"graph,omitempty"`
-	GraphFile string     `json:"graphFile,omitempty"`
-	// Shards and Lanes select the parallel control and data planes
-	// (bit-identical results at any value; see Options).
-	Shards int `json:"shards,omitempty"`
-	Lanes  int `json:"lanes,omitempty"`
-	// Replications is the number of independent replications a spec-level
-	// execution aggregates (0 = 1); Workers bounds its worker pool (0 =
-	// all cores). Neither ever affects the computed values.
-	Replications int `json:"replications,omitempty"`
-	Workers      int `json:"workers,omitempty"`
-
-	// WarmupFraction, DrainSeconds and CancelDelaySeconds follow the
-	// Options conventions (0 = default, -1 = off).
-	WarmupFraction     float64 `json:"warmupFraction,omitempty"`
-	DrainSeconds       float64 `json:"drainSeconds,omitempty"`
-	CancelDelaySeconds float64 `json:"cancelDelaySeconds,omitempty"`
-
-	// BatchConcurrency, MinInputMB, MaxInputMB and TwoPhaseJobs override
-	// the scenario's batch-interference defaults (0 keeps them).
-	BatchConcurrency float64 `json:"batchConcurrency,omitempty"`
-	MinInputMB       float64 `json:"minInputMB,omitempty"`
-	MaxInputMB       float64 `json:"maxInputMB,omitempty"`
-	TwoPhaseJobs     int     `json:"twoPhaseJobs,omitempty"`
-
-	// SchedulingInterval, EpsilonSeconds, QueueModel,
-	// MaxMigrationsPerInterval, RegressionDegree, TrainingMixes and
-	// ProfilingProbes tune PCS itself; MonitorNoiseSigma the monitor.
-	// Zero keeps each knob's evaluation default.
-	SchedulingInterval       float64 `json:"schedulingInterval,omitempty"`
-	EpsilonSeconds           float64 `json:"epsilonSeconds,omitempty"`
-	QueueModel               string  `json:"queueModel,omitempty"`
-	MaxMigrationsPerInterval int     `json:"maxMigrationsPerInterval,omitempty"`
-	RegressionDegree         int     `json:"regressionDegree,omitempty"`
-	TrainingMixes            int     `json:"trainingMixes,omitempty"`
-	ProfilingProbes          int     `json:"profilingProbes,omitempty"`
-	MonitorNoiseSigma        float64 `json:"monitorNoiseSigma,omitempty"`
-}
-
-// ParseRunSpec decodes a RunSpec from JSON strictly: unknown fields are
-// errors, so a typo'd knob fails loudly instead of silently running the
-// default. It does not Validate — callers decide when (LoadRunSpec and
-// Options do).
+// ParseRunSpec decodes a RunSpec from JSON strictly: unknown fields and
+// technique names ParseTechnique rejects are errors, so a typo'd knob fails
+// loudly instead of silently running the default. It does not Validate —
+// callers decide when (LoadRunSpec and Options do).
 func ParseRunSpec(data []byte) (RunSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -146,17 +56,16 @@ func LoadRunSpec(path string) (RunSpec, error) {
 }
 
 // Validate checks the spec's selections without touching the filesystem:
-// the technique parses, the scenario and policy are registered, the
-// deployment names at most one of Scenario/Graph/GraphFile, an inline
-// graph passes graph validation, and the counts are non-negative. A valid
-// spec can still fail Options() — a GraphFile that does not exist, a
-// traffic spec the run layer rejects — because those checks belong to the
-// moment the world is built.
+// the technique is one of the six, the scenario and policy are registered,
+// the deployment names at most one of Scenario/Graph/GraphFile, an inline
+// graph passes graph validation, the traffic spec is well-formed, and the
+// counts are non-negative. A valid spec can still fail Options() — a
+// GraphFile that does not exist — or NewSimulation — a trace file that
+// does not open — because those checks belong to the moment the world is
+// built.
 func (s RunSpec) Validate() error {
-	if s.Technique != "" {
-		if _, err := ParseTechnique(s.Technique); err != nil {
-			return err
-		}
+	if err := s.Technique.check(); err != nil {
+		return err
 	}
 	named := 0
 	for _, set := range []bool{s.Scenario != "", s.Graph != nil, s.GraphFile != ""} {
@@ -175,6 +84,11 @@ func (s RunSpec) Validate() error {
 	if s.Graph != nil {
 		if err := s.Graph.Validate(); err != nil {
 			return fmt.Errorf("pcs: graph: %w", err)
+		}
+	}
+	if s.Traffic != nil {
+		if err := s.Traffic.Validate(); err != nil {
+			return fmt.Errorf("pcs: %w", err)
 		}
 	}
 	if s.Policy != "" {
@@ -196,8 +110,8 @@ func (s RunSpec) Validate() error {
 			return fmt.Errorf("pcs: run spec %s must be non-negative, got %d", c.name, c.v)
 		}
 	}
-	if s.Rate < 0 {
-		return fmt.Errorf("pcs: run spec rate must be non-negative, got %g", s.Rate)
+	if s.ArrivalRate < 0 {
+		return fmt.Errorf("pcs: run spec rate must be non-negative, got %g", s.ArrivalRate)
 	}
 	return nil
 }
@@ -221,57 +135,24 @@ func LoadGraphSpec(path string) (*GraphSpec, error) {
 	return &g, nil
 }
 
-// Options resolves the spec into the Options a simulation runs with —
-// the one decode path every entry point shares. It validates the spec,
-// loads GraphFile (if named) through graph validation, and maps the
-// fields; scenario defaults are applied later by NewSimulation exactly as
-// for hand-built Options.
-func (s RunSpec) Options() (Options, error) {
+// Options resolves the spec for execution: it validates the spec and loads
+// a named GraphFile through graph validation, returning the spec with the
+// graph inlined under Graph and GraphFile cleared, so every replication
+// built from it reads the file once. RunCells resolves each cell through
+// it, and NewSimulation resolves a spec that still names a GraphFile
+// through it; defaults are applied later, by NewSimulation.
+func (s RunSpec) Options() (RunSpec, error) {
 	if err := s.Validate(); err != nil {
-		return Options{}, err
+		return RunSpec{}, err
 	}
-	var tech Technique
-	if s.Technique != "" {
-		tech, _ = ParseTechnique(s.Technique) // Validate already vetted it
-	}
-	g := s.Graph
 	if s.GraphFile != "" {
-		loaded, err := LoadGraphSpec(s.GraphFile)
+		g, err := LoadGraphSpec(s.GraphFile)
 		if err != nil {
-			return Options{}, err
+			return RunSpec{}, err
 		}
-		g = loaded
+		s.Graph, s.GraphFile = g, ""
 	}
-	return Options{
-		Technique:                tech,
-		Scenario:                 s.Scenario,
-		Policy:                   s.Policy,
-		PolicyInterval:           s.PolicyInterval,
-		Seed:                     s.Seed,
-		Nodes:                    s.Nodes,
-		SearchComponents:         s.SearchComponents,
-		ArrivalRate:              s.Rate,
-		Traffic:                  s.Traffic,
-		Graph:                    g,
-		Requests:                 s.Requests,
-		Shards:                   s.Shards,
-		Lanes:                    s.Lanes,
-		WarmupFraction:           s.WarmupFraction,
-		DrainSeconds:             s.DrainSeconds,
-		BatchConcurrency:         s.BatchConcurrency,
-		MinInputMB:               s.MinInputMB,
-		MaxInputMB:               s.MaxInputMB,
-		TwoPhaseJobs:             s.TwoPhaseJobs,
-		CancelDelaySeconds:       s.CancelDelaySeconds,
-		SchedulingInterval:       s.SchedulingInterval,
-		EpsilonSeconds:           s.EpsilonSeconds,
-		MaxMigrationsPerInterval: s.MaxMigrationsPerInterval,
-		RegressionDegree:         s.RegressionDegree,
-		QueueModel:               s.QueueModel,
-		TrainingMixes:            s.TrainingMixes,
-		ProfilingProbes:          s.ProfilingProbes,
-		MonitorNoiseSigma:        s.MonitorNoiseSigma,
-	}, nil
+	return s, nil
 }
 
 // Report executes the spec — Replications independent replications on
@@ -300,15 +181,15 @@ func (s RunSpec) Report() (Aggregate, error) {
 // interference its open-loop twin faced (paired comparison). Adding
 // techniques, rates or policies never perturbs existing cells.
 type SweepSpec struct {
-	// Base is the cell template; its own Technique/Rate/Policy are used
-	// when the matching axis is empty.
+	// Base is the cell template; its own Technique/ArrivalRate/Policy are
+	// used when the matching axis is empty.
 	Base RunSpec `json:"base"`
 	// Techniques, Rates and Policies are the sweep axes; an empty axis
 	// keeps the Base value. Cells expand rate-major: rates outermost,
 	// then techniques, then policies.
-	Techniques []string  `json:"techniques,omitempty"`
-	Rates      []float64 `json:"rates,omitempty"`
-	Policies   []string  `json:"policies,omitempty"`
+	Techniques []Technique `json:"techniques,omitempty"`
+	Rates      []float64   `json:"rates,omitempty"`
+	Policies   []string    `json:"policies,omitempty"`
 }
 
 // Cells expands the sweep into its per-cell RunSpecs in deterministic
@@ -323,11 +204,11 @@ func (s SweepSpec) Cells() ([]RunSpec, error) {
 	}
 	techniques := s.Techniques
 	if len(techniques) == 0 {
-		techniques = []string{s.Base.Technique}
+		techniques = []Technique{s.Base.Technique}
 	}
 	rates := s.Rates
 	if len(rates) == 0 {
-		rates = []float64{s.Base.Rate}
+		rates = []float64{s.Base.ArrivalRate}
 	}
 	policies := s.Policies
 	if len(policies) == 0 {
@@ -345,18 +226,11 @@ func (s SweepSpec) Cells() ([]RunSpec, error) {
 		if min := int(90 * rate); requests < min {
 			requests = min
 		}
-		for _, name := range techniques {
-			var tech Technique
-			if name != "" {
-				var err error
-				if tech, err = ParseTechnique(name); err != nil {
-					return nil, err
-				}
-			}
+		for _, tech := range techniques {
 			for _, pol := range policies {
 				cell := s.Base
-				cell.Technique = tech.String()
-				cell.Rate = rate
+				cell.Technique = tech
+				cell.ArrivalRate = rate
 				cell.Requests = requests
 				cell.Policy = pol
 				cell.Seed = s.Base.Seed ^ int64(rate)<<16 ^ int64(tech)<<8
@@ -378,7 +252,7 @@ func (s SweepSpec) Validate() error {
 }
 
 // ParseSweepSpec decodes a SweepSpec from JSON strictly (unknown fields
-// error) and validates it.
+// and technique names error) and validates it.
 func ParseSweepSpec(data []byte) (SweepSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -396,8 +270,9 @@ func ParseSweepSpec(data []byte) (SweepSpec, error) {
 }
 
 // Info is one registry entry — a name with its one-line description — the
-// structured form of the Describe* listings, for API clients that render
-// their own UI (the daemon's introspection endpoints return these).
+// structured form of the -scenario/-policy usage listings, for API clients
+// that render their own UI (the daemon's introspection endpoints return
+// these).
 type Info struct {
 	Name        string `json:"name"`
 	Description string `json:"description"`

@@ -30,23 +30,32 @@ func writeSpecFile(t *testing.T, name, content string) string {
 }
 
 // TestRunSpecRoundTrip pins the wire format: a populated spec survives
-// marshal → strict parse unchanged, and the zero spec encodes to "{}".
+// marshal → strict parse unchanged, the technique travels as its canonical
+// name whatever spelling it arrived in (Basic, the zero value, omitted),
+// and the zero spec encodes to "{}".
 func TestRunSpecRoundTrip(t *testing.T) {
 	spec := RunSpec{
-		Technique:    "PCS",
+		Technique:    PCS,
 		Scenario:     "ecommerce",
 		Policy:       "pid-throttle",
 		Seed:         42,
-		Rate:         250,
+		ArrivalRate:  250,
 		Requests:     1234,
 		Shards:       2,
 		Lanes:        3,
 		Replications: 4,
-		Traffic:      &TrafficSpec{Kind: "poisson", Rate: 250},
+		Traffic: &TrafficSpec{Kind: "multi-tenant", Tenants: []TenantTraffic{
+			{Name: "search", Source: TrafficSpec{Kind: "poisson", Rate: 250}, AdmitRate: 40, Burst: 20},
+		}},
 	}
 	data, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, field := range []string{`"technique":"PCS"`, `"rate":250`, `"admitRate":40`} {
+		if !strings.Contains(string(data), field) {
+			t.Fatalf("encoding %s lacks %s", data, field)
+		}
 	}
 	got, err := ParseRunSpec(data)
 	if err != nil {
@@ -58,16 +67,42 @@ func TestRunSpecRoundTrip(t *testing.T) {
 	if data, err = json.Marshal(RunSpec{}); err != nil || string(data) != "{}" {
 		t.Fatalf("zero spec encodes to %s, %v (want {})", data, err)
 	}
+
+	for in, want := range map[string]string{
+		`{"technique": "red-3"}`: `{"technique":"RED-3"}`,
+		`{"technique": "RI90"}`:  `{"technique":"RI-90"}`,
+		`{"technique": "pcs"}`:   `{"technique":"PCS"}`,
+		`{"technique": "Basic"}`: `{}`,
+		`{"technique": ""}`:      `{}`,
+	} {
+		s, err := ParseRunSpec([]byte(in))
+		if err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		if out, err := json.Marshal(s); err != nil || string(out) != want {
+			t.Fatalf("%s re-encodes to %s, %v (want %s)", in, out, err, want)
+		}
+	}
+	// Only Go code can build a technique outside the six; it does not
+	// encode.
+	if _, err := json.Marshal(RunSpec{Technique: Technique(42)}); err == nil {
+		t.Fatal("technique 42 encoded")
+	}
 }
 
-// TestParseRunSpecStrict pins the decode edges: unknown fields and
-// trailing documents are errors, not silent defaults.
+// TestParseRunSpecStrict pins the decode edges: unknown fields, trailing
+// documents, unknown technique names and numeric techniques are errors at
+// parse, not silent defaults.
 func TestParseRunSpecStrict(t *testing.T) {
-	if _, err := ParseRunSpec([]byte(`{"tecnique": "PCS"}`)); err == nil {
-		t.Fatal("typo'd field accepted")
-	}
-	if _, err := ParseRunSpec([]byte(`{"seed": 1} {"seed": 2}`)); err == nil {
-		t.Fatal("trailing document accepted")
+	for _, bad := range []string{
+		`{"tecnique": "PCS"}`,
+		`{"seed": 1} {"seed": 2}`,
+		`{"technique": "warp"}`,
+		`{"technique": 3}`,
+	} {
+		if _, err := ParseRunSpec([]byte(bad)); err == nil {
+			t.Fatalf("%s accepted", bad)
+		}
 	}
 	if _, err := ParseRunSpec([]byte(`{"seed": 1}`)); err != nil {
 		t.Fatal(err)
@@ -77,14 +112,16 @@ func TestParseRunSpecStrict(t *testing.T) {
 // TestRunSpecValidate walks the rejection surface.
 func TestRunSpecValidate(t *testing.T) {
 	bad := map[string]RunSpec{
-		"unknown technique": {Technique: "warp"},
+		"unknown technique": {Technique: Technique(42)},
 		"unknown scenario":  {Scenario: "missing"},
 		"unknown policy":    {Policy: "missing"},
 		"scenario and graph file": {
 			Scenario: "ecommerce", GraphFile: "g.json"},
 		"negative requests": {Requests: -1},
-		"negative rate":     {Rate: -1},
+		"negative rate":     {ArrivalRate: -1},
 		"invalid graph":     {Graph: &GraphSpec{Name: "empty"}},
+		"bogus traffic":     {Traffic: &TrafficSpec{Kind: "bogus"}},
+		"pathless trace":    {Traffic: &TrafficSpec{Kind: "trace"}},
 	}
 	for name, spec := range bad {
 		if err := spec.Validate(); err == nil {
@@ -93,8 +130,10 @@ func TestRunSpecValidate(t *testing.T) {
 	}
 	ok := []RunSpec{
 		{},
-		{Technique: "red-3", Scenario: "ecommerce", Policy: "none"},
+		{Technique: RED3, Scenario: "ecommerce", Policy: "none"},
 		{Policy: ""},
+		// Validate never opens the trace: a missing file fails at run time.
+		{Traffic: &TrafficSpec{Kind: "trace", Path: "missing.ndjson"}},
 	}
 	for _, spec := range ok {
 		if err := spec.Validate(); err != nil {
@@ -117,51 +156,47 @@ func TestRunSpecValidateNamesFirstBadCount(t *testing.T) {
 	}
 }
 
-// TestRunSpecOptionsEquivalence pins the one decode path: a spec resolves
-// to exactly the Options a CLI used to hand-assemble.
+// TestRunSpecOptionsEquivalence pins Options on a spec that names no file:
+// it returns the spec itself, every knob intact — so resolving a run can
+// never silently drop one — and rejects what Validate rejects.
 func TestRunSpecOptionsEquivalence(t *testing.T) {
 	spec := RunSpec{
-		Technique:          "RI-90",
-		Scenario:           "ecommerce",
-		Policy:             "none",
-		Seed:               9,
-		Rate:               120,
-		Requests:           5000,
-		Nodes:              12,
-		SearchComponents:   40,
-		Shards:             2,
-		Lanes:              1,
-		SchedulingInterval: 5,
-		EpsilonSeconds:     0.000005,
-		QueueModel:         "mg1",
+		Technique: RI90, Scenario: "ecommerce", Policy: "none", PolicyInterval: 2,
+		Seed: 9, ArrivalRate: 120, Requests: 5000, Nodes: 12, SearchComponents: 40,
+		Traffic: &TrafficSpec{Kind: "poisson", Rate: 120},
+		Shards:  2, Lanes: 1, Replications: 3, Workers: 2,
+		WarmupFraction: 0.2, DrainSeconds: 4, CancelDelaySeconds: 0.004,
+		BatchConcurrency: 1.5, MinInputMB: 2, MaxInputMB: 100, TwoPhaseJobs: -1,
+		SchedulingInterval: 5, EpsilonSeconds: 0.000005, QueueModel: "mg1",
+		MaxMigrationsPerInterval: 10, RegressionDegree: 2, TrainingMixes: 40,
+		ProfilingProbes: 50, MonitorNoiseSigma: 0.03,
+	}
+	// Every knob is set, so a field added later without care shows here.
+	v := reflect.ValueOf(spec)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if name != "Graph" && name != "GraphFile" && v.Field(i).IsZero() {
+			t.Fatalf("test spec leaves %s unset", name)
+		}
 	}
 	got, err := spec.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Options{
-		Technique:          RI90,
-		Scenario:           "ecommerce",
-		Policy:             "none",
-		Seed:               9,
-		ArrivalRate:        120,
-		Requests:           5000,
-		Nodes:              12,
-		SearchComponents:   40,
-		Shards:             2,
-		Lanes:              1,
-		SchedulingInterval: 5,
-		EpsilonSeconds:     0.000005,
-		QueueModel:         "mg1",
+	if !reflect.DeepEqual(got, spec) {
+		t.Fatalf("Options changed the spec:\n got %+v\nwant %+v", got, spec)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Options mismatch:\n got %+v\nwant %+v", got, want)
+	spec.Policy = "missing"
+	if _, err := spec.Options(); err == nil {
+		t.Fatal("invalid spec resolved")
 	}
 }
 
-// TestRunSpecGraphFile pins the -graph-file path: a JSON graph loaded by
-// reference runs identically to the same graph inline, and a missing file
-// fails at Options time, not Validate time.
+// TestRunSpecGraphFile pins the -graph-file path: Options inlines the
+// loaded graph and clears GraphFile, a graph loaded by reference runs
+// identically to the same graph inline (through Report and through
+// NewSimulation), and a missing file fails at Options time, not Validate
+// time.
 func TestRunSpecGraphFile(t *testing.T) {
 	path := writeSpecFile(t, "mini.json", specGraphJSON)
 	g, err := LoadGraphSpec(path)
@@ -172,8 +207,29 @@ func TestRunSpecGraphFile(t *testing.T) {
 		t.Fatalf("loaded graph %+v", g)
 	}
 
-	byFile := RunSpec{GraphFile: path, Requests: 500, Rate: 100, Seed: 3}
-	inline := RunSpec{Graph: g, Requests: 500, Rate: 100, Seed: 3}
+	byFile := RunSpec{GraphFile: path, Requests: 500, ArrivalRate: 100, Seed: 3}
+	inline := RunSpec{Graph: g, Requests: 500, ArrivalRate: 100, Seed: 3}
+	resolved, err := byFile.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resolved, inline) {
+		t.Fatalf("Options did not inline the graph file:\n got %+v\nwant %+v", resolved, inline)
+	}
+	sim, err := NewSimulation(byFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim.Options().GraphFile != "" || sim.Options().Graph == nil {
+		t.Fatalf("NewSimulation kept the graph file: %+v", sim.Options())
+	}
+	direct, err := Run(inline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.Finish(); !reflect.DeepEqual(got, direct) {
+		t.Fatal("NewSimulation over a graph file diverged from the inline graph")
+	}
 	resFile, err := byFile.Report()
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +255,7 @@ func TestRunSpecGraphFile(t *testing.T) {
 // normalized RunCells aggregate and the MergeStream fold of the frames
 // RunCells emits at the same spec — byte-identical JSON in all three.
 func TestRunSpecReportCanonical(t *testing.T) {
-	spec := RunSpec{Technique: "Basic", Requests: 500, Rate: 100, Seed: 11, Replications: 3}
+	spec := RunSpec{Technique: Basic, Requests: 500, ArrivalRate: 100, Seed: 11, Replications: 3}
 	report, err := spec.Report()
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +296,7 @@ func TestRunSpecReportCanonical(t *testing.T) {
 func TestSweepSpecCells(t *testing.T) {
 	sweep := SweepSpec{
 		Base:       RunSpec{Seed: 1, Requests: 100},
-		Techniques: []string{"Basic", "PCS"},
+		Techniques: []Technique{Basic, PCS},
 		Rates:      []float64{10, 200},
 	}
 	cells, err := sweep.Cells()
@@ -252,26 +308,22 @@ func TestSweepSpecCells(t *testing.T) {
 	}
 	// Rate-major order with the Fig. 6 seed derivation.
 	wantOrder := []struct {
-		tech     string
+		tech     Technique
 		rate     float64
 		requests int
 	}{
-		{"Basic", 10, 900}, // floored to 90 s × 10 req/s
-		{"PCS", 10, 900},
-		{"Basic", 200, 18000},
-		{"PCS", 200, 18000},
+		{Basic, 10, 900}, // floored to 90 s × 10 req/s
+		{PCS, 10, 900},
+		{Basic, 200, 18000},
+		{PCS, 200, 18000},
 	}
 	for i, want := range wantOrder {
 		cell := cells[i]
-		if cell.Technique != want.tech || cell.Rate != want.rate || cell.Requests != want.requests {
+		if cell.Technique != want.tech || cell.ArrivalRate != want.rate || cell.Requests != want.requests {
 			t.Fatalf("cell %d = %s/λ=%g/%d requests, want %s/λ=%g/%d",
-				i, cell.Technique, cell.Rate, cell.Requests, want.tech, want.rate, want.requests)
+				i, cell.Technique, cell.ArrivalRate, cell.Requests, want.tech, want.rate, want.requests)
 		}
-		tech, err := ParseTechnique(want.tech)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := int64(1) ^ int64(want.rate)<<16 ^ int64(tech)<<8; cell.Seed != want {
+		if want := int64(1) ^ int64(want.rate)<<16 ^ int64(want.tech)<<8; cell.Seed != want {
 			t.Fatalf("cell %d seed %d, want %d", i, cell.Seed, want)
 		}
 	}
@@ -296,11 +348,24 @@ func TestSweepSpecCells(t *testing.T) {
 		}
 	}
 
-	if _, err := (SweepSpec{Base: RunSpec{}, Techniques: []string{"warp"}}).Cells(); err == nil {
+	if _, err := (SweepSpec{Base: RunSpec{}, Techniques: []Technique{Technique(42)}}).Cells(); err == nil {
 		t.Fatal("unknown technique axis accepted")
 	}
-	if _, err := ParseSweepSpec([]byte(`{"base": {}, "surprise": 1}`)); err == nil {
-		t.Fatal("unknown sweep field accepted")
+	for _, bad := range []string{
+		`{"base": {}, "surprise": 1}`,
+		`{"base": {}, "techniques": ["warp"]}`,
+		`{"base": {}, "techniques": [3]}`,
+	} {
+		if _, err := ParseSweepSpec([]byte(bad)); err == nil {
+			t.Fatalf("%s accepted", bad)
+		}
+	}
+	parsed, err := ParseSweepSpec([]byte(`{"base": {"technique": "pcs"}, "techniques": ["red-3", ""]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Technique{RED3, Basic}; parsed.Base.Technique != PCS || !reflect.DeepEqual(parsed.Techniques, want) {
+		t.Fatalf("parsed sweep %+v", parsed)
 	}
 }
 
@@ -311,7 +376,7 @@ func TestLoadRunSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Technique != "PCS" || spec.Seed != 5 || spec.Rate != 50 {
+	if spec.Technique != PCS || spec.Seed != 5 || spec.ArrivalRate != 50 {
 		t.Fatalf("loaded %+v", spec)
 	}
 	if _, err := LoadRunSpec(writeSpecFile(t, "bad.json", `{"technique": "warp"}`)); err == nil {

@@ -63,10 +63,11 @@ func decodeStream(r io.Reader, fn func(StreamedRun)) (int, error) {
 }
 
 // RunManyStreamFrom is the cancellable, resumable replication set the
-// daemon runs: it executes replications [from, n) of opts on the RunCells
-// job and pool code (workers as RunCells budgets them) and writes each
-// one's frame to sink in replication order. Replication i always runs with
-// seed xrand.StreamSeed(opts.Seed, i) regardless of where the call starts,
+// daemon runs: it executes replications [from, n) of spec, where n is
+// spec.Replications (0 = 1), on the RunCells job and pool code (spec.Workers
+// as RunCells budgets them) and writes each one's frame to sink in
+// replication order. Replication i always runs with seed
+// xrand.StreamSeed(spec.Seed, i) regardless of where the call starts,
 // so appending this call's output to an intact prefix of a previous run's
 // stream reconstructs the full stream exactly. That is the daemon's
 // crash-recovery contract: resume from the completed-replication frontier
@@ -79,7 +80,8 @@ func decodeStream(r io.Reader, fn func(StreamedRun)) (int, error) {
 //
 // No Aggregate is returned: a resumed caller owns bytes this call never
 // saw, so folding the full stream (MergeStream) is its job.
-func RunManyStreamFrom(ctx context.Context, opts Options, n, workers, from int, sink io.Writer) error {
+func RunManyStreamFrom(ctx context.Context, spec RunSpec, from int, sink io.Writer) error {
+	n := max(spec.Replications, 1)
 	if sink == nil {
 		return fmt.Errorf("pcs: RunManyStreamFrom needs a sink (use RunCells to aggregate in memory)")
 	}
@@ -89,8 +91,8 @@ func RunManyStreamFrom(ctx context.Context, opts Options, n, workers, from int, 
 	if from == n {
 		return nil // nothing left to run; the stored prefix is the stream
 	}
-	pool := runner.Options{Workers: shard.ReplicationWorkers(workers, opts.Shards)}
-	return runSets(ctx, []replicationSet{{opts: opts, from: from, to: n}}, pool, StreamTo(sink))
+	pool := runner.Options{Workers: shard.ReplicationWorkers(spec.Workers, spec.Shards)}
+	return runSets(ctx, []replicationSet{{spec: spec, from: from, to: n}}, pool, StreamTo(sink))
 }
 
 // MergeStream folds one cell's NDJSON replication stream (as written by

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-func streamOpts(seed int64) Options {
-	return Options{
+func streamOpts(seed int64) RunSpec {
+	return RunSpec{
 		Technique:   Basic,
 		Seed:        seed,
 		Nodes:       8,
@@ -27,8 +27,8 @@ func streamOpts(seed int64) Options {
 // reproducible from its recorded seed.
 func TestRunManyStreamBitIdenticalToRunMany(t *testing.T) {
 	const n, workers = 7, 3
-	opts := streamOpts(41)
-	spec := specFor(t, opts, n)
+	spec := streamOpts(41)
+	spec.Replications = n
 	silent, err := RunCells([]RunSpec{spec}, workers, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestRunManyStreamBitIdenticalToRunMany(t *testing.T) {
 		}
 		// Each line is independently reproducible from its recorded seed.
 		if i == 2 {
-			o := opts
+			o := spec
 			o.Seed = rec.Seed
 			redo, err := Run(o)
 			if err != nil {
@@ -87,10 +87,11 @@ func TestRunManyStreamBitIdenticalToRunMany(t *testing.T) {
 
 // streamFrames runs n replications of opts through RunCells on the given
 // workers and returns the emitted frames and the live aggregate.
-func streamFrames(t *testing.T, opts Options, n, workers int) ([]byte, Aggregate) {
+func streamFrames(t *testing.T, opts RunSpec, n, workers int) ([]byte, Aggregate) {
 	t.Helper()
 	var buf bytes.Buffer
-	aggs, err := RunCells([]RunSpec{specFor(t, opts, n)}, workers, StreamTo(&buf))
+	opts.Replications = n
+	aggs, err := RunCells([]RunSpec{opts}, workers, StreamTo(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,9 @@ func TestRunUntilSinkMatchesAggregate(t *testing.T) {
 // TestRunManyStreamNeedsSink: the daemon's streaming entry point refuses
 // to run without somewhere to put the frames.
 func TestRunManyStreamNeedsSink(t *testing.T) {
-	if err := RunManyStreamFrom(context.Background(), streamOpts(49), 2, 1, 0, nil); err == nil {
+	spec := streamOpts(49)
+	spec.Replications = 2
+	if err := RunManyStreamFrom(context.Background(), spec, 0, nil); err == nil {
 		t.Fatal("nil sink accepted")
 	}
 }
@@ -186,23 +189,25 @@ func TestRunManyStreamFromReconstructsFullStream(t *testing.T) {
 	frames, _ := streamFrames(t, opts, n, 2)
 	full := bytes.NewBuffer(frames)
 	lines := strings.SplitAfter(full.String(), "\n")
+	spec := opts
+	spec.Replications, spec.Workers = n, 2
 	for from := 0; from <= n; from++ {
 		var resumed bytes.Buffer
 		resumed.WriteString(strings.Join(lines[:from], ""))
-		if err := RunManyStreamFrom(context.Background(), opts, n, 2, from, &resumed); err != nil {
+		if err := RunManyStreamFrom(context.Background(), spec, from, &resumed); err != nil {
 			t.Fatalf("resume from %d: %v", from, err)
 		}
 		if resumed.String() != full.String() {
 			t.Fatalf("resume from %d diverged\n got %s\nwant %s", from, resumed.String(), full.String())
 		}
 	}
-	if err := RunManyStreamFrom(context.Background(), opts, n, 1, n+1, &bytes.Buffer{}); err == nil {
+	if err := RunManyStreamFrom(context.Background(), spec, n+1, &bytes.Buffer{}); err == nil {
 		t.Fatal("resume point past n accepted")
 	}
-	if err := RunManyStreamFrom(context.Background(), opts, n, 1, -1, &bytes.Buffer{}); err == nil {
+	if err := RunManyStreamFrom(context.Background(), spec, -1, &bytes.Buffer{}); err == nil {
 		t.Fatal("negative resume point accepted")
 	}
-	if err := RunManyStreamFrom(context.Background(), opts, n, 1, 0, nil); err == nil {
+	if err := RunManyStreamFrom(context.Background(), spec, 0, nil); err == nil {
 		t.Fatal("nil sink accepted")
 	}
 }
@@ -217,7 +222,9 @@ func TestRunManyStreamFromCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf bytes.Buffer
-	err := RunManyStreamFrom(ctx, opts, 4, 2, 0, &buf)
+	spec := opts
+	spec.Replications, spec.Workers = 4, 2
+	err := RunManyStreamFrom(ctx, spec, 0, &buf)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled run returned %v, want context.Canceled", err)
 	}
@@ -238,7 +245,8 @@ func TestRunManyStreamFromCancellation(t *testing.T) {
 		}
 		return buf.Write(p)
 	})
-	err = RunManyStreamFrom(ctx, opts, 50, 2, 0, sink)
+	spec.Replications = 50
+	err = RunManyStreamFrom(ctx, spec, 0, sink)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel returned %v, want context.Canceled", err)
 	}

@@ -7,92 +7,19 @@ import (
 	"repro/internal/traffic"
 )
 
-// TrafficSpec describes the run's arrival process — the production-shaped
-// replacement for the scalar Options.ArrivalRate. It mirrors the policy
-// authoring surface: pure data, validated up front, constructed fresh for
-// every replication so runs stay bit-reproducible. Kinds:
-//
-//   - "poisson": memoryless arrivals at Rate (0 defers to ArrivalRate) —
-//     the paper's own workload, now explicit.
-//   - "trace": replay a recorded NDJSON/CSV arrival trace from Path,
-//     streamed so multi-gigabyte traces never load into memory. NDJSON
-//     records are {"t": seconds, "tenant": "...", "class": "..."} per
-//     line; CSV rows are t[,tenant[,class]]. Rate is the nominal pacing
-//     rate steering scales against (0 defers to ArrivalRate).
-//   - "sessions": a closed population of Users flows, each issuing a
-//     request then thinking for a lognormal(ThinkSeconds, ThinkSigma)
-//     think time — offered load emerges from population size.
-//   - "mmpp": Markov-modulated Poisson burstiness cycling through
-//     Rates[i]-intensity states held for mean Sojourns[i] seconds;
-//     HeavyTail gives spike durations a power-law tail.
-//   - "multi-tenant": compose per-tenant sources with token-bucket
-//     admission and per-tenant latency/drop breakdowns in the Result.
-//
-// The determinism contract and trace file format are documented in
-// docs/traffic.md.
-type TrafficSpec struct {
-	// Kind selects the source, one of the kinds listed above.
-	Kind string `json:"kind"`
-	// Rate is the Poisson λ or trace nominal pacing rate; 0 defers to
-	// Options.ArrivalRate.
-	Rate float64 `json:"rate,omitempty"`
-	// Path and Format configure "trace": the trace file, and "ndjson",
-	// "csv" or "" to infer from the extension.
-	Path   string `json:"path,omitempty"`
-	Format string `json:"format,omitempty"`
-	// Users, ThinkSeconds and ThinkSigma configure "sessions".
-	Users        int     `json:"users,omitempty"`
-	ThinkSeconds float64 `json:"thinkSeconds,omitempty"`
-	ThinkSigma   float64 `json:"thinkSigma,omitempty"`
-	// Rates, Sojourns and HeavyTail configure "mmpp".
-	Rates     []float64 `json:"rates,omitempty"`
-	Sojourns  []float64 `json:"sojourns,omitempty"`
-	HeavyTail bool      `json:"heavyTail,omitempty"`
-	// Tenants configures "multi-tenant".
-	Tenants []TenantTraffic `json:"tenants,omitempty"`
-}
+// TrafficSpec describes a run's arrival process — the production-shaped
+// replacement for the scalar RunSpec.ArrivalRate: Poisson, trace replay,
+// session populations, bursty MMPP or a multi-tenant mix with token-bucket
+// admission. It is re-exported so it can ride inside a RunSpec under
+// "traffic", and is exactly internal/traffic.Spec: pure data, validated up
+// front, and constructed fresh for every replication so runs stay
+// bit-reproducible. The kinds, the determinism contract and the trace file
+// format are documented in docs/traffic.md.
+type TrafficSpec = traffic.Spec
 
-// TenantTraffic is one tenant inside a "multi-tenant" TrafficSpec.
-type TenantTraffic struct {
-	// Name tags the tenant's requests; it keys the per-tenant breakdown
-	// in Result.Tenants. Unique and non-empty.
-	Name string `json:"name"`
-	// Source is the tenant's own arrival process (any kind but
-	// "multi-tenant").
-	Source TrafficSpec `json:"source"`
-	// AdmitRate caps the tenant at this many admitted requests/second
-	// via a deterministic token bucket; 0 admits everything.
-	AdmitRate float64 `json:"admitRate,omitempty"`
-	// Burst is the bucket depth in requests — how far above AdmitRate
-	// the tenant may spike before denials start (0 with a positive
-	// AdmitRate selects 1).
-	Burst int `json:"burst,omitempty"`
-}
-
-// toSpec converts the public spec into the internal traffic package's.
-func (ts *TrafficSpec) toSpec() traffic.Spec {
-	spec := traffic.Spec{
-		Kind:         ts.Kind,
-		Rate:         ts.Rate,
-		Path:         ts.Path,
-		Format:       ts.Format,
-		Users:        ts.Users,
-		ThinkSeconds: ts.ThinkSeconds,
-		ThinkSigma:   ts.ThinkSigma,
-		Rates:        ts.Rates,
-		Sojourns:     ts.Sojourns,
-		HeavyTail:    ts.HeavyTail,
-	}
-	for _, t := range ts.Tenants {
-		spec.Tenants = append(spec.Tenants, traffic.TenantSpec{
-			Name:      t.Name,
-			Source:    t.Source.toSpec(),
-			AdmitRate: t.AdmitRate,
-			Burst:     t.Burst,
-		})
-	}
-	return spec
-}
+// TenantTraffic is one tenant inside a "multi-tenant" TrafficSpec: exactly
+// internal/traffic.TenantSpec.
+type TenantTraffic = traffic.TenantSpec
 
 // TenantResult is one tenant's slice of a run: request accounting and the
 // tenant's own end-to-end latency distribution. Offered counts every

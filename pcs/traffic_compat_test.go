@@ -7,7 +7,7 @@ import (
 )
 
 // The scalar-arrival compat pin. PR 6 redesigned the arrival path around
-// traffic.Source; Options.ArrivalRate survives as a compat shim that
+// traffic.Source; RunSpec.ArrivalRate survives as a compat shim that
 // constructs the same Poisson process from the same rng fork position, so
 // every pre-existing scenario must reproduce its PR 5 report byte for
 // byte. The goldens in testdata/pr5_reports.json were generated from the
@@ -55,7 +55,7 @@ func compatKey(scenario string, tech Technique) string {
 	return scenario + "/" + tech.String()
 }
 
-// TestScalarArrivalCompat pins the Options.ArrivalRate shim: a run
+// TestScalarArrivalCompat pins the RunSpec.ArrivalRate shim: a run
 // configured through the scalar field alone produces the exact Result
 // bytes the PR 5 tree produced, for every pre-existing scenario. With
 // PCS_WRITE_GOLDEN=1 it rewrites the goldens instead of comparing.

@@ -75,7 +75,7 @@ func TestTraceReplayEndToEnd(t *testing.T) {
 // including per-tenant p99 and drop counts, across shard counts, and
 // bit-identical aggregates across worker counts.
 func TestTenantStormAcceptance(t *testing.T) {
-	opts := Options{
+	opts := RunSpec{
 		Technique:   Basic,
 		Scenario:    "tenant-storm",
 		Seed:        41,
@@ -121,11 +121,12 @@ func TestTenantStormAcceptance(t *testing.T) {
 	// breakdown in their Runs, so DeepEqual pins those too.
 	small := opts
 	small.Requests = 3000
+	small.Replications = 3
 	var ref Aggregate
 	for i, combo := range []struct{ workers, shards int }{{1, 1}, {4, 2}, {8, 4}, {2, 8}} {
 		o := small
 		o.Shards = combo.shards
-		agg := runSet(t, specFor(t, o, 3), combo.workers)
+		agg := runSet(t, o, combo.workers)
 		agg.Workers = 0 // wall-clock budgeting detail, legitimately varies
 		if i == 0 {
 			ref = agg
@@ -281,7 +282,7 @@ func TestAdmissionFactorOverTrafficSources(t *testing.T) {
 // scenario with snapshot sampling: the diurnal steering script must
 // actually swing the population's offered rate over the run.
 func TestSessionDiurnalModulatesOfferedLoad(t *testing.T) {
-	o := Options{
+	o := RunSpec{
 		Technique:   Basic,
 		Scenario:    "session-diurnal",
 		Seed:        59,
