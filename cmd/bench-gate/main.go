@@ -3,7 +3,7 @@
 // schema as the repo's BENCH_SEED.json, and fails (exit 1) when any
 // benchmark's ns/op regressed beyond the allowed ratio against the seed.
 //
-//	go test -bench . -benchtime 1x -run '^$' ./... | tee bench.txt
+//	go test -bench . -benchtime 1x -benchmem -run '^$' ./... | tee bench.txt
 //	go run ./cmd/bench-gate -input bench.txt -seed BENCH_SEED.json -out BENCH_PR.json
 //
 // Repeated result lines for one benchmark (go test -count N) fold into
@@ -254,9 +254,9 @@ func main() {
 		runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU())
 
 	if *outPath != "" {
-		command := "go test -bench . -benchtime 1x -run ^$ ./..."
+		command := "go test -bench . -benchtime 1x -benchmem -run ^$ ./..."
 		if count > 1 {
-			command = fmt.Sprintf("go test -bench . -benchtime 1x -count %d -run ^$ ./... (median per benchmark)", count)
+			command = fmt.Sprintf("go test -bench . -benchtime 1x -benchmem -count %d -run ^$ ./... (median per benchmark)", count)
 		}
 		snap := Snapshot{
 			Command:    command,

@@ -88,6 +88,11 @@ type Reissue struct {
 	ColdStartFactor float64
 
 	est []*quantileEstimator // per stage, lazily sized
+	// onDone is the completion hook every dispatched sub-request
+	// carries: one method value, bound to this policy, built once. A
+	// swap to a fresh RI-p policy leaves the old one's in-flight
+	// sub-requests feeding the old estimators.
+	onDone func(*service.SubRequest, float64)
 }
 
 // NewReissue returns an RI-p policy.
@@ -112,14 +117,13 @@ func (p *Reissue) Dispatch(svc *service.Service, sub *service.SubRequest, now fl
 	for len(p.est) <= stage {
 		p.est = append(p.est, newQuantileEstimator(2048, 256))
 	}
-	est := p.est[stage]
-
-	sub.OnDone = func(_ *service.Execution, doneNow float64) {
-		est.Add(doneNow - sub.IssuedAt)
+	if p.onDone == nil {
+		p.onDone = p.completed
 	}
+	sub.OnDone = p.onDone
 	sub.IssueTo(sub.Comp.Primary(), now)
 
-	timeout, ok := est.Quantile(p.Percentile)
+	timeout, ok := p.est[stage].Quantile(p.Percentile)
 	if !ok {
 		f := p.ColdStartFactor
 		if f <= 0 {
@@ -127,11 +131,24 @@ func (p *Reissue) Dispatch(svc *service.Service, sub *service.SubRequest, now fl
 		}
 		timeout = sub.Comp.Spec.BaseServiceTime * f
 	}
-	svc.AfterData(now, timeout, func(fireNow float64) {
-		if sub.Done() {
-			return
-		}
-		backup := sub.Comp.Instances[1]
-		sub.IssueTo(backup, fireNow)
-	})
+	svc.AfterData(now, timeout, (*reissueTimer)(sub))
+}
+
+// completed feeds a winning completion's latency into its stage's
+// estimator.
+func (p *Reissue) completed(sub *service.SubRequest, now float64) {
+	p.est[sub.Comp.Stage].Add(now - sub.IssuedAt)
+}
+
+// reissueTimer is a sub-request viewed as its reissue timer: unless a
+// winner has completed by then, it issues one backup on the component's
+// second replica.
+type reissueTimer service.SubRequest
+
+func (t *reissueTimer) Fire(now float64) {
+	sub := (*service.SubRequest)(t)
+	if sub.Done() {
+		return
+	}
+	sub.IssueTo(sub.Comp.Instances[1], now)
 }

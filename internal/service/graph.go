@@ -337,20 +337,24 @@ func (s *Service) visitTimeout(v *graphVisit, now float64) {
 		return
 	}
 	v.dead = true
+	cancel := func(e *Execution) {
+		if s.lanes != nil {
+			// The root can't read queue state owned by another lane;
+			// send the cancel unconditionally and let the instance's
+			// lane decide, exactly like the redundancy relay.
+			s.lanes.Schedule(rootClass, e.Inst.classID(), now+LaneTransitDelay, (*execCancel)(e))
+		} else {
+			e.Inst.cancelQueued(e, now)
+		}
+	}
 	for i := range v.subs {
 		sub := &v.subs[i]
 		if sub.done {
 			continue
 		}
-		for _, e := range sub.execs {
-			if s.lanes != nil {
-				// The root can't read queue state owned by another lane;
-				// send the cancel unconditionally and let the instance's
-				// lane decide, exactly like the redundancy relay.
-				s.lanes.Schedule(rootClass, e.Inst.classID(), now+LaneTransitDelay, (*execCancel)(e))
-			} else {
-				e.Inst.cancelQueued(e, now)
-			}
+		cancel(&sub.first)
+		for j := range sub.more {
+			cancel(&sub.more[j])
 		}
 	}
 	s.breakerResult(v.node, false, now)

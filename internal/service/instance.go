@@ -28,12 +28,10 @@ const (
 // completion and occupies the server even if a sibling already won — that
 // wasted work is the redundancy cost the paper's Fig. 6 exposes.
 type Execution struct {
-	Sub      *SubRequest
-	Inst     *Instance
-	State    ExecState
-	IssuedAt float64
-	StartAt  float64
-	EndAt    float64
+	Sub     *SubRequest
+	Inst    *Instance
+	State   ExecState
+	StartAt float64
 
 	// service is the service time drawn when the execution started; the
 	// finish event credits it to the instance's busy time.
@@ -69,9 +67,8 @@ func (s *execStarted) Fire(now float64) {
 }
 
 func (c *execCompleted) Fire(now float64) {
-	e := (*Execution)(c)
-	e.Inst.rootOutstanding--
-	e.Sub.onComplete(e, now)
+	c.Inst.rootOutstanding--
+	c.Sub.onComplete(now)
 }
 
 func (c *execCancel) Fire(now float64) { c.Inst.cancelQueued((*Execution)(c), now) }
@@ -333,13 +330,12 @@ func (in *Instance) start(e *Execution, now float64) {
 // moves on immediately.
 func (in *Instance) finish(e *Execution, endNow float64) {
 	e.State = ExecDone
-	e.EndAt = endNow
 	in.Served++
 	in.BusyTime += e.service
 	if in.svc.lanes != nil {
 		in.svc.lanes.Schedule(in.classID(), rootClass, endNow+LaneTransitDelay, (*execCompleted)(e))
 	} else {
-		e.Sub.onComplete(e, endNow)
+		e.Sub.onComplete(endNow)
 	}
 	in.next(endNow)
 }

@@ -1,5 +1,7 @@
 package service
 
+import "fmt"
+
 // Request is one end-to-end service request walking the topology's stages
 // sequentially. Its overall latency is the sum of stage latencies (Eq. 4),
 // realised directly by the event order: a stage only starts after the
@@ -19,6 +21,11 @@ type Request struct {
 	stage   int
 	pending int // sub-requests outstanding in the current stage
 
+	// arena is the unclaimed tail of the request's execution arena:
+	// sub-requests carve their windows for executions after the first
+	// from it (see executionWindow).
+	arena []Execution
+
 	// gr is the DAG bookkeeping, used only when the deployment runs a
 	// GraphPlan; requests on the linear stage path leave it zero.
 	gr graphReq
@@ -31,23 +38,22 @@ type Request struct {
 //
 // Sub-requests live in slabs: a stage's (or a DAG visit's) sub-requests
 // are one []SubRequest, allocated together and reclaimed by the garbage
-// collector once nothing points into it.
+// collector once nothing points into it. Their executions after the first
+// live in one arena per slab the same way.
 type SubRequest struct {
 	Req  *Request
 	Comp *Component
 
 	IssuedAt float64
-	winner   *Execution
 
-	// execs lists the executions in issue order. The first execution
-	// and its slot live inline (first, firstSlot), so a sub-request that
+	// first is the first execution, inline, so a sub-request that
 	// executes once — Basic, PCS, a reissue that never fires — needs no
-	// storage beyond its slab slot. Later executions come from a batch
-	// sized to the component's active instances, whose pointers wait in
-	// execs' capacity until issued (see newExecution).
-	execs     []*Execution
-	first     Execution
-	firstSlot [1]*Execution
+	// storage beyond its slab slot. more holds the later ones in issue
+	// order: a window of the request's execution arena, carved at the
+	// first extra issue (see newExecution). Queue slots and events point
+	// into both, so neither ever moves.
+	first Execution
+	more  []Execution
 
 	// cancelOnStart, when positive, sends cancellation messages to sibling
 	// executions when any execution begins service; the messages take
@@ -57,8 +63,9 @@ type SubRequest struct {
 
 	// OnDone, if set by the policy, is called once when the winning
 	// execution completes (reissue policies use it to update their
-	// expected-latency estimates).
-	OnDone func(winner *Execution, now float64)
+	// expected-latency estimates). Policies store one func value in every
+	// sub-request they dispatch, not a closure per sub-request.
+	OnDone func(sub *SubRequest, now float64)
 
 	// visit is the DAG visit that issued the sub-request (nil on the
 	// linear stage path); completion routes to it instead of the
@@ -81,19 +88,15 @@ type SubRequest struct {
 type cancelSweep SubRequest
 
 func (c *cancelSweep) Fire(now float64) {
-	for _, e := range c.execs {
+	c.first.Inst.cancelQueued(&c.first, now)
+	for i := range c.more {
+		e := &c.more[i]
 		e.Inst.cancelQueued(e, now)
 	}
 }
 
 // Done reports whether a winning execution has completed.
 func (sub *SubRequest) Done() bool { return sub.done }
-
-// Winner returns the winning execution, or nil.
-func (sub *SubRequest) Winner() *Execution { return sub.winner }
-
-// Executions returns all executions issued so far.
-func (sub *SubRequest) Executions() []*Execution { return sub.execs }
 
 // EnableCancelOnStart turns on redundancy-style cancellation: when one
 // execution starts service, siblings still queued are cancelled after the
@@ -108,7 +111,7 @@ func (sub *SubRequest) EnableCancelOnStart(delay float64) { sub.cancelOnStart = 
 // instance (PickInstance's load signal) is charged at send time.
 func (sub *SubRequest) IssueTo(in *Instance, now float64) *Execution {
 	e := sub.newExecution()
-	*e = Execution{Sub: sub, Inst: in, IssuedAt: now}
+	*e = Execution{Sub: sub, Inst: in}
 	svc := sub.svc()
 	if svc.lanes != nil {
 		in.rootOutstanding++
@@ -121,29 +124,43 @@ func (sub *SubRequest) IssueTo(in *Instance, now float64) *Execution {
 
 func (sub *SubRequest) svc() *Service { return sub.Req.svc }
 
-// newExecution appends a slot to execs and returns the execution behind
-// it: the inline one first, then the pre-filled slots of a batch. When
-// the slots run out, one batch covers the component's remaining active
-// instances (at least one), so a RED-k fan-out makes two allocations
-// whatever k is.
+// newExecution returns the record for the sub-request's next execution:
+// the inline one first, then the next slot of its window. Issuing past
+// the window is a policy bug — no built-in policy issues more than the
+// component's active instances — so it panics rather than move
+// executions that queues and events already point to.
 func (sub *SubRequest) newExecution() *Execution {
-	n := len(sub.execs)
-	switch {
-	case n == 0:
-		sub.firstSlot[0] = &sub.first
-		sub.execs = sub.firstSlot[:]
-	case n < cap(sub.execs):
-		sub.execs = sub.execs[:n+1]
-	default:
-		batch := make([]Execution, max(len(sub.Comp.ActiveInstances())-n, 1))
-		slots := make([]*Execution, n+len(batch))
-		copy(slots, sub.execs)
-		for i := range batch {
-			slots[n+i] = &batch[i]
-		}
-		sub.execs = slots[:n+1]
+	if sub.first.Sub == nil {
+		return &sub.first
 	}
-	return sub.execs[n]
+	n := len(sub.more)
+	if n == cap(sub.more) {
+		if n > 0 {
+			panic(fmt.Sprintf("service: policy %s issued a sub-request of component %d.%d past its %d executions",
+				sub.svc().policy.Name(), sub.Comp.Stage, sub.Comp.IndexInStage, n+1))
+		}
+		sub.more = sub.Req.executionWindow(sub.Comp)
+	}
+	sub.more = sub.more[:n+1]
+	return &sub.more[n]
+}
+
+// executionWindow carves from the request's arena the window holding a
+// sub-request's executions after its first: one slot per other active
+// instance of comp, at least one. The size comes from the component,
+// never from the current policy — a reissue timer may fire after a swap
+// to Basic. When the arena runs short it is refilled for every
+// sub-request left in the slab from this one, so a RED-k stage fans out
+// from one arena.
+func (r *Request) executionWindow(comp *Component) []Execution {
+	w := max(len(comp.ActiveInstances())-1, 1)
+	if len(r.arena) < w {
+		left := len(r.svc.stageComponents[comp.Stage]) - comp.IndexInStage
+		r.arena = make([]Execution, w*left)
+	}
+	win := r.arena[:0:w]
+	r.arena = r.arena[w:]
+	return win
 }
 
 // onStart is invoked when any execution of this sub-request begins service
@@ -183,10 +200,14 @@ func (sub *SubRequest) onStartLaned(started *Execution, now float64) {
 	if min := now + LaneTransitDelay; fire < min {
 		fire = min
 	}
-	for _, e := range sub.execs {
+	relay := func(e *Execution) {
 		if e != started {
 			svc.lanes.Schedule(rootClass, e.Inst.classID(), fire, (*execCancel)(e))
 		}
+	}
+	relay(&sub.first)
+	for i := range sub.more {
+		relay(&sub.more[i])
 	}
 }
 
@@ -194,16 +215,15 @@ func (sub *SubRequest) onStartLaned(started *Execution, now float64) {
 // wins: the component latency (issue → completion of the quickest replica)
 // is recorded and the request's stage accounting advances. Later
 // completions are losers whose server time was already charged.
-func (sub *SubRequest) onComplete(e *Execution, now float64) {
+func (sub *SubRequest) onComplete(now float64) {
 	if sub.done {
 		return
 	}
 	sub.done = true
-	sub.winner = e
 	svc := sub.svc()
 	svc.collector.RecordComponent(now, sub.Comp.Stage, now-sub.IssuedAt)
 	if sub.OnDone != nil {
-		sub.OnDone(e, now)
+		sub.OnDone(sub, now)
 	}
 	if sub.visit != nil {
 		sub.visit.visitSubDone(now)

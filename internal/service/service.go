@@ -455,14 +455,16 @@ func (s *Service) scheduleData(src, dst int, at float64, h sim.Handler) {
 	s.lanes.Schedule(src, dst, at, h)
 }
 
-// AfterData schedules fn at now+d on the request path's root affinity
+// AfterData schedules h at now+d on the request path's root affinity
 // class. Policies use it for reissue timers and any other root-context
 // follow-up: in sequential mode it is engine.After; in laned mode the
 // timer stays on the root class's own lane, so it needs no transit delay
 // and fires in canonical order with the rest of the request bookkeeping.
-// now must be the virtual time of the event calling AfterData.
-func (s *Service) AfterData(now, d float64, fn func(now float64)) {
-	s.scheduleData(rootClass, rootClass, now+d, sim.Event(fn))
+// now must be the virtual time of the event calling AfterData. A handler
+// implemented on a record the caller already holds (a sub-request, say)
+// schedules without allocating; a func converts through sim.Event.
+func (s *Service) AfterData(now, d float64, h sim.Handler) {
+	s.scheduleData(rootClass, rootClass, now+d, h)
 }
 
 // Cluster returns the hosting cluster.

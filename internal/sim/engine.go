@@ -86,20 +86,30 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at 0. The event queue is
 // pre-sized so steady-state simulation rarely grows it; the event pool
-// fills lazily from fired events.
+// fills lazily, a chunk at a time, and from fired events.
 func NewEngine() *Engine {
 	return &Engine{queue: make([]*scheduledEvent, 0, 1024)}
 }
 
-// alloc takes an event struct from the pool, or allocates a fresh one.
+// eventChunk is how many event structs the pool allocates at once when it
+// runs dry: a run holding hundreds of events in flight fills its pool in
+// a few allocations instead of one per event.
+const eventChunk = 64
+
+// alloc takes an event struct from the pool, refilling it with a fresh
+// chunk when empty.
 func (e *Engine) alloc() *scheduledEvent {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
+	if len(e.free) == 0 {
+		chunk := make([]scheduledEvent, eventChunk)
+		for i := range chunk {
+			e.free = append(e.free, &chunk[i])
+		}
 	}
-	return &scheduledEvent{}
+	n := len(e.free) - 1
+	ev := e.free[n]
+	e.free[n] = nil
+	e.free = e.free[:n]
+	return ev
 }
 
 // recycle returns a popped or cancelled event struct to the pool. The

@@ -267,6 +267,39 @@ func TestEventPoolingReusesStructs(t *testing.T) {
 	}
 }
 
+func TestStaleHandlesAcrossPoolChunks(t *testing.T) {
+	// The pool grows a chunk of structs at a time. Fire or cancel more
+	// than a chunk's worth of events, refill the queue so the next events
+	// reuse those structs and new chunks alike, and check every stale
+	// handle is inert while every live event still fires once.
+	e := NewEngine()
+	const n = 3*eventChunk + 5
+	var stale []EventHandle
+	for i := 0; i < n; i++ {
+		h := e.At(float64(i), func(float64) {})
+		if i%2 == 1 && !h.Cancel() {
+			t.Fatalf("event %d: first cancel failed", i)
+		}
+		stale = append(stale, h)
+	}
+	e.RunUntilEmpty()
+	fired := make([]int, 2*n)
+	for i := range fired {
+		e.At(e.Now()+float64(i), func(float64) { fired[i]++ })
+	}
+	for i, h := range stale {
+		if h.Cancel() {
+			t.Fatalf("stale handle %d cancelled a recycled event", i)
+		}
+	}
+	e.RunUntilEmpty()
+	for i, c := range fired {
+		if c != 1 {
+			t.Fatalf("event %d fired %d times, want 1", i, c)
+		}
+	}
+}
+
 func TestCancelledEventStructIsRecycled(t *testing.T) {
 	e := NewEngine()
 	h := e.At(5, func(float64) { t.Fatal("cancelled event fired") })

@@ -1,6 +1,6 @@
 // Package stats provides the numerical building blocks used throughout the
-// PCS reproduction: online moment accumulators, percentile estimation,
-// histograms, and polynomial least-squares regression.
+// PCS reproduction: online moment accumulators, percentile estimation and
+// polynomial least-squares regression.
 //
 // Everything in this package is deterministic and allocation-conscious; the
 // scheduler calls into it on the hot path when rebuilding the performance

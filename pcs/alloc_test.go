@@ -3,39 +3,54 @@ package pcs
 import (
 	"runtime"
 	"testing"
+	"unsafe"
+
+	"repro/internal/service"
 )
 
 // TestRequestPathAllocationsPinned pins the data plane's allocation
 // discipline: the heap objects Finish allocates per arrival must stay
 // under a per-cell bound, set at the measured value plus ~25% headroom.
-// Request-path events are handler records and sub-requests come from
-// per-stage slabs, so a closure reintroduced on any per-sub-request event
-// adds at least one object per sub-request — 22 per request on the
+// Request-path events are handler records, sub-requests come from
+// per-stage slabs and their extra executions from one arena per slab, so
+// a closure or a per-sub-request allocation reintroduced on the request
+// path adds at least one object per sub-request — 22 per request on the
 // nutch-search cells, more on fanout-retry — and breaks the bound.
 //
-// The RI-90 cell pins the reissue path, which no bench workload runs: its
-// timer still schedules a closure per sub-request and its completion hook
-// is a closure. It measures 53.01 objects per arrival (RI-99, which
-// reissues less, 48.93), so a change that pools those closures should
-// lower its bound.
+// The RED-5 cell pins the redundancy fan-out (five executions per
+// sub-request, four of them in the slab's arena), and the RI-90 cell the
+// reissue path, which no bench workload runs: its timer is the
+// sub-request itself and its completion hook one method value per
+// policy, so neither allocates per sub-request.
 //
 // The large-cluster PCS cell pins the control plane instead: its 194×96
 // performance matrix is rebuilt every 2 simulated seconds, and the
 // matrix's rows are two contiguous arrays. Allocating each row on its own again (2m objects per
 // build, ~5.4 per arrival here) breaks its bound, which sits between that
 // and the measured value.
+//
+// The record sizes are pinned too. A 100-component stage slab of
+// 128-byte sub-requests fits Go's 13,568-byte size class, where 160 bytes
+// would need 16,384; a RED-5 arena of four 40-byte executions per
+// sub-request fits 16,384 where 56 bytes would need 24,576.
 func TestRequestPathAllocationsPinned(t *testing.T) {
+	if n := unsafe.Sizeof(service.SubRequest{}); n > 128 {
+		t.Errorf("SubRequest is %d bytes, bound 128", n)
+	}
+	if n := unsafe.Sizeof(service.Execution{}); n > 40 {
+		t.Errorf("Execution is %d bytes, bound 40", n)
+	}
 	nutch := func(technique Technique) RunSpec {
 		return RunSpec{Technique: technique, Scenario: "nutch-search", Nodes: 8, SearchComponents: 12, ArrivalRate: 100, Requests: 1500}
 	}
 	cells := []struct {
 		name  string
 		spec  RunSpec
-		bound float64 // measured: 4.31, 48.5, 53.0, 4.59, 49.2, 14.7
+		bound float64 // measured: 4.29, 7.38, 5.76, 4.55, 49.2, 14.3
 	}{
 		{"sequential Basic", nutch(Basic), 5.4},
-		{"sequential RED-5", nutch(RED5), 61},
-		{"sequential RI-90", nutch(RI90), 66},
+		{"sequential RED-5", nutch(RED5), 9.4},
+		{"sequential RI-90", nutch(RI90), 7.3},
 		{"sequential PCS", nutch(PCS), 5.9},
 		{"2-lane fanout-retry", RunSpec{Technique: Basic, Scenario: "fanout-retry", ArrivalRate: 150, Requests: 1500, Lanes: 2}, 62},
 		{"PCS control plane", RunSpec{Technique: PCS, Scenario: "large-cluster", ArrivalRate: 100, Requests: 600, SchedulingInterval: 2, Seed: 1}, 17.5},
