@@ -1,7 +1,8 @@
 // Command bench-gate is the CI benchmark-regression gate: it parses the
 // text output of `go test -bench`, writes it as a JSON snapshot in the same
 // schema as the repo's BENCH_SEED.json, and fails (exit 1) when any
-// benchmark's ns/op regressed beyond the allowed ratio against the seed.
+// benchmark's ns/op regressed beyond the allowed ratio against the seed, or
+// when any simulated metric it reports differs from the seed's.
 //
 //	go test -bench . -benchtime 1x -benchmem -run '^$' ./... | tee bench.txt
 //	go run ./cmd/bench-gate -input bench.txt -seed BENCH_SEED.json -out BENCH_PR.json
@@ -25,6 +26,14 @@
 // uniformly slower runner does not fail the board (and a uniformly faster
 // one does not mask a real regression). -calibrate=false restores raw
 // ratios for same-machine comparisons.
+//
+// The custom metrics the figure benchmarks report (avg-overall-ms,
+// p99-component-ms, migrations, ...) are simulated results, bit-exact per
+// seed, so they gate exactly: a benchmark in both the run and the seed
+// fails when one of the seed's metrics differs from, or is missing in, the
+// run, whatever -min-ns and the calibration say. A changed metric is a
+// model change. Wall-clock and environment units (timingMetrics) are
+// exempt. allocs/op and B/op are recorded but not gated.
 package main
 
 import (
@@ -61,6 +70,17 @@ type Snapshot struct {
 	CPU        string      `json:"cpu,omitempty"`
 	Cores      int         `json:"cores,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+}
+
+// timingMetrics are the custom metric units that measure the machine
+// rather than the model: Fig. 7's wall-clock split, parallel speedups and
+// the core count. Every other custom metric is a simulated result.
+var timingMetrics = map[string]bool{
+	"analysis-ms": true,
+	"search-ms":   true,
+	"total-ms":    true,
+	"speedup-x":   true,
+	"cores":       true,
 }
 
 // benchLine matches `go test -bench` result lines:
@@ -160,11 +180,13 @@ func foldRepeats(passes []Benchmark) Benchmark {
 }
 
 // gate compares a parsed benchmark run against the seed snapshot and
-// returns how many benchmarks regressed beyond maxRatio. A benchmark in
-// the run but absent from the seed is reported as NEW and never fails the
-// gate — a newly added benchmark (e.g. the BenchmarkTraffic* family) must
-// not fail the board that predates it; the seed picks it up when it is
-// next regenerated.
+// returns how many checks failed: each benchmark whose ns/op regressed
+// beyond maxRatio, and each simulated metric that differs from, or is
+// missing against, the seed (checkMetrics). A benchmark in the run but
+// absent from the seed is reported as NEW and never fails the gate — a
+// newly added benchmark (e.g. the BenchmarkTraffic* family) must not fail
+// the board that predates it; the seed picks it up when it is next
+// regenerated.
 func gate(w io.Writer, benches, seed []Benchmark, maxRatio, minNs float64, calibrate bool) int {
 	seedBy := make(map[string]Benchmark, len(seed))
 	for _, b := range seed {
@@ -206,10 +228,41 @@ func gate(w io.Writer, benches, seed []Benchmark, maxRatio, minNs float64, calib
 			fmt.Fprintf(w, "ok    %-60s %14.0f ns/op vs seed %.0f (%.2fx)\n",
 				b.Name, b.NsPerOp, ref.NsPerOp, b.NsPerOp/(ref.NsPerOp*factor))
 		}
+		if ok {
+			failed += checkMetrics(w, b, ref)
+		}
 	}
 	for _, b := range seed {
 		if !seen[b.Name] {
 			fmt.Fprintf(w, "GONE  %-60s (in seed, not in this run)\n", b.Name)
+		}
+	}
+	return failed
+}
+
+// checkMetrics compares b's simulated metrics with the seed's entry ref
+// exactly, printing one FAIL line per metric that differs or is missing,
+// and returns how many did. Metrics only the run reports are new, not
+// failures.
+func checkMetrics(w io.Writer, b, ref Benchmark) int {
+	names := make([]string, 0, len(ref.Metrics))
+	for name := range ref.Metrics {
+		if !timingMetrics[name] {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	failed := 0
+	for _, name := range names {
+		want := ref.Metrics[name]
+		got, ok := b.Metrics[name]
+		switch {
+		case !ok:
+			failed++
+			fmt.Fprintf(w, "FAIL  %-60s %s missing, seed %v (simulated metric)\n", b.Name, name, want)
+		case got != want:
+			failed++
+			fmt.Fprintf(w, "FAIL  %-60s %s = %v, seed %v (simulated metric changed)\n", b.Name, name, got, want)
 		}
 	}
 	return failed
@@ -284,8 +337,9 @@ func main() {
 
 	failed := gate(os.Stdout, benches, seed.Benchmarks, *maxRatio, *minNs, *calibrate)
 	if failed > 0 {
-		log.Fatalf("bench-gate: %d benchmark(s) regressed more than %.0f%% vs %s",
-			failed, (*maxRatio-1)*100, *seedPath)
+		log.Fatalf("bench-gate: %d check(s) failed vs %s: ns/op more than %.0f%% slower, or a simulated metric changed",
+			failed, *seedPath, (*maxRatio-1)*100)
 	}
-	fmt.Printf("bench-gate: %d benchmarks within %.0f%% of %s\n", len(benches), (*maxRatio-1)*100, *seedPath)
+	fmt.Printf("bench-gate: %d benchmarks within %.0f%% of %s, simulated metrics unchanged\n",
+		len(benches), (*maxRatio-1)*100, *seedPath)
 }

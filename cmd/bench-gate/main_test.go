@@ -148,3 +148,54 @@ BenchmarkDAGRun-2   	       1	1000000000 ns/op	 200 B/op	 6 allocs/op
 		t.Fatalf("MatrixBuild folded to %+v, want 30e6 ns/op and no alloc fields", mb)
 	}
 }
+
+// TestGateSimulatedMetricsExactly: a benchmark in both the run and the
+// seed fails when a simulated metric changed or went missing, with a FAIL
+// line naming the benchmark, the metric and both values; wall-clock
+// metrics may move freely. The seed's ns/op sits below -min-ns, so the
+// timing check is skipped while the metric check still applies.
+func TestGateSimulatedMetricsExactly(t *testing.T) {
+	const name = "BenchmarkFig7SchedulerScalability/m=40/k=8"
+	seed := []Benchmark{{Name: name, NsPerOp: 5e5, Metrics: map[string]float64{
+		"avg-overall-ms": 1.657, "migrations": 41, "analysis-ms": 0.8,
+	}}}
+	run := func(edit func(map[string]float64)) []Benchmark {
+		m := map[string]float64{"avg-overall-ms": 1.657, "migrations": 41, "analysis-ms": 0.8}
+		edit(m)
+		return []Benchmark{{Name: name, NsPerOp: 9e5, Metrics: m}}
+	}
+	cases := []struct {
+		desc   string
+		edit   func(map[string]float64)
+		failed int
+		line   string
+	}{
+		{"unchanged", func(map[string]float64) {}, 0, ""},
+		{"wall-clock metric moved", func(m map[string]float64) { m["analysis-ms"] = 0.5 }, 0, ""},
+		{"simulated metric changed", func(m map[string]float64) { m["avg-overall-ms"] = 1.658 },
+			1, "avg-overall-ms = 1.658, seed 1.657"},
+		{"simulated metric missing", func(m map[string]float64) { delete(m, "migrations") },
+			1, "migrations missing, seed 41"},
+		{"wall-clock metric missing", func(m map[string]float64) { delete(m, "analysis-ms") }, 0, ""},
+	}
+	for _, c := range cases {
+		var out strings.Builder
+		failed := gate(&out, run(c.edit), seed, 1.25, 1e6, true)
+		if failed != c.failed {
+			t.Errorf("%s: %d failure(s), want %d:\n%s", c.desc, failed, c.failed, out.String())
+			continue
+		}
+		if c.line == "" {
+			continue
+		}
+		named := false
+		for _, l := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(l, "FAIL  "+name) && strings.Contains(l, c.line) {
+				named = true
+			}
+		}
+		if !named {
+			t.Errorf("%s: no FAIL line naming %s and %q:\n%s", c.desc, name, c.line, out.String())
+		}
+	}
+}

@@ -82,16 +82,21 @@ func (r *ring) add(v cluster.Vector) {
 	}
 }
 
-func (r *ring) snapshot() []cluster.Vector {
-	out := make([]cluster.Vector, 0, r.size)
+// copyTo copies the retained samples into dst[:r.size], oldest first.
+func (r *ring) copyTo(dst []cluster.Vector) {
 	// Oldest-first order keeps snapshots deterministic.
 	start := r.next - r.size
 	if start < 0 {
 		start += len(r.samples)
 	}
 	for i := 0; i < r.size; i++ {
-		out = append(out, r.samples[(start+i)%len(r.samples)])
+		dst[i] = r.samples[(start+i)%len(r.samples)]
 	}
+}
+
+func (r *ring) snapshot() []cluster.Vector {
+	out := make([]cluster.Vector, r.size)
+	r.copyTo(out)
 	return out
 }
 
@@ -153,11 +158,21 @@ func (m *Monitor) NodeSamples(nodeID int) []cluster.Vector {
 }
 
 // AllNodeSamples returns the sample window of every node, indexed by node
-// ID — the bulk input to performance-matrix construction.
+// ID — the bulk input to performance-matrix construction. The windows are
+// capacity-capped slices of one backing array, so the call makes two
+// allocations whatever the node count.
 func (m *Monitor) AllNodeSamples() [][]cluster.Vector {
+	total := 0
+	for i := range m.rings {
+		total += m.rings[i].size
+	}
+	backing := make([]cluster.Vector, total)
 	out := make([][]cluster.Vector, len(m.rings))
 	for i := range m.rings {
-		out[i] = m.rings[i].snapshot()
+		n := m.rings[i].size
+		out[i] = backing[:n:n]
+		m.rings[i].copyTo(out[i])
+		backing = backing[n:]
 	}
 	return out
 }

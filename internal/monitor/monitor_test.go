@@ -86,10 +86,15 @@ func TestMonitorNoiseIsApplied(t *testing.T) {
 	}
 }
 
+// TestMonitorAllNodeSamples: every node's window equals its NodeSamples
+// snapshot (oldest first, after the ring has wrapped), is capacity-capped
+// so an append cannot overwrite the next node's window, and the whole
+// call makes 2 allocations at any node count.
 func TestMonitorAllNodeSamples(t *testing.T) {
 	engine := sim.NewEngine()
 	cl := cluster.New(4, cluster.DefaultCapacity())
-	m := New(engine, cl, xrand.New(4), Config{})
+	cl.Node(2).Host(&staticProgram{id: "a", demand: cluster.Vector{1, 2, 3, 4}})
+	m := New(engine, cl, xrand.New(4), Config{Window: 3, NoiseSigma: 0.02})
 	m.Start()
 	engine.Run(5)
 	all := m.AllNodeSamples()
@@ -97,9 +102,18 @@ func TestMonitorAllNodeSamples(t *testing.T) {
 		t.Fatalf("nodes covered = %d", len(all))
 	}
 	for i, w := range all {
-		if len(w) == 0 {
-			t.Fatalf("node %d window empty", i)
+		want := m.NodeSamples(i)
+		if len(w) != 3 || cap(w) != len(w) {
+			t.Fatalf("node %d window len %d cap %d, want 3 and capped", i, len(w), cap(w))
 		}
+		for j := range w {
+			if w[j] != want[j] {
+				t.Fatalf("node %d window %v, NodeSamples %v", i, w, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { m.AllNodeSamples() }); n != 2 {
+		t.Fatalf("AllNodeSamples made %v allocations, want 2", n)
 	}
 }
 

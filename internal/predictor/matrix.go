@@ -113,10 +113,15 @@ type Matrix struct {
 	scratches []*scratch
 }
 
-// scratch is the per-shard workspace of computeEntry: the current row's
-// origin terms, and the latency overrides a hypothetical migration imposes
-// on co-hosted components, folded into per-stage maxima.
+// scratch is the per-shard workspace of latencyOn and computeEntry: the
+// window predictions being folded, the current row's origin terms, and the
+// latency overrides a hypothetical migration imposes on co-hosted
+// components, folded into per-stage maxima.
 type scratch struct {
+	// xs receives predictWindow's per-sample service times; it holds the
+	// longest node window.
+	xs []float64
+
 	// originIdx/originVal hold the row loaded by loadRow: the predicted
 	// latency of every other component on the row's node once the row's
 	// component leaves it (Table III, U' = U − U_ci).
@@ -129,8 +134,9 @@ type scratch struct {
 	epoch       int
 }
 
-func newScratch(m, stages int) *scratch {
+func newScratch(m, stages, window int) *scratch {
 	return &scratch{
+		xs:          make([]float64, window),
 		originIdx:   make([]int, 0, 16),
 		originVal:   make([]float64, 0, 16),
 		overrideSet: make([]int, m),
@@ -167,10 +173,8 @@ func BuildMatrix(in MatrixInput) (*Matrix, error) {
 		in:        in,
 		alloc:     make([]int, m),
 		delta:     make([][4]float64, k),
-		nodeComps: make([][]int, k),
 		cur:       make([]float64, m),
 		stageLat:  make([]float64, in.NumStages),
-		stageOf:   make([][]int, in.NumStages),
 		removed:   make([]bool, m),
 		onTouched: make([]bool, m),
 		selfLat:   make([]float64, in.NumStages*k),
@@ -178,27 +182,33 @@ func BuildMatrix(in MatrixInput) (*Matrix, error) {
 		SelfGain:  make([][]float64, m),
 		scratches: make([]*scratch, in.Pool.Shards()),
 	}
+	window := 0
+	for _, samples := range in.NodeSamples {
+		window = max(window, len(samples))
+	}
 	for s := range mat.scratches {
-		mat.scratches[s] = newScratch(m, in.NumStages)
+		mat.scratches[s] = newScratch(m, in.NumStages, window)
 	}
 	for i, c := range in.Components {
 		mat.alloc[i] = c.Node
-		mat.nodeComps[c.Node] = append(mat.nodeComps[c.Node], i)
-		mat.stageOf[c.Stage] = append(mat.stageOf[c.Stage], i)
 	}
+	mat.nodeComps = groupIndices(m, k, func(i int) int { return in.Components[i].Node })
+	mat.stageOf = groupIndices(m, in.NumStages, func(i int) int { return in.Components[i].Stage })
 	// Every per-component latency is a pure function of the frozen input
 	// (samples, models, allocation), written to its own slot — shardable.
-	in.Pool.Run(m, func(_, lo, hi int) {
+	in.Pool.Run(m, func(s, lo, hi int) {
+		sc := mat.scratches[s]
 		for i := lo; i < hi; i++ {
-			mat.cur[i] = mat.latencyOn(i, mat.alloc[i], negv(in.Components[i].Demand))
+			mat.cur[i] = mat.latencyOn(i, mat.alloc[i], negv(in.Components[i].Demand), sc)
 		}
 	})
 	mat.refreshStageLatencies()
 	// Self terms, one region by node: each reads the frozen input and
 	// delta and writes its node's slots.
-	in.Pool.Run(k, func(_, lo, hi int) {
+	in.Pool.Run(k, func(s, lo, hi int) {
+		sc := mat.scratches[s]
 		for n := lo; n < hi; n++ {
-			mat.refreshSelfTerms(n)
+			mat.refreshSelfTerms(n, sc)
 		}
 	})
 
@@ -223,6 +233,29 @@ func BuildMatrix(in MatrixInput) (*Matrix, error) {
 	return mat, nil
 }
 
+// groupIndices returns, per group, the indices i in [0, n) with
+// groupOf(i) == group in ascending order. The lists are capacity-capped
+// windows of one backing array, so an append to one list copies it out
+// instead of growing into its neighbour.
+func groupIndices(n, groups int, groupOf func(int) int) [][]int {
+	counts := make([]int, groups)
+	for i := 0; i < n; i++ {
+		counts[groupOf(i)]++
+	}
+	backing := make([]int, n)
+	lists := make([][]int, groups)
+	off := 0
+	for g, c := range counts {
+		lists[g] = backing[off : off : off+c]
+		off += c
+	}
+	for i := 0; i < n; i++ {
+		g := groupOf(i)
+		lists[g] = append(lists[g], i)
+	}
+	return lists
+}
+
 // --- small signed-vector helpers (cluster.Vector clamps on Sub, which is
 // right for node accounting but wrong for the matrix's signed deltas) ---
 
@@ -243,23 +276,15 @@ func addv(a vec4, v cluster.Vector, sign float64) vec4 {
 // node `node`'s sample window shifted by the virtual delta plus `adj`
 // (signed). Each shifted sample is clamped at zero before entering the
 // regression, mirroring that real contention metrics are non-negative.
-func (mat *Matrix) latencyOn(i, node int, adj vec4) float64 {
-	cs := mat.in.Components[i]
-	model := mat.in.Models[cs.Stage]
+// The window's service times land in sc.xs (predictWindow) and fold into
+// Eq. 2's mean and variance in sample order.
+func (mat *Matrix) latencyOn(i, node int, adj vec4, sc *scratch) float64 {
+	model := mat.in.Models[mat.in.Components[i].Stage]
 	samples := mat.in.NodeSamples[node]
-	d := mat.delta[node]
+	xs := sc.xs[:len(samples)]
+	model.predictWindow(samples, mat.delta[node], adj, xs)
 	var w stats.Welford
-	for _, s := range samples {
-		var bg cluster.Vector
-		for r := 0; r < cluster.NumResources; r++ {
-			x := s[r] + d[r] + adj[r]
-			if x < 0 {
-				x = 0
-			}
-			bg[r] = x
-		}
-		w.Add(model.Predict(bg))
-	}
+	w.AddAll(xs)
 	var meanX, varX float64
 	if w.N() == 0 {
 		meanX, varX = model.FallbackMean, 0
@@ -290,11 +315,11 @@ func (mat *Matrix) refreshStageLatencies() {
 
 // refreshSelfTerms recomputes node n's self terms under the current delta.
 // A stage with no members is skipped: its model may be nil.
-func (mat *Matrix) refreshSelfTerms(n int) {
+func (mat *Matrix) refreshSelfTerms(n int, sc *scratch) {
 	k := mat.in.NumNodes
 	for s, members := range mat.stageOf {
 		if len(members) > 0 {
-			mat.selfLat[s*k+n] = mat.latencyOn(members[0], n, vec4{})
+			mat.selfLat[s*k+n] = mat.latencyOn(members[0], n, vec4{}, sc)
 		}
 	}
 }
@@ -316,7 +341,7 @@ func (mat *Matrix) loadRow(i int, sc *scratch) {
 		adj := negv(mat.in.Components[h].Demand)
 		adj = addv(adj, di, -1)
 		sc.originIdx = append(sc.originIdx, h)
-		sc.originVal = append(sc.originVal, mat.latencyOn(h, a, adj))
+		sc.originVal = append(sc.originVal, mat.latencyOn(h, a, adj, sc))
 	}
 }
 
@@ -349,7 +374,7 @@ func (mat *Matrix) computeEntry(i, j int, sc *scratch) {
 	for _, h := range mat.nodeComps[j] {
 		adj := negv(comps[h].Demand)
 		adj = addv(adj, di, +1)
-		sc.override(h, comps[h].Stage, mat.latencyOn(h, j, adj))
+		sc.override(h, comps[h].Stage, mat.latencyOn(h, j, adj, sc))
 	}
 
 	// Eq. 3–4 with overrides; only stages containing changed components
@@ -449,14 +474,15 @@ func (mat *Matrix) Migrate(i, j int) {
 	// Refresh the cached current latencies of everything on the two
 	// touched nodes (including the migrated component), then Eq. 3–4 and
 	// the two nodes' self terms.
+	seq := mat.scratches[0]
 	for _, n := range [2]int{a, j} {
 		for _, h := range mat.nodeComps[n] {
-			mat.cur[h] = mat.latencyOn(h, n, negv(mat.in.Components[h].Demand))
+			mat.cur[h] = mat.latencyOn(h, n, negv(mat.in.Components[h].Demand), seq)
 		}
 	}
 	mat.refreshStageLatencies()
-	mat.refreshSelfTerms(a)
-	mat.refreshSelfTerms(j)
+	mat.refreshSelfTerms(a, seq)
+	mat.refreshSelfTerms(j, seq)
 
 	// Algorithm 2's incremental update, one barrier region over a
 	// canonical row worklist: rows hosted on a touched node recompute all

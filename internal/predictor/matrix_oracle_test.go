@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/shard"
+	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -27,8 +28,34 @@ func (sc *refScratch) set(h int, v float64) {
 	sc.overrideVal[h] = v
 }
 
+// referenceLatency is latencyOn evaluated sample by sample: each sample of
+// the node's window shifted by the virtual delta plus adj, clamped at zero,
+// predicted through Predict and folded by Welford into Eq. 2. An empty
+// window yields the fallback mean with zero variance.
+func referenceLatency(mat *Matrix, i, node int, adj vec4) float64 {
+	model := mat.in.Models[mat.in.Components[i].Stage]
+	d := mat.delta[node]
+	var w stats.Welford
+	for _, s := range mat.in.NodeSamples[node] {
+		var bg cluster.Vector
+		for r := 0; r < cluster.NumResources; r++ {
+			x := s[r] + d[r] + adj[r]
+			if x < 0 {
+				x = 0
+			}
+			bg[r] = x
+		}
+		w.Add(model.Predict(bg))
+	}
+	meanX, varX := model.FallbackMean, 0.0
+	if w.N() > 0 {
+		meanX, varX = w.Mean(), w.Variance()
+	}
+	return ExpectedLatency(mat.in.Queue, meanX, varX, mat.in.Lambda, mat.in.Params)
+}
+
 // referenceEntry is the unmemoised entry evaluation: every Table III term
-// predicted per entry through latencyOn, and every affected stage's
+// predicted per entry through referenceLatency, and every affected stage's
 // maximum taken by scanning all of its members. It reads the matrix's
 // state and returns L[i][j] and SelfGain[i][j] without writing them.
 func referenceEntry(mat *Matrix, i, j int) (l, selfGain float64) {
@@ -44,7 +71,7 @@ func referenceEntry(mat *Matrix, i, j int) (l, selfGain float64) {
 	sc.overrideIdx = sc.overrideIdx[:0]
 
 	// ci itself: U' = U_nj (Table III row 1).
-	li := mat.latencyOn(i, j, vec4{})
+	li := referenceLatency(mat, i, j, vec4{})
 	sc.set(i, li)
 
 	// Components remaining on the origin node: U' = U − U_ci.
@@ -54,13 +81,13 @@ func referenceEntry(mat *Matrix, i, j int) (l, selfGain float64) {
 		}
 		adj := negv(mat.in.Components[h].Demand)
 		adj = addv(adj, di, -1)
-		sc.set(h, mat.latencyOn(h, a, adj))
+		sc.set(h, referenceLatency(mat, h, a, adj))
 	}
 	// Components already on the destination node: U' = U + U_ci.
 	for _, h := range mat.nodeComps[j] {
 		adj := negv(mat.in.Components[h].Demand)
 		adj = addv(adj, di, +1)
-		sc.set(h, mat.latencyOn(h, j, adj))
+		sc.set(h, referenceLatency(mat, h, j, adj))
 	}
 
 	// Eq. 3–4 with overrides; only stages containing changed components
@@ -98,7 +125,8 @@ func referenceEntry(mat *Matrix, i, j int) (l, selfGain float64) {
 // matrix keeps: three populated stages with distinct models plus an empty
 // stage slot whose model is nil, per-component demands carrying the
 // controller's 2% measurement noise (so no two rows share destination
-// terms), and nodes hosting 0, 1, 2, 4 and 5 components.
+// terms), nodes hosting 0, 1, 2, 4 and 5 components, and windows of 6, 3
+// and 0 samples (the empty one predicts the fallback mean).
 func oracleMatrixInput(t *testing.T) MatrixInput {
 	t.Helper()
 	const emptyStage = 2
@@ -127,11 +155,14 @@ func oracleMatrixInput(t *testing.T) MatrixInput {
 			comps = append(comps, ComponentState{Stage: stage, Node: n, Demand: demand})
 		}
 	}
+	nodeSamples := testNodeSamples(src, len(hosted), comps)
+	nodeSamples[2] = nil
+	nodeSamples[4] = nodeSamples[4][:3]
 	return MatrixInput{
 		Components:  comps,
 		NumStages:   len(models),
 		NumNodes:    len(hosted),
-		NodeSamples: testNodeSamples(src, len(hosted), comps),
+		NodeSamples: nodeSamples,
 		Lambda:      90,
 		Models:      models,
 		Queue:       MG1,

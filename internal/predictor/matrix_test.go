@@ -349,3 +349,24 @@ func TestMatrixComponentLatencyPositive(t *testing.T) {
 		t.Fatal("dimensions wrong")
 	}
 }
+
+// TestBuildMatrixAllocationsBounded pins BuildMatrix's allocations to a
+// constant (30 measured at both sizes): the rows and the node and stage
+// membership lists are carved from one backing array apiece and each
+// shard's scratch is allocated once, so a sequential build allocates the
+// same objects whatever m and k. An allocation per node or per row adds
+// at least 8 objects at 40×8 and 96 at 194×96, and breaks the bound.
+func TestBuildMatrixAllocationsBounded(t *testing.T) {
+	const bound = 36
+	for _, size := range []struct{ m, k int }{{40, 8}, {194, 96}} {
+		in := testMatrixInput(t, size.m, size.k, 80, 3)
+		n := testing.AllocsPerRun(5, func() {
+			if _, err := BuildMatrix(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > bound {
+			t.Errorf("%d×%d: BuildMatrix made %v allocations, bound %d", size.m, size.k, n, bound)
+		}
+	}
+}

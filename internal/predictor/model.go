@@ -107,17 +107,66 @@ func (m *ServiceTimeModel) Predict(u cluster.Vector) float64 {
 	return x
 }
 
-// PredictStats maps a window of contention samples through the model and
-// returns the mean and variance of the predicted service time — the x̄ and
-// var(x) inputs of Eq. 2. An empty window yields the fallback mean with
-// zero variance.
-func (m *ServiceTimeModel) PredictStats(window []cluster.Vector) (mean, variance float64) {
-	if len(window) == 0 {
-		return m.FallbackMean, 0
+// predictWindow sets out[t] to Predict(u_t) for every sample of window,
+// where u_t[r] = max(0, (window[t][r] + shift[r]) + adj[r]); out must hold
+// len(window) values. It evaluates Eq. 1 resource-major: each weighted
+// regression's weight, shift and coefficients stay in locals while the
+// whole window streams past, accumulating into out. Every out[t] sees
+// Predict's operations in Predict's order — the shifted sum left to right,
+// Horner from y = 0, terms summed in ascending resource order, one
+// division by the same weight sum — so it is Predict's float bit for bit.
+func (m *ServiceTimeModel) predictWindow(window []cluster.Vector, shift, adj [cluster.NumResources]float64, out []float64) {
+	out = out[:len(window)]
+	clear(out)
+	var den float64
+	for r := 0; r < cluster.NumResources; r++ {
+		reg, w := m.Regs[r], m.Weights[r]
+		if reg == nil || w == 0 {
+			continue
+		}
+		den += w
+		sh, ad := shift[r], adj[r]
+		// Degrees 1 (PCS's default) and 2 unroll Horner with the
+		// coefficients in locals; other degrees call the regression.
+		switch c := reg.Coef; len(c) {
+		case 2:
+			c0, c1 := c[0], c[1]
+			for t := range window {
+				x := shifted(window[t][r], sh, ad)
+				out[t] += w * ((0*x+c1)*x + c0)
+			}
+		case 3:
+			c0, c1, c2 := c[0], c[1], c[2]
+			for t := range window {
+				x := shifted(window[t][r], sh, ad)
+				out[t] += w * (((0*x+c2)*x+c1)*x + c0)
+			}
+		default:
+			for t := range window {
+				x := shifted(window[t][r], sh, ad)
+				out[t] += w * reg.Predict(x)
+			}
+		}
 	}
-	var w stats.Welford
-	for _, u := range window {
-		w.Add(m.Predict(u))
+	for t, num := range out {
+		x := m.FallbackMean
+		if den != 0 {
+			x = num / den
+		}
+		if x < 1e-9 || math.IsNaN(x) {
+			x = 1e-9
+		}
+		out[t] = x
 	}
-	return w.Mean(), w.Variance()
+}
+
+// shifted is one coordinate of a shifted sample: (s + shift) + adj, added
+// left to right, clamped at zero because real contention metrics are
+// non-negative.
+func shifted(s, shift, adj float64) float64 {
+	x := (s + shift) + adj
+	if x < 0 {
+		return 0
+	}
+	return x
 }

@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -150,32 +151,95 @@ func TestTrainAllDegenerateFallsBackToMean(t *testing.T) {
 	}
 }
 
-func TestPredictStats(t *testing.T) {
-	m, err := Train(syntheticSamples(200, 0.02, 6), 1)
-	if err != nil {
-		t.Fatal(err)
+// TestPredictWindowMatchesPredict pins the resource-major kernel to
+// Predict bit for bit: every out[t] must equal Predict of the clamped,
+// shifted sample. The models cover degrees 1 and 2 (the unrolled cases)
+// and 3 (the generic one), a nil regression beside a zero weight, and all
+// weights zero (the fallback mean). The windows hold 0, 1, 10 and 37
+// samples plus a uniform one, with shift and adj pushing some coordinates
+// below zero; slots of out past the window stay untouched.
+func TestPredictWindowMatchesPredict(t *testing.T) {
+	type namedModel struct {
+		name  string
+		model *ServiceTimeModel
 	}
-	cap := cluster.DefaultCapacity()
-	window := []cluster.Vector{cap.Scale(0.1), cap.Scale(0.5), cap.Scale(0.9)}
-	mean, variance := m.PredictStats(window)
-	if mean <= 0 {
-		t.Fatalf("mean = %v", mean)
+	var models []namedModel
+	for degree := 1; degree <= 3; degree++ {
+		m, err := Train(syntheticSamples(200, 0.02, int64(30+degree)), degree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, namedModel{fmt.Sprintf("degree=%d", degree), m})
 	}
-	if variance <= 0 {
-		t.Fatalf("variance = %v; heterogeneous window must have positive variance", variance)
+	sparse := *models[1].model
+	sparse.Regs[cluster.Cache] = nil
+	sparse.Weights[cluster.NetBW] = 0
+	flat := *models[0].model
+	flat.Weights = [cluster.NumResources]float64{}
+	models = append(models, namedModel{"nil regression, zero weight", &sparse}, namedModel{"all weights zero", &flat})
+
+	capacity := cluster.DefaultCapacity()
+	shift := [cluster.NumResources]float64{-0.3 * capacity[0], 0.1 * capacity[1], -0.5 * capacity[2], 0}
+	adj := [cluster.NumResources]float64{-0.2 * capacity[0], -0.4 * capacity[1], 0.05 * capacity[2], -0.6 * capacity[3]}
+	src := xrand.New(9)
+	var windows [][]cluster.Vector
+	for _, n := range []int{0, 1, 10, 37} {
+		win := make([]cluster.Vector, n)
+		for i := range win {
+			for r := range win[i] {
+				win[i][r] = capacity[r] * src.Float64()
+			}
+		}
+		windows = append(windows, win)
 	}
-	// Uniform window has zero variance.
-	mean2, var2 := m.PredictStats([]cluster.Vector{cap.Scale(0.5), cap.Scale(0.5)})
-	if var2 != 0 {
-		t.Fatalf("uniform-window variance = %v", var2)
+	uniform := make([]cluster.Vector, 10)
+	for i := range uniform {
+		uniform[i] = capacity.Scale(0.5)
 	}
-	if mean2 <= 0 {
-		t.Fatalf("mean2 = %v", mean2)
+	windows = append(windows, uniform)
+
+	clamped := 0
+	for _, nm := range models {
+		for _, win := range windows {
+			out := make([]float64, len(win)+3)
+			for i := range out {
+				out[i] = math.NaN()
+			}
+			nm.model.predictWindow(win, shift, adj, out)
+			for i, s := range win {
+				var u cluster.Vector
+				for r := range u {
+					u[r] = (s[r] + shift[r]) + adj[r]
+					if u[r] < 0 {
+						u[r] = 0
+						clamped++
+					}
+				}
+				if want := nm.model.Predict(u); math.Float64bits(out[i]) != math.Float64bits(want) {
+					t.Fatalf("%s, window of %d: out[%d] = %v, Predict = %v", nm.name, len(win), i, out[i], want)
+				}
+			}
+			for i := len(win); i < len(out); i++ {
+				if !math.IsNaN(out[i]) {
+					t.Fatalf("%s, window of %d: out[%d] = %v written past the window", nm.name, len(win), i, out[i])
+				}
+			}
+		}
+		// A uniform window has zero variance: the x̄, var(x) pair Eq. 2
+		// reads off it is (Predict(u), 0).
+		xs := make([]float64, len(uniform))
+		nm.model.predictWindow(uniform, shift, adj, xs)
+		var w stats.Welford
+		w.AddAll(xs)
+		if w.Variance() != 0 || w.Mean() != xs[0] {
+			t.Fatalf("%s: uniform window gives (%v, %v), want (%v, 0)", nm.name, w.Mean(), w.Variance(), xs[0])
+		}
 	}
-	// Empty window falls back.
-	mean3, var3 := m.PredictStats(nil)
-	if mean3 != m.FallbackMean || var3 != 0 {
-		t.Fatalf("empty window = (%v, %v)", mean3, var3)
+	if clamped == 0 {
+		t.Fatal("no shifted coordinate fell below zero; the clamp went untested")
+	}
+	if got := flat.Predict(capacity); got != flat.FallbackMean {
+		t.Fatalf("all-zero-weight model predicts %v, want the fallback mean %v", got, flat.FallbackMean)
 	}
 }
 

@@ -24,10 +24,13 @@ import (
 // policy, so neither allocates per sub-request.
 //
 // The large-cluster PCS cell pins the control plane instead: its 194×96
-// performance matrix is rebuilt every 2 simulated seconds, and the
-// matrix's rows are two contiguous arrays. Allocating each row on its own again (2m objects per
-// build, ~5.4 per arrival here) breaks its bound, which sits between that
-// and the measured value.
+// performance matrix is rebuilt every 2 simulated seconds from the
+// monitor's windows. Both allocate a fixed number of objects per interval
+// whatever m and k: the matrix's rows, its node and stage membership
+// lists and the monitor's windows are each carved from one backing array,
+// and window predictions reuse a per-shard buffer. Going back to per-node
+// windows and membership lists (~4 objects per arrival here) or to
+// per-row allocation (2m per build, ~5.4) breaks its bound.
 //
 // The record sizes are pinned too. A 100-component stage slab of
 // 128-byte sub-requests fits Go's 13,568-byte size class, where 160 bytes
@@ -46,14 +49,14 @@ func TestRequestPathAllocationsPinned(t *testing.T) {
 	cells := []struct {
 		name  string
 		spec  RunSpec
-		bound float64 // measured: 4.29, 7.38, 5.76, 4.55, 49.2, 14.3
+		bound float64 // measured: 4.29, 7.38, 5.76, 4.44, 49.2, 10.3
 	}{
 		{"sequential Basic", nutch(Basic), 5.4},
 		{"sequential RED-5", nutch(RED5), 9.4},
 		{"sequential RI-90", nutch(RI90), 7.3},
 		{"sequential PCS", nutch(PCS), 5.9},
 		{"2-lane fanout-retry", RunSpec{Technique: Basic, Scenario: "fanout-retry", ArrivalRate: 150, Requests: 1500, Lanes: 2}, 62},
-		{"PCS control plane", RunSpec{Technique: PCS, Scenario: "large-cluster", ArrivalRate: 100, Requests: 600, SchedulingInterval: 2, Seed: 1}, 17.5},
+		{"PCS control plane", RunSpec{Technique: PCS, Scenario: "large-cluster", ArrivalRate: 100, Requests: 600, SchedulingInterval: 2, Seed: 1}, 12.8},
 	}
 	for _, c := range cells {
 		opts, err := c.spec.Options()
