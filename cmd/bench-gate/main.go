@@ -1,8 +1,9 @@
 // Command bench-gate is the CI benchmark-regression gate: it parses the
 // text output of `go test -bench`, writes it as a JSON snapshot in the same
 // schema as the repo's BENCH_SEED.json, and fails (exit 1) when any
-// benchmark's ns/op regressed beyond the allowed ratio against the seed, or
-// when any simulated metric it reports differs from the seed's.
+// benchmark's ns/op regressed beyond the allowed ratio against the seed,
+// when any simulated metric it reports differs from the seed's, or when its
+// allocs/op grew beyond the seed's by more than a fixed tolerance.
 //
 //	go test -bench . -benchtime 1x -benchmem -run '^$' ./... | tee bench.txt
 //	go run ./cmd/bench-gate -input bench.txt -seed BENCH_SEED.json -out BENCH_PR.json
@@ -33,7 +34,16 @@
 // fails when one of the seed's metrics differs from, or is missing in, the
 // run, whatever -min-ns and the calibration say. A changed metric is a
 // model change. Wall-clock and environment units (timingMetrics) are
-// exempt. allocs/op and B/op are recorded but not gated.
+// exempt.
+//
+// allocs/op repeat almost exactly from pass to pass, so they gate tightly,
+// again whatever -min-ns and the calibration say: a benchmark in both the
+// run and the seed fails when its allocs/op exceed the seed's × 1.01 + 8
+// (allocRelSlack, allocAbsSlack). Fewer allocations never fail, and a
+// side without allocs/op (a pass without -benchmem) skips the check, as
+// does a benchmark whose `cores` metric differs from the seed's (its work,
+// and so its allocations, scale with the core count). B/op is recorded but
+// not gated.
 package main
 
 import (
@@ -82,6 +92,17 @@ var timingMetrics = map[string]bool{
 	"speedup-x":   true,
 	"cores":       true,
 }
+
+// allocRelSlack and allocAbsSlack are the allocs/op tolerance. Runtime
+// noise moves a benchmark's count by a few objects:
+// BenchmarkFig5PredictionAccuracy makes 399, 404 or 409 from pass to
+// pass, and every other benchmark stays within 0.08% of its seed. The
+// limit absorbs that and still fails one extra allocation per request on
+// any benchmark that runs 1,000 requests or more.
+const (
+	allocRelSlack = 0.01
+	allocAbsSlack = 8
+)
 
 // benchLine matches `go test -bench` result lines:
 //
@@ -181,8 +202,9 @@ func foldRepeats(passes []Benchmark) Benchmark {
 
 // gate compares a parsed benchmark run against the seed snapshot and
 // returns how many checks failed: each benchmark whose ns/op regressed
-// beyond maxRatio, and each simulated metric that differs from, or is
-// missing against, the seed (checkMetrics). A benchmark in the run but
+// beyond maxRatio, each simulated metric that differs from, or is missing
+// against, the seed (checkMetrics), and each benchmark whose allocs/op
+// exceed the seed's beyond the slack (checkAllocs). A benchmark in the run but
 // absent from the seed is reported as NEW and never fails the gate — a
 // newly added benchmark (e.g. the BenchmarkTraffic* family) must not fail
 // the board that predates it; the seed picks it up when it is next
@@ -229,7 +251,7 @@ func gate(w io.Writer, benches, seed []Benchmark, maxRatio, minNs float64, calib
 				b.Name, b.NsPerOp, ref.NsPerOp, b.NsPerOp/(ref.NsPerOp*factor))
 		}
 		if ok {
-			failed += checkMetrics(w, b, ref)
+			failed += checkMetrics(w, b, ref) + checkAllocs(w, b, ref)
 		}
 	}
 	for _, b := range seed {
@@ -266,6 +288,28 @@ func checkMetrics(w io.Writer, b, ref Benchmark) int {
 		}
 	}
 	return failed
+}
+
+// checkAllocs fails b, printing a FAIL line with both counts, when its
+// allocs/op exceed the seed entry ref's × (1 + allocRelSlack) +
+// allocAbsSlack. It returns 0 when either side has no allocs/op, and
+// skips b when its `cores` metric differs from the seed's: a benchmark
+// that sizes its work by GOMAXPROCS reports the core count, and its
+// allocations grow with it (BenchmarkMatrixBuild/sharded makes one shard
+// scratch and one task per core).
+func checkAllocs(w io.Writer, b, ref Benchmark) int {
+	if b.AllocsOp == nil || ref.AllocsOp == nil {
+		return 0
+	}
+	if got, want := b.Metrics["cores"], ref.Metrics["cores"]; got != want {
+		fmt.Fprintf(w, "SKIP  %-60s %.0f allocs/op (%v cores, seed %v: not compared)\n", b.Name, *b.AllocsOp, got, want)
+		return 0
+	}
+	if limit := *ref.AllocsOp*(1+allocRelSlack) + allocAbsSlack; *b.AllocsOp > limit {
+		fmt.Fprintf(w, "FAIL  %-60s %.0f allocs/op vs seed %.0f (limit %.2f)\n", b.Name, *b.AllocsOp, *ref.AllocsOp, limit)
+		return 1
+	}
+	return 0
 }
 
 func main() {
@@ -337,9 +381,9 @@ func main() {
 
 	failed := gate(os.Stdout, benches, seed.Benchmarks, *maxRatio, *minNs, *calibrate)
 	if failed > 0 {
-		log.Fatalf("bench-gate: %d check(s) failed vs %s: ns/op more than %.0f%% slower, or a simulated metric changed",
+		log.Fatalf("bench-gate: %d check(s) failed vs %s: ns/op more than %.0f%% slower, a simulated metric changed, or allocs/op grew",
 			failed, *seedPath, (*maxRatio-1)*100)
 	}
-	fmt.Printf("bench-gate: %d benchmarks within %.0f%% of %s, simulated metrics unchanged\n",
+	fmt.Printf("bench-gate: %d benchmarks within %.0f%% of %s, simulated metrics unchanged, allocs/op within tolerance\n",
 		len(benches), (*maxRatio-1)*100, *seedPath)
 }

@@ -199,3 +199,56 @@ func TestGateSimulatedMetricsExactly(t *testing.T) {
 		}
 	}
 }
+
+// TestGateAllocsPerOp: a benchmark in both the run and the seed fails when
+// its allocs/op exceed the seed's × 1.01 + 8, with a FAIL line naming the
+// benchmark and both counts, whatever -min-ns and the calibration say (the
+// seed's ns/op sits below -min-ns). Runtime noise passes, fewer
+// allocations pass, and a seed without allocs/op skips the check, as does
+// a run whose `cores` metric differs from the seed's.
+func TestGateAllocsPerOp(t *testing.T) {
+	allocs := func(v float64) *float64 { return &v }
+	cores := func(n float64) map[string]float64 { return map[string]float64{"cores": n} }
+	const name = "BenchmarkDAGRun/fanout-retry"
+	cases := []struct {
+		desc                string
+		seed, run           *float64
+		seedCores, runCores map[string]float64
+		failed              int
+		line                string
+	}{
+		// 10,000 requests at 5 allocations each, then one more per request.
+		{"one extra allocation per request", allocs(50000), allocs(60000), nil, nil, 1, "60000 allocs/op vs seed 50000"},
+		// Fig. 5's pass-to-pass noise: 399, 404 or 409 objects.
+		{"pass-to-pass noise", allocs(399), allocs(404), nil, nil, 0, ""},
+		{"widest pass-to-pass noise", allocs(399), allocs(409), nil, nil, 0, ""},
+		{"fewer allocations", allocs(50000), allocs(20000), nil, nil, 0, ""},
+		{"seed without allocs/op", nil, allocs(60000), nil, nil, 0, ""},
+		// A GOMAXPROCS-sized benchmark (BenchmarkMatrixBuild/sharded: 49
+		// objects on 2 cores, 69 on 4) on a machine with more cores.
+		{"different core count", allocs(49), allocs(69), cores(2), cores(4), 0, ""},
+		{"same core count", allocs(49), allocs(69), cores(2), cores(2), 1, "69 allocs/op vs seed 49"},
+	}
+	for _, c := range cases {
+		seed := []Benchmark{{Name: name, NsPerOp: 5e5, AllocsOp: c.seed, Metrics: c.seedCores}}
+		run := []Benchmark{{Name: name, NsPerOp: 5e5, AllocsOp: c.run, Metrics: c.runCores}}
+		var out strings.Builder
+		failed := gate(&out, run, seed, 1.25, 1e6, true)
+		if failed != c.failed {
+			t.Errorf("%s: %d failure(s), want %d:\n%s", c.desc, failed, c.failed, out.String())
+			continue
+		}
+		if c.line == "" {
+			continue
+		}
+		named := false
+		for _, l := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(l, "FAIL  "+name) && strings.Contains(l, c.line) {
+				named = true
+			}
+		}
+		if !named {
+			t.Errorf("%s: no FAIL line naming %s and %q:\n%s", c.desc, name, c.line, out.String())
+		}
+	}
+}

@@ -33,9 +33,9 @@ type Config struct {
 	Degree int
 	// Pool, when non-nil, shards TrainStageModels' profiling measurements
 	// across its workers. Each (stage, background) measurement draws from
-	// its own stream forked in canonical order and fills its own sample
-	// slot, so the training set — and the trained models — are
-	// bit-identical at any shard count. Nil profiles inline.
+	// its own stream, seeded from a seed drawn in canonical order, and
+	// fills its own sample slot, so the training set — and the trained
+	// models — are bit-identical at any shard count. Nil profiles inline.
 	Pool *shard.Pool
 }
 
@@ -57,11 +57,7 @@ func (c Config) withDefaults() Config {
 // given background contention. This is what a real profiling run measures
 // by timing back-to-back probe requests.
 func MeasureServiceTime(law service.InterferenceLaw, base float64, background cluster.Vector, probes int, src *xrand.Source) float64 {
-	sum := 0.0
-	for p := 0; p < probes; p++ {
-		sum += law.Sample(base, background, src)
-	}
-	return sum / float64(probes)
+	return law.SampleSum(base, background, probes, src) / float64(probes)
 }
 
 // ProfileBackgrounds produces one training sample per background
@@ -102,22 +98,28 @@ func profileOne(law service.InterferenceLaw, base float64, bg cluster.Vector, cf
 // Profiling dominates PCS's setup cost (stages × backgrounds × probes
 // service-time draws), and its units are independent, so this is the
 // largest sharded region of a run: one stream per (stage, background)
-// unit, forked in canonical order up front; units fan out across the
-// pool's workers and their samples fold back in (stage, background,
+// unit, its seed drawn from src in canonical order up front (the draw
+// Fork makes, so a unit's stream is the one src.Fork would give it);
+// units fan out across the pool's workers, each shard reseeding one
+// source per unit, and their samples fold back in (stage, background,
 // repeat) order before each stage's regression is fit.
 func TrainStageModels(topo service.Topology, law service.InterferenceLaw, backgrounds []cluster.Vector, cfg Config, src *xrand.Source) ([]*predictor.ServiceTimeModel, error) {
 	cfg = cfg.withDefaults()
 	nStages, nbg := len(topo.Stages), len(backgrounds)
 	units := nStages * nbg
-	srcs := make([]*xrand.Source, units)
-	for u := range srcs {
-		srcs[u] = src.Fork()
+	seeds := make([]int64, units)
+	for u := range seeds {
+		seeds[u] = src.Int63()
 	}
 	samples := make([]predictor.Sample, units*cfg.Repeats)
 	cfg.Pool.Run(units, func(_, lo, hi int) {
+		unit := xrand.New(seeds[lo])
 		for u := lo; u < hi; u++ {
+			if u > lo {
+				unit.Reseed(seeds[u])
+			}
 			spec := topo.Stages[u/nbg]
-			profileOne(law, spec.BaseServiceTime, backgrounds[u%nbg], cfg, srcs[u],
+			profileOne(law, spec.BaseServiceTime, backgrounds[u%nbg], cfg, unit,
 				samples[u*cfg.Repeats:(u+1)*cfg.Repeats])
 		}
 	})

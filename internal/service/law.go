@@ -9,9 +9,10 @@ import (
 // contention to a component's service time. It substitutes for physical
 // resource contention on the paper's Xen testbed (see DESIGN.md §2): the
 // mean service time is the uncontended base stretched by a contention
-// multiplier, and individual service times are exponentially distributed
-// around that mean (the paper's §IV-B notes service components commonly
-// have exponential service times, C²x = 1).
+// multiplier, and individual service times are drawn around that mean:
+// lognormal when NoiseSigma > 0, as in DefaultLaw, and exponential when
+// NoiseSigma ≤ 0 (C²x = 1; the paper's §IV-B notes service components
+// commonly have exponential service times).
 //
 // The multiplier is
 //
@@ -40,9 +41,10 @@ type InterferenceLaw struct {
 // DefaultLaw returns the law used across the evaluation, calibrated so that
 // a typical mixed batch co-runner set (≈2 jobs/node) stretches service
 // times by 1.5–3× and a saturated node by up to ≈6×. The intrinsic noise
-// is small (σ=0.18, C²x≈0.03): the paper's premise is that component
-// latency variability is dominated by interference from co-located batch
-// jobs, not by intrinsic service randomness (§II-A).
+// is small (lognormal σ=0.12, C²x = e^{σ²}−1 ≈ 0.0145): the paper's
+// premise is that component latency variability is dominated by
+// interference from co-located batch jobs, not by intrinsic service
+// randomness (§II-A).
 func DefaultLaw(capacity cluster.Vector) InterferenceLaw {
 	return InterferenceLaw{
 		Capacity: capacity,
@@ -97,6 +99,27 @@ func (law InterferenceLaw) MeanServiceTime(base float64, u cluster.Vector) float
 // service-time distribution general.
 func (law InterferenceLaw) Sample(base float64, u cluster.Vector, src *xrand.Source) float64 {
 	return drawServiceTime(law.MeanServiceTime(base, u), law.NoiseSigma, src)
+}
+
+// SampleSum returns the sum, in draw order from 0.0, of the n service
+// times that n successive Sample(base, u, src) calls would draw, bit for
+// bit. It evaluates the mean and, for lognormal noise, its mu once
+// instead of per draw, which is what a profiling measurement's probes
+// need.
+func (law InterferenceLaw) SampleSum(base float64, u cluster.Vector, n int, src *xrand.Source) float64 {
+	mean := law.MeanServiceTime(base, u)
+	sum := 0.0
+	if law.NoiseSigma <= 0 {
+		for i := 0; i < n; i++ {
+			sum += src.Exp(mean)
+		}
+		return sum
+	}
+	mu := xrand.LogNormalMu(mean, law.NoiseSigma)
+	for i := 0; i < n; i++ {
+		sum += src.LogNormal(mu, law.NoiseSigma)
+	}
+	return sum
 }
 
 // drawServiceTime draws one service time around mean: lognormal with the

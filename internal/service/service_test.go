@@ -425,6 +425,62 @@ func TestLawExponentialMode(t *testing.T) {
 	}
 }
 
+// TestLawLognormalMode pins DefaultLaw's noise to its documented numbers:
+// lognormal draws whose mean is MeanServiceTime and whose C² is
+// e^{σ²}−1 (≈0.0145 at σ=0.12).
+func TestLawLognormalMode(t *testing.T) {
+	law := DefaultLaw(cluster.DefaultCapacity())
+	src := xrand.New(5)
+	bg := cluster.DefaultCapacity().Scale(0.4)
+	mean := law.MeanServiceTime(0.001, bg)
+	const n = 100000
+	var sum, sumSq float64
+	for i := 0; i < n; i++ {
+		x := law.Sample(0.001, bg, src)
+		sum += x
+		sumSq += x * x
+	}
+	m := sum / n
+	c2 := (sumSq/n - m*m) / (m * m)
+	want := math.Expm1(law.NoiseSigma * law.NoiseSigma)
+	if math.Abs(m-mean)/mean > 0.02 {
+		t.Fatalf("lognormal mean = %v, want %v", m, mean)
+	}
+	if math.Abs(c2-want)/want > 0.05 {
+		t.Fatalf("lognormal C² = %v, want e^{σ²}−1 = %v", c2, want)
+	}
+}
+
+// TestSampleSumMatchesSampleLoop pins the profiling hoist: SampleSum
+// returns, bit for bit, the in-order sum of the draws a loop of Sample
+// calls makes, and leaves the stream where that loop leaves it, for
+// lognormal and exponential noise, idle to saturated backgrounds, and
+// one to 300 draws.
+func TestSampleSumMatchesSampleLoop(t *testing.T) {
+	capacity := cluster.DefaultCapacity()
+	for _, sigma := range []float64{0.12, 0} {
+		law := DefaultLaw(capacity)
+		law.NoiseSigma = sigma
+		for _, scale := range []float64{0, 0.4, 3} {
+			bg := capacity.Scale(scale)
+			for _, n := range []int{1, 2, 300} {
+				got, want := xrand.New(11), xrand.New(11)
+				sum := law.SampleSum(0.001, bg, n, got)
+				ref := 0.0
+				for i := 0; i < n; i++ {
+					ref += law.Sample(0.001, bg, want)
+				}
+				if math.Float64bits(sum) != math.Float64bits(ref) {
+					t.Errorf("σ=%v bg×%v n=%d: SampleSum = %v, Sample loop %v", sigma, scale, n, sum, ref)
+				}
+				if g, w := got.Float64(), want.Float64(); math.Float64bits(g) != math.Float64bits(w) {
+					t.Errorf("σ=%v bg×%v n=%d: next draw %v, after the Sample loop %v", sigma, scale, n, g, w)
+				}
+			}
+		}
+	}
+}
+
 func TestAllocationArray(t *testing.T) {
 	svc, _, _ := newTestService(t, basicPolicy{}, 4)
 	a := svc.Allocation()

@@ -10,9 +10,10 @@
 //     that no shard mutates during the region.
 //  2. Writes land in disjoint, index-addressed slots (a node's aggregate, a
 //     matrix row, a sample slot). No two shards write the same word.
-//  3. Randomness inside a region comes from per-entity streams forked in
-//     canonical index order before the region starts — a draw depends only
-//     on its entity and position, never on shard interleaving.
+//  3. Randomness inside a region comes from per-entity streams forked, or
+//     seeded from seeds drawn, in canonical index order before the region
+//     starts — a draw depends only on its entity and position, never on
+//     shard interleaving.
 //  4. Reductions fold the slots on the coordinating goroutine, in index
 //     order, after the barrier.
 //

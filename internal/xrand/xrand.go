@@ -9,16 +9,25 @@ import (
 	"math/rand"
 )
 
-// Source is a seeded random variate generator. It wraps math/rand.Rand and
-// adds the distributions the workload and service models need.
+// Source is a seeded random variate generator: a math/rand.Rand over the
+// in-package copy of math/rand's source (alfg), so it draws exactly what
+// rand.New(rand.NewSource(seed)) draws, plus the distributions the
+// workload and service models need.
 type Source struct {
 	r *rand.Rand
 }
 
 // New returns a Source seeded with the given seed.
 func New(seed int64) *Source {
-	return &Source{r: rand.New(rand.NewSource(seed))}
+	g := new(alfg)
+	g.Seed(seed)
+	return &Source{r: rand.New(g)}
 }
+
+// Reseed restarts the source at seed, leaving it exactly as New(seed)
+// would: a loop can reuse one source for many seeded streams instead of
+// allocating a new one per stream.
+func (s *Source) Reseed(seed int64) { s.r.Seed(seed) }
 
 // Fork derives an independent child source from this one. Use it to give
 // each simulated entity its own stream so that adding entities does not
@@ -86,11 +95,17 @@ func (s *Source) LogNormal(mu, sigma float64) float64 {
 // LogNormalMean returns a lognormal draw with the given distribution mean
 // and sigma parameter; it solves for mu so that E[X] = mean.
 func (s *Source) LogNormalMean(mean, sigma float64) float64 {
+	return s.LogNormal(LogNormalMu(mean, sigma), sigma)
+}
+
+// LogNormalMu returns the mu of a lognormal with the given distribution
+// mean and sigma: log(mean) − sigma²/2, so that E[X] = mean. It panics if
+// mean <= 0, which is a programming error.
+func LogNormalMu(mean, sigma float64) float64 {
 	if mean <= 0 {
 		panic("xrand: lognormal mean must be positive")
 	}
-	mu := math.Log(mean) - sigma*sigma/2
-	return s.LogNormal(mu, sigma)
+	return math.Log(mean) - sigma*sigma/2
 }
 
 // BoundedPareto returns a draw from a Pareto distribution with shape alpha
