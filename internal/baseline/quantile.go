@@ -1,8 +1,6 @@
 package baseline
 
-import (
-	"sort"
-)
+import "repro/internal/stats"
 
 // quantileEstimator estimates running quantiles of a latency stream from a
 // sliding window: a ring buffer of the most recent observations with a
@@ -48,7 +46,7 @@ func (q *quantileEstimator) Quantile(p float64) (value float64, ok bool) {
 	}
 	if q.sorted == nil || q.pending >= q.refresh {
 		q.sorted = append(q.sorted[:0], q.ring[:q.size]...)
-		sort.Float64s(q.sorted)
+		stats.SortFloats(q.sorted)
 		q.pending = 0
 	}
 	idx := int(p / 100 * float64(len(q.sorted)-1))

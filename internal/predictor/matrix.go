@@ -81,8 +81,9 @@ func (in *MatrixInput) validate() error {
 //
 // Each distinct window prediction is evaluated once per fill region (see
 // docs/architecture.md, "Performance-matrix evaluation discipline"): self
-// terms once per (stage, node), origin terms once per row, and stage
-// maxima read off members kept in descending latency order.
+// terms once per (stage, node), origin and destination terms once per row,
+// four windows at a time, and stage maxima read off members kept in
+// descending latency order.
 type Matrix struct {
 	in MatrixInput
 
@@ -113,20 +114,24 @@ type Matrix struct {
 	scratches []*scratch
 }
 
-// scratch is the per-shard workspace of latencyOn and computeEntry: the
-// window predictions being folded, the current row's origin terms, and the
-// latency overrides a hypothetical migration imposes on co-hosted
-// components, folded into per-stage maxima.
+// scratch is the per-shard workspace of the window kernel and
+// computeEntry: the window predictions being folded, the current row's
+// terms, and the latency overrides a hypothetical migration imposes on
+// co-hosted components, folded into per-stage maxima.
 type scratch struct {
-	// xs receives predictWindow's per-sample service times; it holds the
-	// longest node window.
-	xs []float64
+	// lanes receives predictWindow's per-sample service times: one slot
+	// per batch lane, each as long as the longest node window, in one
+	// array.
+	lanes []float64
 
-	// originIdx/originVal hold the row loaded by loadRow: the predicted
-	// latency of every other component on the row's node once the row's
-	// component leaves it (Table III, U' = U − U_ci).
-	originIdx []int
-	originVal []float64
+	// batch holds the row terms queued for the next kernel call.
+	batch batch
+
+	// term[h] holds the row loaded by loadRow or loadColumns: the
+	// predicted latency of component h once the row's component ci leaves
+	// h's node (h on ci's node: U' = U − U_ci) or joins it (h elsewhere:
+	// U' = U + U_ci), Table III.
+	term []float64
 
 	overrideSet []int     // epoch marker per component: overridden
 	stageSet    []int     // epoch marker per stage: holds an override
@@ -136,9 +141,8 @@ type scratch struct {
 
 func newScratch(m, stages, window int) *scratch {
 	return &scratch{
-		xs:          make([]float64, window),
-		originIdx:   make([]int, 0, 16),
-		originVal:   make([]float64, 0, 16),
+		lanes:       make([]float64, batchLanes*window),
+		term:        make([]float64, m),
 		overrideSet: make([]int, m),
 		stageSet:    make([]int, stages),
 		stageMax:    make([]float64, stages),
@@ -272,26 +276,98 @@ func addv(a vec4, v cluster.Vector, sign float64) vec4 {
 	return a
 }
 
-// latencyOn predicts component i's expected latency if its background were
-// node `node`'s sample window shifted by the virtual delta plus `adj`
-// (signed). Each shifted sample is clamped at zero before entering the
-// regression, mirroring that real contention metrics are non-negative.
-// The window's service times land in sc.xs (predictWindow) and fold into
-// Eq. 2's mean and variance in sample order.
-func (mat *Matrix) latencyOn(i, node int, adj vec4, sc *scratch) float64 {
-	model := mat.in.Models[mat.in.Components[i].Stage]
-	samples := mat.in.NodeSamples[node]
-	xs := sc.xs[:len(samples)]
-	model.predictWindow(samples, mat.delta[node], adj, xs)
-	var w stats.Welford
-	w.AddAll(xs)
-	var meanX, varX float64
-	if w.N() == 0 {
-		meanX, varX = model.FallbackMean, 0
-	} else {
-		meanX, varX = w.Mean(), w.Variance()
+// batchLanes is how many window predictions the kernel evaluates together.
+const batchLanes = 4
+
+// batch is up to batchLanes window predictions: lane l predicts component
+// comp[l]'s latency with node[l]'s sample window shifted by the virtual
+// delta plus adj[l] (signed), and predictBatch sets out[l].
+type batch struct {
+	n    int
+	comp [batchLanes]int
+	node [batchLanes]int
+	adj  [batchLanes]vec4
+	out  [batchLanes]float64
+}
+
+// predictBatch is the window kernel: it sets b.out[l] to Eq. 2's expected
+// latency for each of b's lanes. Each shifted sample is clamped at zero
+// before entering the regression, mirroring that real contention metrics
+// are non-negative. A lane's window predicts into its slot of sc.lanes
+// (predictWindow), folds into Eq. 2's mean and variance in sample order,
+// and an empty window takes the model's fallback mean with zero variance.
+// When the batch is full and its windows share one length n ≥ 1 the four
+// folds run in lockstep (foldLockstep); otherwise each lane folds through
+// stats.Welford. Either way each lane gets the same float bits.
+func (mat *Matrix) predictBatch(b *batch, sc *scratch) {
+	var xs [batchLanes][]float64
+	var models [batchLanes]*ServiceTimeModel
+	slot := len(sc.lanes) / batchLanes
+	lockstep := b.n == batchLanes
+	for l := 0; l < b.n; l++ {
+		node := b.node[l]
+		models[l] = mat.in.Models[mat.in.Components[b.comp[l]].Stage]
+		samples := mat.in.NodeSamples[node]
+		xs[l] = sc.lanes[l*slot : l*slot+len(samples)]
+		models[l].predictWindow(samples, mat.delta[node], b.adj[l], xs[l])
+		lockstep = lockstep && len(samples) > 0 && len(samples) == len(xs[0])
 	}
-	return ExpectedLatency(mat.in.Queue, meanX, varX, mat.in.Lambda, mat.in.Params)
+	var mean, variance [batchLanes]float64
+	if lockstep {
+		mean, variance = foldLockstep(&xs)
+	} else {
+		for l := 0; l < b.n; l++ {
+			var w stats.Welford
+			w.AddAll(xs[l])
+			mean[l], variance[l] = w.Mean(), w.Variance()
+		}
+	}
+	for l := 0; l < b.n; l++ {
+		if len(xs[l]) == 0 {
+			mean[l], variance[l] = models[l].FallbackMean, 0
+		}
+		b.out[l] = ExpectedLatency(mat.in.Queue, mean[l], variance[l], mat.in.Lambda, mat.in.Params)
+	}
+}
+
+// foldLockstep returns the Welford mean and population variance of four
+// windows of one length n ≥ 1, folding them interleaved: four independent
+// chains of divisions instead of one. Each lane performs stats.Welford's
+// operations in its order — delta = x − mean, mean += delta/t,
+// m2 += delta·(x − mean), variance m2/n only for n ≥ 2 — so each result
+// is Welford's float bit for bit.
+func foldLockstep(xs *[batchLanes][]float64) (mean, variance [batchLanes]float64) {
+	n := len(xs[0])
+	x0, x1, x2, x3 := xs[0][:n], xs[1][:n], xs[2][:n], xs[3][:n]
+	var m0, m1, m2, m3, s0, s1, s2, s3 float64
+	for t := 0; t < n; t++ {
+		c := float64(t + 1)
+		d0, d1, d2, d3 := x0[t]-m0, x1[t]-m1, x2[t]-m2, x3[t]-m3
+		m0 += d0 / c
+		m1 += d1 / c
+		m2 += d2 / c
+		m3 += d3 / c
+		s0 += d0 * (x0[t] - m0)
+		s1 += d1 * (x1[t] - m1)
+		s2 += d2 * (x2[t] - m2)
+		s3 += d3 * (x3[t] - m3)
+	}
+	mean = [batchLanes]float64{m0, m1, m2, m3}
+	if n >= 2 {
+		c := float64(n)
+		variance = [batchLanes]float64{s0 / c, s1 / c, s2 / c, s3 / c}
+	}
+	return mean, variance
+}
+
+// latencyOn predicts component i's expected latency if its background were
+// node `node`'s sample window shifted by the virtual delta plus `adj`: the
+// window kernel's one-lane case.
+func (mat *Matrix) latencyOn(i, node int, adj vec4, sc *scratch) float64 {
+	b := batch{n: 1}
+	b.comp[0], b.node[0], b.adj[0] = i, node, adj
+	mat.predictBatch(&b, sc)
+	return b.out[0]
 }
 
 // refreshStageLatencies recomputes Eq. 3 per stage and Eq. 4 overall from
@@ -324,33 +400,66 @@ func (mat *Matrix) refreshSelfTerms(n int, sc *scratch) {
 	}
 }
 
-// loadRow evaluates row i's origin terms into sc: the latency of every
-// other component on ci's node once ci has left it (U' = U − U_ci). They do
-// not depend on the destination, so every entry of the row shares them.
-// Fills call loadRow at the start of each row, so the terms never outlive
-// the region whose frozen delta they were computed from.
+// loadRow evaluates every term of row i into sc.term: the origin terms of
+// the other components on ci's node and the destination terms of every
+// component on every other node. Fills load each row before computing its
+// entries, so no term outlives the region whose frozen delta it was
+// computed from.
 func (mat *Matrix) loadRow(i int, sc *scratch) {
-	a := mat.alloc[i]
-	di := mat.in.Components[i].Demand
-	sc.originIdx = sc.originIdx[:0]
-	sc.originVal = sc.originVal[:0]
-	for _, h := range mat.nodeComps[a] {
+	for n := range mat.nodeComps {
+		mat.queueTerms(i, n, sc)
+	}
+	mat.flushTerms(sc)
+}
+
+// loadColumns evaluates the terms row i's entries in columns a and j read:
+// its origin terms and the destination terms of nodes a and j, neither of
+// which hosts ci.
+func (mat *Matrix) loadColumns(i, a, j int, sc *scratch) {
+	for _, n := range [3]int{mat.alloc[i], a, j} {
+		mat.queueTerms(i, n, sc)
+	}
+	mat.flushTerms(sc)
+}
+
+// queueTerms queues row i's term for every component h ≠ i on node n:
+// U' = U − U_ci on ci's own node, U' = U + U_ci on any other. A full batch
+// is evaluated at once.
+func (mat *Matrix) queueTerms(i, n int, sc *scratch) {
+	sign := 1.0
+	if n == mat.alloc[i] {
+		sign = -1
+	}
+	comps := mat.in.Components
+	b := &sc.batch
+	for _, h := range mat.nodeComps[n] {
 		if h == i {
 			continue
 		}
-		adj := negv(mat.in.Components[h].Demand)
-		adj = addv(adj, di, -1)
-		sc.originIdx = append(sc.originIdx, h)
-		sc.originVal = append(sc.originVal, mat.latencyOn(h, a, adj, sc))
+		b.comp[b.n], b.node[b.n] = h, n
+		b.adj[b.n] = addv(negv(comps[h].Demand), comps[i].Demand, sign)
+		if b.n++; b.n == batchLanes {
+			mat.flushTerms(sc)
+		}
 	}
+}
+
+// flushTerms evaluates the queued terms into sc.term.
+func (mat *Matrix) flushTerms(sc *scratch) {
+	b := &sc.batch
+	mat.predictBatch(b, sc)
+	for l := 0; l < b.n; l++ {
+		sc.term[b.comp[l]] = b.out[l]
+	}
+	b.n = 0
 }
 
 // computeEntry fills L[i][j] and SelfGain[i][j]: the hypothetical world
 // where ci sits on nj, with the Table III contention updates applied to
 // every component on ci's origin and destination nodes. sc is the calling
-// shard's private scratch, holding row i's origin terms (loadRow);
-// everything else it touches is read-only during a parallel fill except
-// the (i, j) cells themselves.
+// shard's private scratch, holding the row's terms (loadRow or
+// loadColumns); everything else it touches is read-only during a parallel
+// fill except the (i, j) cells themselves.
 func (mat *Matrix) computeEntry(i, j int, sc *scratch) {
 	a := mat.alloc[i]
 	if j == a {
@@ -359,22 +468,20 @@ func (mat *Matrix) computeEntry(i, j int, sc *scratch) {
 		return
 	}
 	comps := mat.in.Components
-	di := comps[i].Demand
 	sc.epoch++
 
 	// ci itself: U' = U_nj (Table III row 1).
 	li := mat.selfLat[comps[i].Stage*mat.in.NumNodes+j]
 	sc.override(i, comps[i].Stage, li)
 
-	// Components remaining on the origin node: U' = U − U_ci.
-	for n, h := range sc.originIdx {
-		sc.override(h, comps[h].Stage, sc.originVal[n])
-	}
-	// Components already on the destination node: U' = U + U_ci.
-	for _, h := range mat.nodeComps[j] {
-		adj := negv(comps[h].Demand)
-		adj = addv(adj, di, +1)
-		sc.override(h, comps[h].Stage, mat.latencyOn(h, j, adj, sc))
+	// Components remaining on the origin node (U' = U − U_ci), then those
+	// already on the destination node (U' = U + U_ci): the row's terms.
+	for _, n := range [2]int{a, j} {
+		for _, h := range mat.nodeComps[n] {
+			if h != i {
+				sc.override(h, comps[h].Stage, sc.term[h])
+			}
+		}
 	}
 
 	// Eq. 3–4 with overrides; only stages containing changed components
@@ -504,13 +611,14 @@ func (mat *Matrix) Migrate(i, j int) {
 			if mat.removed[h] {
 				continue
 			}
-			mat.loadRow(h, sc)
 			if onTouched[h] {
+				mat.loadRow(h, sc)
 				for v := 0; v < mat.in.NumNodes; v++ {
 					mat.computeEntry(h, v, sc)
 				}
 				continue
 			}
+			mat.loadColumns(h, a, j, sc)
 			mat.computeEntry(h, a, sc)
 			mat.computeEntry(h, j, sc)
 		}

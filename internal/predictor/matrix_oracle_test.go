@@ -126,7 +126,10 @@ func referenceEntry(mat *Matrix, i, j int) (l, selfGain float64) {
 // stage slot whose model is nil, per-component demands carrying the
 // controller's 2% measurement noise (so no two rows share destination
 // terms), nodes hosting 0, 1, 2, 4 and 5 components, and windows of 6, 3
-// and 0 samples (the empty one predicts the fallback mean).
+// and 0 samples (the empty one predicts the fallback mean). The 3- and
+// 0-sample nodes sit next to each other, so a row's terms, four at a
+// time in node order, fill batches of four equal windows, batches that
+// mix 6, 3 and 0 samples, and a remainder (oracleBatchKinds).
 func oracleMatrixInput(t *testing.T) MatrixInput {
 	t.Helper()
 	const emptyStage = 2
@@ -141,7 +144,7 @@ func oracleMatrixInput(t *testing.T) MatrixInput {
 		}
 		models[s] = model
 	}
-	hosted := []int{5, 1, 0, 4, 2, 2} // components per node
+	hosted := []int{5, 1, 0, 4, 2, 1, 2} // components per node
 	src := xrand.New(11)
 	populated := []int{0, 1, 3}
 	var comps []ComponentState
@@ -156,8 +159,8 @@ func oracleMatrixInput(t *testing.T) MatrixInput {
 		}
 	}
 	nodeSamples := testNodeSamples(src, len(hosted), comps)
-	nodeSamples[2] = nil
 	nodeSamples[4] = nodeSamples[4][:3]
+	nodeSamples[5] = nil
 	return MatrixInput{
 		Components:  comps,
 		NumStages:   len(models),
@@ -168,6 +171,42 @@ func oracleMatrixInput(t *testing.T) MatrixInput {
 		Queue:       MG1,
 		Params:      DefaultLatencyParams(),
 	}
+}
+
+// oracleBatchKinds replays the order in which loadRow queues a full row's
+// terms (node by node, each node's components in list order, skipping the
+// row's own component) for every row of a freshly built matrix, and
+// counts the kernel batches of four equal non-empty windows, the batches
+// that mix lengths including an empty window, and the rows that end in a
+// partial batch.
+func oracleBatchKinds(mat *Matrix) (equal, mixedEmpty, remainders int) {
+	for i := range mat.in.Components {
+		var lengths []int
+		for n, members := range mat.nodeComps {
+			for _, h := range members {
+				if h != i {
+					lengths = append(lengths, len(mat.in.NodeSamples[n]))
+				}
+			}
+		}
+		for ; len(lengths) >= batchLanes; lengths = lengths[batchLanes:] {
+			same, empty := true, false
+			for _, n := range lengths[:batchLanes] {
+				same = same && n == lengths[0]
+				empty = empty || n == 0
+			}
+			switch {
+			case same && lengths[0] > 0:
+				equal++
+			case !same && empty:
+				mixedEmpty++
+			}
+		}
+		if len(lengths) > 0 {
+			remainders++
+		}
+	}
+	return equal, mixedEmpty, remainders
 }
 
 // TestMatrixMatchesUnmemoisedEntries pins the matrix's memoised evaluation
@@ -187,6 +226,10 @@ func TestMatrixMatchesUnmemoisedEntries(t *testing.T) {
 			mat, err := BuildMatrix(in)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if equal, mixed, rest := oracleBatchKinds(mat); equal == 0 || mixed == 0 || rest == 0 {
+				t.Fatalf("row batches: %d of four equal windows, %d mixed with an empty window, %d remainders; want each",
+					equal, mixed, rest)
 			}
 			check := func(step, i, j int) {
 				t.Helper()

@@ -351,7 +351,7 @@ func TestMatrixComponentLatencyPositive(t *testing.T) {
 }
 
 // TestBuildMatrixAllocationsBounded pins BuildMatrix's allocations to a
-// constant (30 measured at both sizes): the rows and the node and stage
+// constant (29 measured at both sizes): the rows and the node and stage
 // membership lists are carved from one backing array apiece and each
 // shard's scratch is allocated once, so a sequential build allocates the
 // same objects whatever m and k. An allocation per node or per row adds

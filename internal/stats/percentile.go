@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
 // interpolation between closest ranks. It does not modify xs. It returns 0
@@ -14,7 +11,7 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
-	sort.Float64s(sorted)
+	SortFloats(sorted)
 	return PercentileSorted(sorted, p)
 }
 
@@ -111,7 +108,7 @@ func Summarize(xs []float64) Summary {
 	}
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
-	sort.Float64s(sorted)
+	SortFloats(sorted)
 	return Summary{
 		N:    len(sorted),
 		Mean: Mean(sorted),
