@@ -3,6 +3,7 @@ package predictor
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/cluster"
@@ -81,29 +82,47 @@ func (in *MatrixInput) validate() error {
 //
 // Each distinct window prediction is evaluated once per fill region (see
 // docs/architecture.md, "Performance-matrix evaluation discipline"): self
-// terms once per (stage, node), origin and destination terms once per row,
-// four windows at a time, and stage maxima read off members kept in
-// descending latency order.
+// terms once per (stage, node), origin and destination terms once per row
+// — in closed form from their component's base-window moments wherever
+// two certificates show the closed form exact in reals (closedFormTerm),
+// through the window otherwise — and stage maxima read off members kept
+// in descending latency order.
 type Matrix struct {
 	in MatrixInput
 
-	alloc     []int        // virtual allocation A[m]
-	delta     [][4]float64 // per-node signed demand adjustment from virtual moves
-	nodeComps [][]int      // node -> component indices under alloc
-	cur       []float64    // current predicted latency per component
-	stageLat  []float64    // Eq. 3 per stage
-	overall   float64      // Eq. 4
-	stageOf   [][]int      // stage -> member component indices, cur descending
-	removed   []bool       // rows frozen after their component migrated
-	onTouched []bool       // Migrate's full-row marks, reused across calls
+	alloc     []int     // virtual allocation A[m]
+	delta     []vec4    // per-node signed demand adjustment from virtual moves
+	nodeComps [][]int   // node -> component indices under alloc
+	cur       []float64 // current predicted latency per component
+	stageLat  []float64 // Eq. 3 per stage
+	overall   float64   // Eq. 4
+	stageOf   [][]int   // stage -> member component indices, cur descending
+	removed   []bool    // rows frozen after their component migrated
+	onTouched []bool    // Migrate's full-row marks, reused across calls
 
 	// selfLat[s*k+n] is Table III row 1 for any stage-s component moved
 	// onto node n: latencyOn reads the component only through its
 	// stage's model, so one evaluation serves every member.
 	selfLat []float64
 
+	// The closed form's inputs. forms[s] is stage s's Eq. 1 as a shift
+	// acts on it. moments[h] describes component h's base window (U − U_h
+	// on h's node under the current delta) and is refreshed wherever
+	// cur[h] is; covQX[h] adds cov(q, x_r) for degree-2 stages. nodeMin[n]
+	// is node n's smallest sample per resource; nodeMax, nodeMean and
+	// nodeCov (four rows per node) are its largest samples, their means
+	// and covariances, which no virtual move changes. covQX and the last
+	// three are nil unless some stage is degree 2.
+	forms    []stageForm
+	moments  []baseMoments
+	covQX    []vec4
+	nodeMin  []vec4
+	nodeMax  []vec4
+	nodeMean []vec4
+	nodeCov  []vec4
+
 	// L and SelfGain are exposed read-only to the scheduler. Their rows
-	// are capacity-capped windows of two contiguous m·k arrays.
+	// are capacity-capped windows of one contiguous array.
 	L        [][]float64
 	SelfGain [][]float64
 
@@ -114,18 +133,14 @@ type Matrix struct {
 	scratches []*scratch
 }
 
-// scratch is the per-shard workspace of the window kernel and
-// computeEntry: the window predictions being folded, the current row's
-// terms, and the latency overrides a hypothetical migration imposes on
-// co-hosted components, folded into per-stage maxima.
+// scratch is the per-shard workspace of the window path and computeEntry:
+// one window of predictions, the current row's terms, and the latency
+// overrides a hypothetical migration imposes on co-hosted components,
+// folded into per-stage maxima.
 type scratch struct {
-	// lanes receives predictWindow's per-sample service times: one slot
-	// per batch lane, each as long as the longest node window, in one
-	// array.
-	lanes []float64
-
-	// batch holds the row terms queued for the next kernel call.
-	batch batch
+	// window receives predictWindow's per-sample service times; it is as
+	// long as the longest node window.
+	window []float64
 
 	// term[h] holds the row loaded by loadRow or loadColumns: the
 	// predicted latency of component h once the row's component ci leaves
@@ -141,7 +156,7 @@ type scratch struct {
 
 func newScratch(m, stages, window int) *scratch {
 	return &scratch{
-		lanes:       make([]float64, batchLanes*window),
+		window:      make([]float64, window),
 		term:        make([]float64, m),
 		overrideSet: make([]int, m),
 		stageSet:    make([]int, stages),
@@ -173,37 +188,71 @@ func BuildMatrix(in MatrixInput) (*Matrix, error) {
 	}
 	m := len(in.Components)
 	k := in.NumNodes
+	stages := in.NumStages
 	mat := &Matrix{
 		in:        in,
 		alloc:     make([]int, m),
-		delta:     make([][4]float64, k),
-		cur:       make([]float64, m),
-		stageLat:  make([]float64, in.NumStages),
-		removed:   make([]bool, m),
-		onTouched: make([]bool, m),
-		selfLat:   make([]float64, in.NumStages*k),
+		forms:     make([]stageForm, stages),
+		moments:   make([]baseMoments, m),
 		L:         make([][]float64, m),
 		SelfGain:  make([][]float64, m),
 		scratches: make([]*scratch, in.Pool.Shards()),
 	}
+	quad := false
+	for s := range mat.forms {
+		mat.forms[s] = newStageForm(in.Models[s])
+		quad = quad || mat.forms[s].degree == 2
+	}
+	// One backing array per element type: the per-node and per-component
+	// vectors, the latencies and matrix rows, the row flags.
+	nvecs := 2 * k
+	if quad {
+		nvecs += 6*k + m
+	}
+	vecs := make([]vec4, nvecs)
+	mat.delta = carve(&vecs, k)
+	mat.nodeMin = carve(&vecs, k)
+	if quad {
+		mat.nodeMax = carve(&vecs, k)
+		mat.nodeMean = carve(&vecs, k)
+		mat.nodeCov = carve(&vecs, 4*k)
+		mat.covQX = carve(&vecs, m)
+	}
+	floats := make([]float64, m+stages+stages*k+2*m*k)
+	mat.cur = carve(&floats, m)
+	mat.stageLat = carve(&floats, stages)
+	mat.selfLat = carve(&floats, stages*k)
+	for i := 0; i < m; i++ {
+		mat.L[i] = carve(&floats, k)
+	}
+	for i := 0; i < m; i++ {
+		mat.SelfGain[i] = carve(&floats, k)
+	}
+	flags := make([]bool, 2*m)
+	mat.removed = carve(&flags, m)
+	mat.onTouched = carve(&flags, m)
+
 	window := 0
-	for _, samples := range in.NodeSamples {
-		window = max(window, len(samples))
+	for n := range in.NodeSamples {
+		window = max(window, len(in.NodeSamples[n]))
+		mat.recordNodeStats(n)
 	}
 	for s := range mat.scratches {
-		mat.scratches[s] = newScratch(m, in.NumStages, window)
+		mat.scratches[s] = newScratch(m, stages, window)
 	}
 	for i, c := range in.Components {
 		mat.alloc[i] = c.Node
 	}
 	mat.nodeComps = groupIndices(m, k, func(i int) int { return in.Components[i].Node })
-	mat.stageOf = groupIndices(m, in.NumStages, func(i int) int { return in.Components[i].Stage })
-	// Every per-component latency is a pure function of the frozen input
-	// (samples, models, allocation), written to its own slot — shardable.
+	mat.stageOf = groupIndices(m, stages, func(i int) int { return in.Components[i].Stage })
+	// Every per-component latency and base-window moment is a pure
+	// function of the frozen input (samples, models, allocation), written
+	// to its own slot — shardable.
 	in.Pool.Run(m, func(s, lo, hi int) {
 		sc := mat.scratches[s]
 		for i := lo; i < hi; i++ {
 			mat.cur[i] = mat.latencyOn(i, mat.alloc[i], negv(in.Components[i].Demand), sc)
+			mat.recordMoments(i, sc)
 		}
 	})
 	mat.refreshStageLatencies()
@@ -216,15 +265,10 @@ func BuildMatrix(in MatrixInput) (*Matrix, error) {
 		}
 	})
 
-	lRows := make([]float64, m*k)
-	gRows := make([]float64, m*k)
-	for i := 0; i < m; i++ {
-		mat.L[i] = lRows[i*k : (i+1)*k : (i+1)*k]
-		mat.SelfGain[i] = gRows[i*k : (i+1)*k : (i+1)*k]
-	}
 	// Entry fill: each shard owns a contiguous row range and its private
 	// scratch; entries read only barrier-frozen state (cur, stageLat,
-	// selfLat, delta, the input) and write their own L/SelfGain cells.
+	// selfLat, delta, the moments, the input) and write their own
+	// L/SelfGain cells.
 	in.Pool.Run(m, func(s, lo, hi int) {
 		sc := mat.scratches[s]
 		for i := lo; i < hi; i++ {
@@ -235,6 +279,15 @@ func BuildMatrix(in MatrixInput) (*Matrix, error) {
 		}
 	})
 	return mat, nil
+}
+
+// carve returns the next n elements of *backing as a capacity-capped
+// slice and advances *backing past them, so an append to the slice copies
+// it out instead of growing into its neighbour.
+func carve[T any](backing *[]T, n int) []T {
+	s := (*backing)[:n:n]
+	*backing = (*backing)[n:]
+	return s
 }
 
 // groupIndices returns, per group, the indices i in [0, n) with
@@ -276,98 +329,259 @@ func addv(a vec4, v cluster.Vector, sign float64) vec4 {
 	return a
 }
 
-// batchLanes is how many window predictions the kernel evaluates together.
-const batchLanes = 4
-
-// batch is up to batchLanes window predictions: lane l predicts component
-// comp[l]'s latency with node[l]'s sample window shifted by the virtual
-// delta plus adj[l] (signed), and predictBatch sets out[l].
-type batch struct {
-	n    int
-	comp [batchLanes]int
-	node [batchLanes]int
-	adj  [batchLanes]vec4
-	out  [batchLanes]float64
-}
-
-// predictBatch is the window kernel: it sets b.out[l] to Eq. 2's expected
-// latency for each of b's lanes. Each shifted sample is clamped at zero
+// latencyOn predicts component i's expected latency (Eq. 2) if its
+// background were node `node`'s sample window shifted by the virtual delta
+// plus `adj`: the window path. Each shifted sample is clamped at zero
 // before entering the regression, mirroring that real contention metrics
-// are non-negative. A lane's window predicts into its slot of sc.lanes
-// (predictWindow), folds into Eq. 2's mean and variance in sample order,
-// and an empty window takes the model's fallback mean with zero variance.
-// When the batch is full and its windows share one length n ≥ 1 the four
-// folds run in lockstep (foldLockstep); otherwise each lane folds through
-// stats.Welford. Either way each lane gets the same float bits.
-func (mat *Matrix) predictBatch(b *batch, sc *scratch) {
-	var xs [batchLanes][]float64
-	var models [batchLanes]*ServiceTimeModel
-	slot := len(sc.lanes) / batchLanes
-	lockstep := b.n == batchLanes
-	for l := 0; l < b.n; l++ {
-		node := b.node[l]
-		models[l] = mat.in.Models[mat.in.Components[b.comp[l]].Stage]
-		samples := mat.in.NodeSamples[node]
-		xs[l] = sc.lanes[l*slot : l*slot+len(samples)]
-		models[l].predictWindow(samples, mat.delta[node], b.adj[l], xs[l])
-		lockstep = lockstep && len(samples) > 0 && len(samples) == len(xs[0])
-	}
-	var mean, variance [batchLanes]float64
-	if lockstep {
-		mean, variance = foldLockstep(&xs)
-	} else {
-		for l := 0; l < b.n; l++ {
-			var w stats.Welford
-			w.AddAll(xs[l])
-			mean[l], variance[l] = w.Mean(), w.Variance()
-		}
-	}
-	for l := 0; l < b.n; l++ {
-		if len(xs[l]) == 0 {
-			mean[l], variance[l] = models[l].FallbackMean, 0
-		}
-		b.out[l] = ExpectedLatency(mat.in.Queue, mean[l], variance[l], mat.in.Lambda, mat.in.Params)
-	}
-}
-
-// foldLockstep returns the Welford mean and population variance of four
-// windows of one length n ≥ 1, folding them interleaved: four independent
-// chains of divisions instead of one. Each lane performs stats.Welford's
-// operations in its order — delta = x − mean, mean += delta/t,
-// m2 += delta·(x − mean), variance m2/n only for n ≥ 2 — so each result
-// is Welford's float bit for bit.
-func foldLockstep(xs *[batchLanes][]float64) (mean, variance [batchLanes]float64) {
-	n := len(xs[0])
-	x0, x1, x2, x3 := xs[0][:n], xs[1][:n], xs[2][:n], xs[3][:n]
-	var m0, m1, m2, m3, s0, s1, s2, s3 float64
-	for t := 0; t < n; t++ {
-		c := float64(t + 1)
-		d0, d1, d2, d3 := x0[t]-m0, x1[t]-m1, x2[t]-m2, x3[t]-m3
-		m0 += d0 / c
-		m1 += d1 / c
-		m2 += d2 / c
-		m3 += d3 / c
-		s0 += d0 * (x0[t] - m0)
-		s1 += d1 * (x1[t] - m1)
-		s2 += d2 * (x2[t] - m2)
-		s3 += d3 * (x3[t] - m3)
-	}
-	mean = [batchLanes]float64{m0, m1, m2, m3}
-	if n >= 2 {
-		c := float64(n)
-		variance = [batchLanes]float64{s0 / c, s1 / c, s2 / c, s3 / c}
-	}
-	return mean, variance
-}
-
-// latencyOn predicts component i's expected latency if its background were
-// node `node`'s sample window shifted by the virtual delta plus `adj`: the
-// window kernel's one-lane case.
+// are non-negative (predictWindow), the predictions fold into Eq. 2's
+// mean and variance in sample order, and an empty window takes the
+// model's fallback mean with zero variance.
 func (mat *Matrix) latencyOn(i, node int, adj vec4, sc *scratch) float64 {
-	b := batch{n: 1}
-	b.comp[0], b.node[0], b.adj[0] = i, node, adj
-	mat.predictBatch(&b, sc)
-	return b.out[0]
+	model := mat.in.Models[mat.in.Components[i].Stage]
+	samples := mat.in.NodeSamples[node]
+	meanX, varX := model.FallbackMean, 0.0
+	if len(samples) > 0 {
+		xs := sc.window[:len(samples)]
+		model.predictWindow(samples, mat.delta[node], adj, xs)
+		var w stats.Welford
+		w.AddAll(xs)
+		meanX, varX = w.Mean(), w.Variance()
+	}
+	return ExpectedLatency(mat.in.Queue, meanX, varX, mat.in.Lambda, mat.in.Params)
+}
+
+// stageForm is a stage's Eq. 1 as a shift acts on it. With v added to
+// every coordinate of a window, each unclamped prediction moves by
+// A + Σ_r B_r·x_r, where x_r is the sample's coordinate before the shift,
+// A = Σ_r v_r·(a1_r + a2_r·v_r), B_r = 2·a2_r·v_r, and a1_r and a2_r are
+// w_r·c1_r/Σw and w_r·c2_r/Σw. degree is 2 when some weighted regression
+// has a non-zero quadratic coefficient, 1 otherwise, and 0 when the model
+// has no weighted regression or one of degree 3 or more: that stage's row
+// terms keep the window path.
+type stageForm struct {
+	degree   int
+	weighted [cluster.NumResources]bool
+	a1, a2   vec4
+}
+
+func newStageForm(model *ServiceTimeModel) stageForm {
+	var f stageForm
+	if model == nil {
+		return f
+	}
+	var den float64
+	degree := 1
+	for r := 0; r < cluster.NumResources; r++ {
+		reg, w := model.Regs[r], model.Weights[r]
+		if reg == nil || w == 0 {
+			continue
+		}
+		den += w
+		f.weighted[r] = true
+		switch c := reg.Coef; len(c) {
+		case 0, 1:
+		case 2:
+			f.a1[r] = w * c[1]
+		case 3:
+			f.a1[r], f.a2[r] = w*c[1], w*c[2]
+			if c[2] != 0 {
+				degree = 2
+			}
+		default:
+			return stageForm{}
+		}
+	}
+	if den == 0 {
+		return stageForm{}
+	}
+	for r := range f.a1 {
+		f.a1[r] /= den
+		f.a2[r] /= den
+	}
+	f.degree = degree
+	return f
+}
+
+// baseMoments are the mean, population variance and minimum, over h's
+// node window, of h's unclamped, unfloored Eq. 1 prediction q at U − U_h
+// under the current virtual delta (predictWindowUnfloored at lo = −Inf).
+type baseMoments struct {
+	mean, variance, minQ float64
+}
+
+// recordNodeStats stores node n's window statistics: its smallest sample
+// per resource and, when some stage is degree 2, its largest, their means
+// and covariances. They are statistics of the raw samples, so no virtual
+// move changes them.
+func (mat *Matrix) recordNodeStats(n int) {
+	samples := mat.in.NodeSamples[n]
+	inf := math.Inf(1)
+	lo, hi := vec4{inf, inf, inf, inf}, vec4{-inf, -inf, -inf, -inf}
+	var mu vec4
+	for _, s := range samples {
+		for r := range lo {
+			lo[r], hi[r] = min(lo[r], s[r]), max(hi[r], s[r])
+			mu[r] += s[r]
+		}
+	}
+	mat.nodeMin[n] = lo
+	if mat.nodeMean == nil || len(samples) == 0 {
+		return
+	}
+	size := float64(len(samples))
+	for r := range mu {
+		mu[r] /= size
+	}
+	cov := mat.nodeCov[4*n : 4*n+4]
+	for _, s := range samples {
+		for r := range cov {
+			d := s[r] - mu[r]
+			for c := range cov[r] {
+				cov[r][c] += d * (s[c] - mu[c])
+			}
+		}
+	}
+	for r := range cov {
+		for c := range cov[r] {
+			cov[r][c] /= size
+		}
+	}
+	mat.nodeMax[n], mat.nodeMean[n] = hi, mu
+}
+
+// recordMoments stores component h's base-window moments, and for a
+// degree-2 stage cov(q, x_r), under the current allocation and delta. A
+// stage on the window path, or an empty window, records nothing: no
+// closed form reads it.
+func (mat *Matrix) recordMoments(h int, sc *scratch) {
+	c := mat.in.Components[h]
+	f := &mat.forms[c.Stage]
+	n := mat.alloc[h]
+	samples := mat.in.NodeSamples[n]
+	if f.degree == 0 || len(samples) == 0 {
+		return
+	}
+	q := sc.window[:len(samples)]
+	mat.in.Models[c.Stage].predictWindowUnfloored(samples, mat.delta[n], negv(c.Demand), math.Inf(-1), q)
+	sum, minQ := 0.0, math.Inf(1)
+	for _, x := range q {
+		sum += x
+		minQ = min(minQ, x)
+	}
+	size := float64(len(q))
+	mean := sum / size
+	var ss float64
+	for _, x := range q {
+		ss += (x - mean) * (x - mean)
+	}
+	mat.moments[h] = baseMoments{mean: mean, variance: ss / size, minQ: minQ}
+	if f.degree == 2 {
+		mu := &mat.nodeMean[n]
+		var cq vec4
+		for t, x := range q {
+			for r := range cq {
+				cq[r] += (x - mean) * (samples[t][r] - mu[r])
+			}
+		}
+		for r := range cq {
+			cq[r] /= size
+		}
+		mat.covQX[h] = cq
+	}
+}
+
+// termPath says how a row term is evaluated: in closed form, or through
+// the window because the stage or window has no closed form (windowPath)
+// or a certificate refused it.
+type termPath int
+
+const (
+	windowPath   termPath = iota // empty window, degree ≥ 3 or no weighted regression
+	closedForm                   // both certificates hold
+	clampRefused                 // (a): some shifted coordinate would clamp at zero
+	floorRefused                 // (b): the shifted prediction may reach the 1e-9 floor
+)
+
+// rowShift returns the sign σ and the window adjustment of row i's term
+// for component h on node n (Table III): U' = U − U_ci on ci's own node
+// (σ = −1), U' = U + U_ci on any other (σ = +1), each less U_h.
+func (mat *Matrix) rowShift(i, h, n int) (float64, vec4) {
+	sign := 1.0
+	if n == mat.alloc[i] {
+		sign = -1
+	}
+	comps := mat.in.Components
+	return sign, addv(negv(comps[h].Demand), comps[i].Demand, sign)
+}
+
+// closedFormTerm evaluates row i's term for component h on node n from h's
+// base-window moments. Eq. 1 is a weighted average of per-resource
+// polynomials, so shifting every sample by v = σ·U_ci moves each
+// unclamped prediction by A + Σ_r B_r·x_r (stageForm): the window's mean
+// by A + Σ_r B_r·x̄_r and its variance by 2·Σ_r B_r·cov(q, x_r) +
+// Σ_rs B_r·B_s·cov(x_r, x_s), with B = 0 at degree 1. That is the window
+// path's mean and variance in real arithmetic when neither of its
+// non-linear steps fires, which two certificates establish:
+//
+//	(a) every weighted resource's smallest shifted coordinate, computed
+//	    as the window path computes it, is ≥ 0, so no clamp fires;
+//	(b) a lower bound of every shifted prediction, min q + A +
+//	    Σ_r B_r·(x_r's minimum, or its maximum where B_r < 0), is ≥ 1e-9,
+//	    so no floor fires.
+//
+// It returns the term and closedForm, or the path the term must take
+// instead. Float rounding differs from the window path's, so a term may
+// differ from it by a few ulps.
+func (mat *Matrix) closedFormTerm(i, h, n int, sign float64, adj vec4) (float64, termPath) {
+	comps := mat.in.Components
+	f := &mat.forms[comps[h].Stage]
+	if f.degree == 0 || len(mat.in.NodeSamples[n]) == 0 {
+		return 0, windowPath
+	}
+	lo, d := &mat.nodeMin[n], &mat.delta[n]
+	var v vec4
+	for r := range v {
+		if f.weighted[r] && !((lo[r]+d[r])+adj[r] >= 0) {
+			return 0, clampRefused
+		}
+		v[r] = sign * comps[i].Demand[r]
+	}
+	shift := 0.0
+	for r := range v {
+		shift += v[r] * (f.a1[r] + f.a2[r]*v[r])
+	}
+	mo := &mat.moments[h]
+	mean, variance, low := mo.mean+shift, mo.variance, mo.minQ+shift
+	if f.degree == 2 {
+		var b vec4
+		for r := range b {
+			b[r] = 2 * f.a2[r] * v[r]
+		}
+		cq, mu, hi := &mat.covQX[h], &mat.nodeMean[n], &mat.nodeMax[n]
+		cov := mat.nodeCov[4*n : 4*n+4]
+		uh := &comps[h].Demand
+		for r := range b {
+			if b[r] == 0 {
+				continue
+			}
+			// x_r's window mean and extreme under U − U_h: the node's
+			// sample statistics moved by the delta less h's demand.
+			mean += b[r] * ((mu[r] + d[r]) - uh[r])
+			extreme := lo[r]
+			if b[r] < 0 {
+				extreme = hi[r]
+			}
+			low += b[r] * ((extreme + d[r]) - uh[r])
+			variance += 2 * b[r] * cq[r]
+			for c := range b {
+				variance += b[r] * b[c] * cov[r][c]
+			}
+		}
+	}
+	if !(low >= 1e-9 && mean < math.Inf(1) && variance < math.Inf(1)) {
+		return 0, floorRefused
+	}
+	return ExpectedLatency(mat.in.Queue, mean, max(variance, 0), mat.in.Lambda, mat.in.Params), closedForm
 }
 
 // refreshStageLatencies recomputes Eq. 3 per stage and Eq. 4 overall from
@@ -407,9 +621,8 @@ func (mat *Matrix) refreshSelfTerms(n int, sc *scratch) {
 // computed from.
 func (mat *Matrix) loadRow(i int, sc *scratch) {
 	for n := range mat.nodeComps {
-		mat.queueTerms(i, n, sc)
+		mat.loadTerms(i, n, sc)
 	}
-	mat.flushTerms(sc)
 }
 
 // loadColumns evaluates the terms row i's entries in columns a and j read:
@@ -417,41 +630,25 @@ func (mat *Matrix) loadRow(i int, sc *scratch) {
 // which hosts ci.
 func (mat *Matrix) loadColumns(i, a, j int, sc *scratch) {
 	for _, n := range [3]int{mat.alloc[i], a, j} {
-		mat.queueTerms(i, n, sc)
+		mat.loadTerms(i, n, sc)
 	}
-	mat.flushTerms(sc)
 }
 
-// queueTerms queues row i's term for every component h ≠ i on node n:
-// U' = U − U_ci on ci's own node, U' = U + U_ci on any other. A full batch
-// is evaluated at once.
-func (mat *Matrix) queueTerms(i, n int, sc *scratch) {
-	sign := 1.0
-	if n == mat.alloc[i] {
-		sign = -1
-	}
-	comps := mat.in.Components
-	b := &sc.batch
+// loadTerms evaluates row i's term for every component h ≠ i on node n,
+// in closed form where closedFormTerm admits it and through the window
+// otherwise.
+func (mat *Matrix) loadTerms(i, n int, sc *scratch) {
 	for _, h := range mat.nodeComps[n] {
 		if h == i {
 			continue
 		}
-		b.comp[b.n], b.node[b.n] = h, n
-		b.adj[b.n] = addv(negv(comps[h].Demand), comps[i].Demand, sign)
-		if b.n++; b.n == batchLanes {
-			mat.flushTerms(sc)
+		sign, adj := mat.rowShift(i, h, n)
+		v, path := mat.closedFormTerm(i, h, n, sign, adj)
+		if path != closedForm {
+			v = mat.latencyOn(h, n, adj, sc)
 		}
+		sc.term[h] = v
 	}
-}
-
-// flushTerms evaluates the queued terms into sc.term.
-func (mat *Matrix) flushTerms(sc *scratch) {
-	b := &sc.batch
-	mat.predictBatch(b, sc)
-	for l := 0; l < b.n; l++ {
-		sc.term[b.comp[l]] = b.out[l]
-	}
-	b.n = 0
 }
 
 // computeEntry fills L[i][j] and SelfGain[i][j]: the hypothetical world
@@ -578,13 +775,14 @@ func (mat *Matrix) Migrate(i, j int) {
 	mat.delta[j] = addv(mat.delta[j], di, +1)
 	mat.removed[i] = true
 
-	// Refresh the cached current latencies of everything on the two
-	// touched nodes (including the migrated component), then Eq. 3–4 and
-	// the two nodes' self terms.
+	// Refresh the cached current latencies and base-window moments of
+	// everything on the two touched nodes (including the migrated
+	// component), then Eq. 3–4 and the two nodes' self terms.
 	seq := mat.scratches[0]
 	for _, n := range [2]int{a, j} {
 		for _, h := range mat.nodeComps[n] {
 			mat.cur[h] = mat.latencyOn(h, n, negv(mat.in.Components[h].Demand), seq)
+			mat.recordMoments(h, seq)
 		}
 	}
 	mat.refreshStageLatencies()

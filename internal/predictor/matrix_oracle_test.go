@@ -122,23 +122,39 @@ func referenceEntry(mat *Matrix, i, j int) (l, selfGain float64) {
 }
 
 // oracleMatrixInput builds a matrix input that exercises every cache the
-// matrix keeps: three populated stages with distinct models plus an empty
-// stage slot whose model is nil, per-component demands carrying the
-// controller's 2% measurement noise (so no two rows share destination
-// terms), nodes hosting 0, 1, 2, 4 and 5 components, and windows of 6, 3
-// and 0 samples (the empty one predicts the fallback mean). The 3- and
-// 0-sample nodes sit next to each other, so a row's terms, four at a
-// time in node order, fill batches of four equal windows, batches that
-// mix 6, 3 and 0 samples, and a remainder (oracleBatchKinds).
+// matrix keeps and every path a row term can take. Five stage slots hold
+// a degree-1 model, a convex degree-2 model, nothing (an empty stage
+// whose model is nil), a degree-3 model (window path only) and a
+// negative-slope degree-1 model whose predictions cross zero at about 60%
+// load (floor refusals). Per-component demands carry the controller's 2%
+// measurement noise, so no two rows share terms. Nodes host 0, 1, 2, 4
+// and 5 components, with windows of 6, 3 and 0 samples (the empty one
+// predicts the fallback mean). Node 6's window predates both of its
+// components: a light background with no network load, so their base
+// coordinates are negative — lifted by some destination shifts, not by
+// the others or by any origin shift (clamp refusals).
 func oracleMatrixInput(t *testing.T) MatrixInput {
 	t.Helper()
-	const emptyStage = 2
-	models := make([]*ServiceTimeModel, 4)
-	for s := range models {
-		if s == emptyStage {
+	convex := syntheticSamples(200, 0.01, 21)
+	declining := syntheticSamples(200, 0.01, 24)
+	for i := range convex {
+		convex[i].X *= 1000 * convex[i].X
+		declining[i].X = 0.0025 - declining[i].X
+	}
+	models := make([]*ServiceTimeModel, 5)
+	for s, fit := range []struct {
+		samples []Sample
+		degree  int
+	}{
+		0: {syntheticSamples(200, 0.01, 20), 1},
+		1: {convex, 2},
+		3: {syntheticSamples(200, 0.01, 23), 3},
+		4: {declining, 1},
+	} {
+		if fit.samples == nil {
 			continue
 		}
-		model, err := Train(syntheticSamples(200, 0.01, int64(20+s)), 1+s%2)
+		model, err := Train(fit.samples, fit.degree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +162,7 @@ func oracleMatrixInput(t *testing.T) MatrixInput {
 	}
 	hosted := []int{5, 1, 0, 4, 2, 1, 2} // components per node
 	src := xrand.New(11)
-	populated := []int{0, 1, 3}
+	populated := []int{0, 1, 3, 4}
 	var comps []ComponentState
 	for n, count := range hosted {
 		for c := 0; c < count; c++ {
@@ -161,6 +177,13 @@ func oracleMatrixInput(t *testing.T) MatrixInput {
 	nodeSamples := testNodeSamples(src, len(hosted), comps)
 	nodeSamples[4] = nodeSamples[4][:3]
 	nodeSamples[5] = nil
+	idle := cluster.DefaultCapacity().Scale(0.02)
+	idle[cluster.NetBW] = 0
+	for w := range nodeSamples[6] {
+		for r := range idle {
+			nodeSamples[6][w][r] = idle[r] * src.LogNormalMean(1, 0.03)
+		}
+	}
 	return MatrixInput{
 		Components:  comps,
 		NumStages:   len(models),
@@ -173,47 +196,110 @@ func oracleMatrixInput(t *testing.T) MatrixInput {
 	}
 }
 
-// oracleBatchKinds replays the order in which loadRow queues a full row's
-// terms (node by node, each node's components in list order, skipping the
-// row's own component) for every row of a freshly built matrix, and
-// counts the kernel batches of four equal non-empty windows, the batches
-// that mix lengths including an empty window, and the rows that end in a
-// partial batch.
-func oracleBatchKinds(mat *Matrix) (equal, mixedEmpty, remainders int) {
+// termTally counts row terms by side (0 origin, 1 destination) and by the
+// path closedFormTerm assigns them, plus the window-path terms on empty
+// windows and of stages without a closed form.
+type termTally struct {
+	paths        [2][4]int
+	emptyWindow  int
+	noClosedForm int
+}
+
+// checkRowTerms loads every live row of mat into a private scratch and
+// checks each term against referenceLatency: bit for bit when it took the
+// window path, within tol when it took the closed form. It tallies the
+// terms with the loaders' own predicate.
+func checkRowTerms(t *testing.T, mat *Matrix, tol float64, tally *termTally) {
+	t.Helper()
+	sc := newScratch(len(mat.in.Components), mat.in.NumStages, len(mat.scratches[0].window))
 	for i := range mat.in.Components {
-		var lengths []int
+		if mat.removed[i] {
+			continue
+		}
+		mat.loadRow(i, sc)
 		for n, members := range mat.nodeComps {
 			for _, h := range members {
-				if h != i {
-					lengths = append(lengths, len(mat.in.NodeSamples[n]))
+				if h == i {
+					continue
+				}
+				sign, adj := mat.rowShift(i, h, n)
+				_, path := mat.closedFormTerm(i, h, n, sign, adj)
+				side := 1
+				if sign < 0 {
+					side = 0
+				}
+				tally.paths[side][path]++
+				if path == windowPath {
+					if len(mat.in.NodeSamples[n]) == 0 {
+						tally.emptyWindow++
+					}
+					if mat.forms[mat.in.Components[h].Stage].degree == 0 {
+						tally.noClosedForm++
+					}
+				}
+				got, want := sc.term[h], referenceLatency(mat, h, n, adj)
+				if path != closedForm && math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("row %d: window-path term of %d on node %d = %v, reference %v", i, h, n, got, want)
+				}
+				if math.Abs(got-want) > tol {
+					t.Fatalf("row %d: closed-form term of %d on node %d = %v, reference %v (|Δ| %.3g > %.3g)",
+						i, h, n, got, want, math.Abs(got-want), tol)
 				}
 			}
 		}
-		for ; len(lengths) >= batchLanes; lengths = lengths[batchLanes:] {
-			same, empty := true, false
-			for _, n := range lengths[:batchLanes] {
-				same = same && n == lengths[0]
-				empty = empty || n == 0
+	}
+}
+
+// closedFormCell reports whether any term cell (i, j) reads took the
+// closed form: the origin terms on ci's node and the destination terms on
+// node j.
+func closedFormCell(mat *Matrix, i, j int) bool {
+	a := mat.alloc[i]
+	if j == a {
+		return false
+	}
+	for _, n := range [2]int{a, j} {
+		for _, h := range mat.nodeComps[n] {
+			if h == i {
+				continue
 			}
-			switch {
-			case same && lengths[0] > 0:
-				equal++
-			case !same && empty:
-				mixedEmpty++
+			sign, adj := mat.rowShift(i, h, n)
+			if _, path := mat.closedFormTerm(i, h, n, sign, adj); path == closedForm {
+				return true
 			}
-		}
-		if len(lengths) > 0 {
-			remainders++
 		}
 	}
-	return equal, mixedEmpty, remainders
+	return false
+}
+
+// checkCurrent pins ComponentLatency and CurrentOverall by bits to the
+// sample-by-sample evaluation of every component's own window.
+func checkCurrent(t *testing.T, mat *Matrix, step int) {
+	t.Helper()
+	stageMax := make([]float64, mat.in.NumStages)
+	for h, c := range mat.in.Components {
+		want := referenceLatency(mat, h, mat.alloc[h], negv(c.Demand))
+		if got := mat.ComponentLatency(h); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: ComponentLatency(%d) = %v, reference %v", step, h, got, want)
+		}
+		stageMax[c.Stage] = max(stageMax[c.Stage], want)
+	}
+	if got, want := mat.CurrentOverall(), OverallLatency(stageMax); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("step %d: CurrentOverall() = %v, reference %v", step, got, want)
+	}
 }
 
 // TestMatrixMatchesUnmemoisedEntries pins the matrix's memoised evaluation
-// (self terms per (stage, node), origin terms per row, ordered stage
-// maxima) to referenceEntry bit for bit: every cell after BuildMatrix, and
-// after each Migrate every cell Algorithm 2 recomputes, while every other
-// cell keeps its previous bits. It runs at 1, 2 and 4 shards.
+// (self terms per (stage, node), row terms per row, closed-form terms,
+// ordered stage maxima) to referenceEntry, the window path evaluated per
+// entry and sample by sample: every cell after BuildMatrix, and after
+// each Migrate of a whole Algorithm 1 round every cell Algorithm 2
+// recomputes, while every other cell keeps its previous bits. It runs at
+// 1, 2 and 4 shards. SelfGain, ComponentLatency and CurrentOverall match
+// by bits everywhere, and so does L in every cell whose terms all took the
+// window path; a cell or row term that took the closed form may differ by
+// float rounding, at most 1e-12·CurrentOverall(). The fixture must reach
+// every path, counted with the loaders' own predicate.
 func TestMatrixMatchesUnmemoisedEntries(t *testing.T) {
 	base := oracleMatrixInput(t)
 	m, k := len(base.Components), base.NumNodes
@@ -227,19 +313,42 @@ func TestMatrixMatchesUnmemoisedEntries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if equal, mixed, rest := oracleBatchKinds(mat); equal == 0 || mixed == 0 || rest == 0 {
-				t.Fatalf("row batches: %d of four equal windows, %d mixed with an empty window, %d remainders; want each",
-					equal, mixed, rest)
+			tol := 1e-12 * mat.CurrentOverall()
+			var tally termTally
+			checkRowTerms(t, mat, tol, &tally)
+			for side, name := range [2]string{"origin", "destination"} {
+				if tally.paths[side][closedForm] == 0 {
+					t.Errorf("no closed-form %s term", name)
+				}
 			}
+			for path, name := range map[termPath]string{clampRefused: "clamp", floorRefused: "floor"} {
+				if tally.paths[0][path]+tally.paths[1][path] == 0 {
+					t.Errorf("no term refused by the %s certificate", name)
+				}
+			}
+			if tally.emptyWindow == 0 || tally.noClosedForm == 0 {
+				t.Errorf("%d window-path terms on empty windows, %d of stages without a closed form; want each",
+					tally.emptyWindow, tally.noClosedForm)
+			}
+			t.Logf("terms by path (window, closed form, clamp, floor): origin %v, destination %v",
+				tally.paths[0], tally.paths[1])
+
 			check := func(step, i, j int) {
 				t.Helper()
 				l, g := referenceEntry(mat, i, j)
-				if math.Float64bits(mat.L[i][j]) != math.Float64bits(l) ||
-					math.Float64bits(mat.SelfGain[i][j]) != math.Float64bits(g) {
-					t.Fatalf("step %d: cell (%d,%d) = (%v, %v), reference (%v, %v)",
-						step, i, j, mat.L[i][j], mat.SelfGain[i][j], l, g)
+				if math.Float64bits(mat.SelfGain[i][j]) != math.Float64bits(g) {
+					t.Fatalf("step %d: SelfGain[%d][%d] = %v, reference %v", step, i, j, mat.SelfGain[i][j], g)
+				}
+				if closedFormCell(mat, i, j) {
+					if d := math.Abs(mat.L[i][j] - l); d > 1e-12*mat.CurrentOverall() {
+						t.Fatalf("step %d: closed-form cell (%d,%d) = %v, reference %v (|Δ| %.3g)",
+							step, i, j, mat.L[i][j], l, d)
+					}
+				} else if math.Float64bits(mat.L[i][j]) != math.Float64bits(l) {
+					t.Fatalf("step %d: window-path cell (%d,%d) = %v, reference %v", step, i, j, mat.L[i][j], l)
 				}
 			}
+			checkCurrent(t, mat, 0)
 			for i := 0; i < m; i++ {
 				for j := 0; j < k; j++ {
 					check(0, i, j)
@@ -262,6 +371,8 @@ func TestMatrixMatchesUnmemoisedEntries(t *testing.T) {
 					copy(prevG[i*k:], mat.SelfGain[i])
 				}
 				mat.Migrate(comp, to)
+				checkCurrent(t, mat, step)
+				checkRowTerms(t, mat, 1e-12*mat.CurrentOverall(), &termTally{})
 				for i := 0; i < m; i++ {
 					fullRow := !mat.Removed(i) && (mat.Allocation()[i] == from || mat.Allocation()[i] == to)
 					for j := 0; j < k; j++ {
@@ -278,4 +389,196 @@ func TestMatrixMatchesUnmemoisedEntries(t *testing.T) {
 			}
 		})
 	}
+}
+
+// coverageInput is shaped like a large-cluster PCS interval: 194
+// components (one segmenting, 192 searching, one aggregating) on 96
+// nodes with a degree-1 model, 10-sample windows in which the monitor
+// sees every hosted component's demand plus a batch background that is
+// absent from a third of the nodes, and per-component demands that carry
+// the controller's LogNormalMean(1, 0.02) measurement noise.
+func coverageInput(t *testing.T, seed int64) MatrixInput {
+	t.Helper()
+	const m, k, window = 194, 96, 10
+	src := xrand.New(seed)
+	model, err := Train(syntheticSamples(200, 0.02, seed), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := cluster.DefaultCapacity()
+	nodeSamples := make([][]cluster.Vector, k)
+	for n := range nodeSamples {
+		background := capacity.Scale(0.5 * src.Float64())
+		if n%3 == 0 {
+			background = cluster.Vector{}
+		}
+		nodeSamples[n] = make([]cluster.Vector, window)
+		for w := range nodeSamples[n] {
+			for r := range background {
+				nodeSamples[n][w][r] = background[r] * src.LogNormalMean(1, 0.05)
+			}
+		}
+	}
+	comps := make([]ComponentState, m)
+	for i := range comps {
+		stage := 1
+		if i == 0 {
+			stage = 0
+		} else if i == m-1 {
+			stage = 2
+		}
+		demand := cluster.Vector{0.9, 6, 8, 6}
+		node := src.Intn(k)
+		for w := range nodeSamples[node] {
+			nodeSamples[node][w] = nodeSamples[node][w].Add(demand)
+		}
+		for r := range demand {
+			demand[r] *= src.LogNormalMean(1, 0.02)
+		}
+		comps[i] = ComponentState{Stage: stage, Node: node, Demand: demand}
+	}
+	return MatrixInput{
+		Components:  comps,
+		NumStages:   3,
+		NumNodes:    k,
+		NodeSamples: nodeSamples,
+		Lambda:      100,
+		Models:      []*ServiceTimeModel{model, model, model},
+		Queue:       MG1,
+		Params:      DefaultLatencyParams(),
+	}
+}
+
+// TestClosedFormCoverage guards the closed form's reach: on a
+// large-cluster-shaped input at least 95% of a freshly built matrix's row
+// terms must take it, counted with the loaders' own predicate. PCS runs
+// on pcs-control take it for about 97% of their terms; the rest are
+// mostly origin terms on nodes with no background, where the demand
+// noise pushes a shifted coordinate below zero. A change that silently
+// sends terms back to the window path fails here.
+func TestClosedFormCoverage(t *testing.T) {
+	for _, seed := range []int64{1, 3} {
+		mat, err := BuildMatrix(coverageInput(t, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var paths [4]int
+		total := 0
+		for i := range mat.in.Components {
+			for n, members := range mat.nodeComps {
+				for _, h := range members {
+					if h == i {
+						continue
+					}
+					sign, adj := mat.rowShift(i, h, n)
+					_, path := mat.closedFormTerm(i, h, n, sign, adj)
+					paths[path]++
+					total++
+				}
+			}
+		}
+		share := float64(paths[closedForm]) / float64(total)
+		t.Logf("seed %d: %d row terms, by path (window, closed form, clamp, floor) %v: %.2f%% closed form",
+			seed, total, paths, 100*share)
+		if share < 0.95 {
+			t.Errorf("seed %d: %.2f%% of row terms took the closed form, want ≥ 95%%", seed, 100*share)
+		}
+	}
+}
+
+// unitInterval maps any float to [0, 1): its fractional part's magnitude,
+// 0 for NaN and the infinities.
+func unitInterval(x float64) float64 {
+	f := math.Abs(x - math.Trunc(x))
+	if math.IsNaN(f) {
+		return 0
+	}
+	return f
+}
+
+// FuzzClosedFormTerm drives closedFormTerm over signed windows of 0–12
+// samples, random demands, a virtual delta and models of degree 1–3,
+// rising or falling with contention (the falling ones reach the floor):
+// whenever it admits a term, the term must lie within 1e-12 of the window
+// path's, relative.
+//
+//	go test -run '^$' -fuzz '^FuzzClosedFormTerm$' -fuzztime 10s ./internal/predictor/
+func FuzzClosedFormTerm(f *testing.F) {
+	f.Add(int64(1), uint8(10), uint8(1), 0.3, 0.5, 0.1)
+	f.Add(int64(2), uint8(10), uint8(2), 0.6, 0.2, 0.7)
+	f.Add(int64(3), uint8(7), uint8(3), 0.9, 0.9, 0.4)
+	f.Add(int64(4), uint8(1), uint8(2), 0.05, 0.5, 0.9)
+	f.Add(int64(5), uint8(0), uint8(1), 0.5, 0.5, 0.5)
+	f.Fuzz(func(t *testing.T, seed int64, samples, degree uint8, load, shift, slope float64) {
+		window := int(samples % 13)
+		src := xrand.New(seed)
+		training := syntheticSamples(60, 0.02, seed)
+		if slope := unitInterval(slope); slope >= 0.5 {
+			for i := range training {
+				training[i].X = 0.005*slope - training[i].X
+			}
+		}
+		model, err := Train(training, 1+int(degree%3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		capacity := cluster.DefaultCapacity()
+		level := 1.6*unitInterval(load) - 0.4 // windows may sit below zero
+		var nodeSamples [2][]cluster.Vector
+		for n := range nodeSamples {
+			nodeSamples[n] = make([]cluster.Vector, window)
+			for w := range nodeSamples[n] {
+				for r := range capacity {
+					nodeSamples[n][w][r] = capacity[r] * (level + 0.2*src.Float64())
+				}
+			}
+		}
+		comps := make([]ComponentState, 4) // two per node
+		for c := range comps {
+			comps[c].Node = c % 2
+			for r := range capacity {
+				comps[c].Demand[r] = 0.15 * capacity[r] * src.Float64()
+			}
+		}
+		mat, err := BuildMatrix(MatrixInput{
+			Components:  comps,
+			NumStages:   1,
+			NumNodes:    2,
+			NodeSamples: nodeSamples[:],
+			Lambda:      80,
+			Models:      []*ServiceTimeModel{model},
+			Queue:       MG1,
+			Params:      DefaultLatencyParams(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A virtual delta on each node, with the moments refreshed as
+		// Migrate refreshes them.
+		for n := range mat.delta {
+			for r := range capacity {
+				mat.delta[n][r] = capacity[r] * 0.3 * (2*unitInterval(shift) - 1) * src.Float64()
+			}
+		}
+		for h := range comps {
+			mat.recordMoments(h, mat.scratches[0])
+		}
+		for i := range comps {
+			for h, c := range comps {
+				if h == i {
+					continue
+				}
+				sign, adj := mat.rowShift(i, h, c.Node)
+				got, path := mat.closedFormTerm(i, h, c.Node, sign, adj)
+				if path != closedForm {
+					continue
+				}
+				want := referenceLatency(mat, h, c.Node, adj)
+				if d := math.Abs(got - want); d > 1e-12*math.Abs(want) {
+					t.Fatalf("row %d, term %d (σ=%v): closed form %v, window path %v (relative %.3g)",
+						i, h, sign, got, want, d/math.Abs(want))
+				}
+			}
+		}
+	})
 }

@@ -109,16 +109,34 @@ func (m *ServiceTimeModel) Predict(u cluster.Vector) float64 {
 
 // predictWindow sets out[t] to Predict(u_t) for every sample of window,
 // where u_t[r] = max(0, (window[t][r] + shift[r]) + adj[r]); out must hold
-// len(window) values. It evaluates Eq. 1 resource-major: each weighted
-// regression's weight, shift and coefficients stay in locals while the
-// whole window streams past, accumulating into out. Every out[t] sees
-// Predict's operations in Predict's order — the shifted sum left to right,
-// Horner from y = 0, terms summed in ascending resource order, one
-// division by the same weight sum — so it is Predict's float bit for bit.
+// len(window) values. It is predictWindowUnfloored at lo = 0 with
+// Predict's floor applied, so every out[t] is Predict's float bit for bit.
 func (m *ServiceTimeModel) predictWindow(window []cluster.Vector, shift, adj [cluster.NumResources]float64, out []float64) {
 	out = out[:len(window)]
-	clear(out)
+	m.predictWindowUnfloored(window, shift, adj, 0, out)
+	for t, x := range out {
+		if x < 1e-9 || math.IsNaN(x) {
+			out[t] = 1e-9
+		}
+	}
+}
+
+// predictWindowUnfloored sets out[t] to Eq. 1's weighted average at
+// u_t[r] = max(lo, (window[t][r] + shift[r]) + adj[r]), without Predict's
+// floor. At lo = 0 it is Predict before the floor; at lo = −Inf neither
+// clamp nor floor acts, which gives the polynomial whose window moments a
+// shift of u moves by closed-form amounts (Matrix.closedFormTerm).
+//
+// It evaluates resource-major: each weighted regression's weight, shift
+// and coefficients stay in locals while the whole window streams past,
+// accumulating into out. Every out[t] sees Predict's operations in
+// Predict's order — the shifted sum left to right, Horner from y = 0,
+// terms summed in ascending resource order, one division by the same
+// weight sum.
+func (m *ServiceTimeModel) predictWindowUnfloored(window []cluster.Vector, shift, adj [cluster.NumResources]float64, lo float64, out []float64) {
+	out = out[:len(window)]
 	var den float64
+	clear(out)
 	for r := 0; r < cluster.NumResources; r++ {
 		reg, w := m.Regs[r], m.Weights[r]
 		if reg == nil || w == 0 {
@@ -132,41 +150,37 @@ func (m *ServiceTimeModel) predictWindow(window []cluster.Vector, shift, adj [cl
 		case 2:
 			c0, c1 := c[0], c[1]
 			for t := range window {
-				x := shifted(window[t][r], sh, ad)
+				x := shifted(window[t][r], sh, ad, lo)
 				out[t] += w * ((0*x+c1)*x + c0)
 			}
 		case 3:
 			c0, c1, c2 := c[0], c[1], c[2]
 			for t := range window {
-				x := shifted(window[t][r], sh, ad)
+				x := shifted(window[t][r], sh, ad, lo)
 				out[t] += w * (((0*x+c2)*x+c1)*x + c0)
 			}
 		default:
 			for t := range window {
-				x := shifted(window[t][r], sh, ad)
+				x := shifted(window[t][r], sh, ad, lo)
 				out[t] += w * reg.Predict(x)
 			}
 		}
 	}
 	for t, num := range out {
-		x := m.FallbackMean
+		out[t] = m.FallbackMean
 		if den != 0 {
-			x = num / den
+			out[t] = num / den
 		}
-		if x < 1e-9 || math.IsNaN(x) {
-			x = 1e-9
-		}
-		out[t] = x
 	}
 }
 
 // shifted is one coordinate of a shifted sample: (s + shift) + adj, added
-// left to right, clamped at zero because real contention metrics are
-// non-negative.
-func shifted(s, shift, adj float64) float64 {
+// left to right, clamped at lo — zero on the prediction path, because real
+// contention metrics are non-negative.
+func shifted(s, shift, adj, lo float64) float64 {
 	x := (s + shift) + adj
-	if x < 0 {
-		return 0
+	if x < lo {
+		return lo
 	}
 	return x
 }
