@@ -187,10 +187,6 @@ func New(n int, lookahead float64, maxClasses int, pool *shard.Pool) (*Plane, er
 // Lanes returns the lane count.
 func (p *Plane) Lanes() int { return p.n }
 
-// Lookahead returns the minimum cross-class message delay the plane
-// synchronizes on.
-func (p *Plane) Lookahead() float64 { return p.lookahead }
-
 // Pending reports the number of scheduled data-plane events not yet
 // executed. Between windows (the only time callers run) the outboxes are
 // empty, so the lane heaps are the whole story.

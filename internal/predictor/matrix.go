@@ -80,13 +80,15 @@ func (in *MatrixInput) validate() error {
 // within the scheduling round and incrementally updates the affected
 // entries per Algorithm 2, without waiting for the physical migration.
 //
-// Each distinct window prediction is evaluated once per fill region (see
-// docs/architecture.md, "Performance-matrix evaluation discipline"): self
-// terms once per (stage, node), origin and destination terms once per row
-// — in closed form from their component's base-window moments wherever
-// two certificates show the closed form exact in reals (closedFormTerm),
-// through the window otherwise — and stage maxima read off members kept
-// in descending latency order.
+// Each distinct window prediction is evaluated at most once per fill
+// region (see docs/architecture.md, "Performance-matrix evaluation
+// discipline"): self terms once per (stage, node), origin terms once per
+// row and folded into per-stage maxima, destination terms only where their
+// component's bound says they can raise a stage maximum — each row term in
+// closed form from its component's base-window moments wherever two
+// certificates show the closed form exact in reals (closedFormTerm),
+// through the window otherwise — and stage maxima read off members kept in
+// descending latency order.
 type Matrix struct {
 	in MatrixInput
 
@@ -121,6 +123,23 @@ type Matrix struct {
 	nodeMean []vec4
 	nodeCov  []vec4
 
+	// The bound-first rule's inputs. shift[(2i+side)·stages + s] is the
+	// Eq. 1 mean shift A of row i's terms for a stage-s component, side 0
+	// for origin terms (σ = −1) and 1 for destination terms (σ = +1);
+	// destShiftMax and destShiftMin are each stage's extremes over all
+	// rows, nonNegDemand whether no demand is negative, margin the queue
+	// model's riseMargin. bound[h] is an upper bound on every closed-form
+	// destination term of h (+Inf where none is known) and admitAll[h]
+	// reports that closedFormTerm admits h's destination term in every
+	// row; both are refreshed wherever moments[h] is.
+	shift        []float64
+	destShiftMax []float64
+	destShiftMin []float64
+	nonNegDemand bool
+	margin       float64
+	bound        []float64
+	admitAll     []bool
+
 	// L and SelfGain are exposed read-only to the scheduler. Their rows
 	// are capacity-capped windows of one contiguous array.
 	L        [][]float64
@@ -133,48 +152,27 @@ type Matrix struct {
 	scratches []*scratch
 }
 
-// scratch is the per-shard workspace of the window path and computeEntry:
-// one window of predictions, the current row's terms, and the latency
-// overrides a hypothetical migration imposes on co-hosted components,
-// folded into per-stage maxima.
+// scratch is the per-shard workspace of the window path and computeEntry,
+// carved from one float array: one window of predictions and two sets of
+// per-stage maxima.
 type scratch struct {
 	// window receives predictWindow's per-sample service times; it is as
 	// long as the longest node window.
 	window []float64
 
-	// term[h] holds the row loaded by loadRow or loadColumns: the
-	// predicted latency of component h once the row's component ci leaves
-	// h's node (h on ci's node: U' = U − U_ci) or joins it (h elsewhere:
-	// U' = U + U_ci), Table III.
-	term []float64
-
-	overrideSet []int     // epoch marker per component: overridden
-	stageSet    []int     // epoch marker per stage: holds an override
-	stageMax    []float64 // max(0, overrides) per marked stage
-	epoch       int
+	// rowMax[s] is the largest of 0 and the current row's origin terms in
+	// stage s (foldOrigin); colMax[s] is stage s's running maximum in the
+	// current entry (entryFloor, then computeEntry's destination terms).
+	rowMax []float64
+	colMax []float64
 }
 
-func newScratch(m, stages, window int) *scratch {
+func newScratch(stages, window int) *scratch {
+	buf := make([]float64, window+2*stages)
 	return &scratch{
-		window:      make([]float64, window),
-		term:        make([]float64, m),
-		overrideSet: make([]int, m),
-		stageSet:    make([]int, stages),
-		stageMax:    make([]float64, stages),
-	}
-}
-
-// override records component h's latency v in the current entry's world
-// and folds it into its stage's maximum. Each component is overridden at
-// most once per entry.
-func (sc *scratch) override(h, stage int, v float64) {
-	sc.overrideSet[h] = sc.epoch
-	if sc.stageSet[stage] != sc.epoch {
-		sc.stageSet[stage] = sc.epoch
-		sc.stageMax[stage] = 0
-	}
-	if v > sc.stageMax[stage] {
-		sc.stageMax[stage] = v
+		window: carve(&buf, window),
+		rowMax: carve(&buf, stages),
+		colMax: carve(&buf, stages),
 	}
 }
 
@@ -218,19 +216,24 @@ func BuildMatrix(in MatrixInput) (*Matrix, error) {
 		mat.nodeCov = carve(&vecs, 4*k)
 		mat.covQX = carve(&vecs, m)
 	}
-	floats := make([]float64, m+stages+stages*k+2*m*k)
+	floats := make([]float64, 2*m+3*stages+stages*k+2*m*k+2*m*stages)
 	mat.cur = carve(&floats, m)
 	mat.stageLat = carve(&floats, stages)
 	mat.selfLat = carve(&floats, stages*k)
+	mat.bound = carve(&floats, m)
+	mat.shift = carve(&floats, 2*m*stages)
+	mat.destShiftMax = carve(&floats, stages)
+	mat.destShiftMin = carve(&floats, stages)
 	for i := 0; i < m; i++ {
 		mat.L[i] = carve(&floats, k)
 	}
 	for i := 0; i < m; i++ {
 		mat.SelfGain[i] = carve(&floats, k)
 	}
-	flags := make([]bool, 2*m)
+	flags := make([]bool, 3*m)
 	mat.removed = carve(&flags, m)
 	mat.onTouched = carve(&flags, m)
+	mat.admitAll = carve(&flags, m)
 
 	window := 0
 	for n := range in.NodeSamples {
@@ -238,16 +241,19 @@ func BuildMatrix(in MatrixInput) (*Matrix, error) {
 		mat.recordNodeStats(n)
 	}
 	for s := range mat.scratches {
-		mat.scratches[s] = newScratch(m, stages, window)
+		mat.scratches[s] = newScratch(stages, window)
 	}
+	mat.recordShifts()
+	mat.margin = in.Params.riseMargin()
 	for i, c := range in.Components {
 		mat.alloc[i] = c.Node
 	}
 	mat.nodeComps = groupIndices(m, k, func(i int) int { return in.Components[i].Node })
 	mat.stageOf = groupIndices(m, stages, func(i int) int { return in.Components[i].Stage })
-	// Every per-component latency and base-window moment is a pure
-	// function of the frozen input (samples, models, allocation), written
-	// to its own slot — shardable.
+	// Every per-component latency, base-window moment and destination
+	// bound is a pure function of the frozen input (samples, models,
+	// allocation) and the round's shifts, written to its own slot —
+	// shardable.
 	in.Pool.Run(m, func(s, lo, hi int) {
 		sc := mat.scratches[s]
 		for i := lo; i < hi; i++ {
@@ -267,12 +273,12 @@ func BuildMatrix(in MatrixInput) (*Matrix, error) {
 
 	// Entry fill: each shard owns a contiguous row range and its private
 	// scratch; entries read only barrier-frozen state (cur, stageLat,
-	// selfLat, delta, the moments, the input) and write their own
-	// L/SelfGain cells.
+	// selfLat, delta, the moments and bounds, the input) and write their
+	// own L/SelfGain cells.
 	in.Pool.Run(m, func(s, lo, hi int) {
 		sc := mat.scratches[s]
 		for i := lo; i < hi; i++ {
-			mat.loadRow(i, sc)
+			mat.foldOrigin(i, sc)
 			for j := 0; j < k; j++ {
 				mat.computeEntry(i, j, sc)
 			}
@@ -450,14 +456,16 @@ func (mat *Matrix) recordNodeStats(n int) {
 }
 
 // recordMoments stores component h's base-window moments, and for a
-// degree-2 stage cov(q, x_r), under the current allocation and delta. A
-// stage on the window path, or an empty window, records nothing: no
-// closed form reads it.
+// degree-2 stage cov(q, x_r), under the current allocation and delta, then
+// its destination bound (recordBound). A stage on the window path, or an
+// empty window, records no moments, since no closed form reads them, and
+// no bound.
 func (mat *Matrix) recordMoments(h int, sc *scratch) {
 	c := mat.in.Components[h]
 	f := &mat.forms[c.Stage]
 	n := mat.alloc[h]
 	samples := mat.in.NodeSamples[n]
+	mat.bound[h], mat.admitAll[h] = math.Inf(1), false
 	if f.degree == 0 || len(samples) == 0 {
 		return
 	}
@@ -475,6 +483,9 @@ func (mat *Matrix) recordMoments(h int, sc *scratch) {
 		ss += (x - mean) * (x - mean)
 	}
 	mat.moments[h] = baseMoments{mean: mean, variance: ss / size, minQ: minQ}
+	if f.degree == 1 {
+		mat.recordBound(h)
+	}
 	if f.degree == 2 {
 		mu := &mat.nodeMean[n]
 		var cq vec4
@@ -488,6 +499,81 @@ func (mat *Matrix) recordMoments(h int, sc *scratch) {
 		}
 		mat.covQX[h] = cq
 	}
+}
+
+// recordShifts stores every row's mean shift per (side, stage) with
+// closedFormTerm's float operations, A = Σ_r v_r·(a1_r + a2_r·v_r) at
+// v = σ·U_ci summed in ascending resource order, each stage's largest and
+// smallest destination shift, and whether every demand is non-negative.
+// Demands and models do not change within a round.
+func (mat *Matrix) recordShifts() {
+	stages := len(mat.forms)
+	mat.nonNegDemand = true
+	for s := range mat.forms {
+		mat.destShiftMax[s], mat.destShiftMin[s] = math.Inf(-1), math.Inf(1)
+	}
+	for i, c := range mat.in.Components {
+		for _, u := range c.Demand {
+			mat.nonNegDemand = mat.nonNegDemand && u >= 0
+		}
+		for side, sign := range [2]float64{-1, 1} {
+			row := mat.shift[(2*i+side)*stages : (2*i+side+1)*stages]
+			for s := range mat.forms {
+				f := &mat.forms[s]
+				shift := 0.0
+				for r := range f.a1 {
+					v := sign * c.Demand[r]
+					shift += v * (f.a1[r] + f.a2[r]*v)
+				}
+				row[s] = shift
+				if side == 1 && f.degree != 0 {
+					mat.destShiftMax[s] = max(mat.destShiftMax[s], shift)
+					mat.destShiftMin[s] = min(mat.destShiftMin[s], shift)
+				}
+			}
+		}
+	}
+}
+
+// recordBound stores, for a degree-1 component h with fresh base-window
+// moments, an upper bound on all its closed-form destination terms and
+// whether closedFormTerm admits that term in every row (see
+// docs/architecture.md, "Bound-first destination terms"). A destination term
+// of row i is Eq. 2 at mean mo.mean + shift_i and variance mo.variance;
+// float addition is monotone, so its mean is at most mo.mean plus the
+// stage's largest destination shift, and Eq. 2 rises with the mean to
+// within riseMargin. The bound stays +Inf unless riseMargin's premises
+// hold: an admitted term's mean is ≥ its certificate-(b) low bound ≥ 1e-9
+// when mo.mean ≥ mo.minQ, λ passes the guard, and the bound's own
+// evaluation gives at most 1e300 without the fallback.
+//
+// The all-rows flag restates both certificates for every row at once:
+// with no demand negative, a destination adjustment (−U_h) + U_ci is at
+// least −U_h in floats, so a base coordinate that clears certificate (a)
+// clears it for every ci; and the smallest destination shift bounds every
+// row's certificate-(b) low bound from below.
+func (mat *Matrix) recordBound(h int) {
+	c := mat.in.Components[h]
+	mo := &mat.moments[h]
+	maxShift := mat.destShiftMax[c.Stage]
+	v := max(mo.variance, 0)
+	if !(mo.mean >= mo.minQ && mat.in.Lambda*(1+v*1.01e18) <= 1e300 && mat.margin < math.Inf(1)) {
+		return
+	}
+	l, fallback := expectedLatency(mat.in.Queue, mo.mean+maxShift, v, mat.in.Lambda, mat.in.Params)
+	if fallback || !(l <= 1e300) {
+		return
+	}
+	mat.bound[h] = l * (1 + mat.margin)
+	admit := mat.nonNegDemand && mo.minQ+mat.destShiftMin[c.Stage] >= 1e-9 &&
+		mo.mean+maxShift < math.Inf(1) && mo.variance < math.Inf(1)
+	f := &mat.forms[c.Stage]
+	n := mat.alloc[h]
+	lo, d := &mat.nodeMin[n], &mat.delta[n]
+	for r := range lo {
+		admit = admit && (!f.weighted[r] || (lo[r]+d[r])-c.Demand[r] >= 0)
+	}
+	mat.admitAll[h] = admit
 }
 
 // termPath says how a row term is evaluated: in closed form, or through
@@ -533,29 +619,40 @@ func (mat *Matrix) rowShift(i, h, n int) (float64, vec4) {
 // instead. Float rounding differs from the window path's, so a term may
 // differ from it by a few ulps.
 func (mat *Matrix) closedFormTerm(i, h, n int, sign float64, adj vec4) (float64, termPath) {
+	mean, variance, path := mat.closedFormMoments(i, h, n, sign, adj)
+	if path != closedForm {
+		return 0, path
+	}
+	return ExpectedLatency(mat.in.Queue, mean, max(variance, 0), mat.in.Lambda, mat.in.Params), closedForm
+}
+
+// closedFormMoments is closedFormTerm up to Eq. 2: the certificates, then
+// the term's window mean and variance in closed form, A read from the
+// round's shifts.
+func (mat *Matrix) closedFormMoments(i, h, n int, sign float64, adj vec4) (mean, variance float64, path termPath) {
 	comps := mat.in.Components
-	f := &mat.forms[comps[h].Stage]
+	stage := comps[h].Stage
+	f := &mat.forms[stage]
 	if f.degree == 0 || len(mat.in.NodeSamples[n]) == 0 {
-		return 0, windowPath
+		return 0, 0, windowPath
 	}
 	lo, d := &mat.nodeMin[n], &mat.delta[n]
-	var v vec4
-	for r := range v {
+	for r := range lo {
 		if f.weighted[r] && !((lo[r]+d[r])+adj[r] >= 0) {
-			return 0, clampRefused
+			return 0, 0, clampRefused
 		}
-		v[r] = sign * comps[i].Demand[r]
 	}
-	shift := 0.0
-	for r := range v {
-		shift += v[r] * (f.a1[r] + f.a2[r]*v[r])
+	side := 0
+	if sign > 0 {
+		side = 1
 	}
+	shift := mat.shift[(2*i+side)*len(mat.forms)+stage]
 	mo := &mat.moments[h]
 	mean, variance, low := mo.mean+shift, mo.variance, mo.minQ+shift
 	if f.degree == 2 {
 		var b vec4
 		for r := range b {
-			b[r] = 2 * f.a2[r] * v[r]
+			b[r] = 2 * f.a2[r] * (sign * comps[i].Demand[r])
 		}
 		cq, mu, hi := &mat.covQX[h], &mat.nodeMean[n], &mat.nodeMax[n]
 		cov := mat.nodeCov[4*n : 4*n+4]
@@ -579,9 +676,9 @@ func (mat *Matrix) closedFormTerm(i, h, n int, sign float64, adj vec4) (float64,
 		}
 	}
 	if !(low >= 1e-9 && mean < math.Inf(1) && variance < math.Inf(1)) {
-		return 0, floorRefused
+		return 0, 0, floorRefused
 	}
-	return ExpectedLatency(mat.in.Queue, mean, max(variance, 0), mat.in.Lambda, mat.in.Params), closedForm
+	return mean, variance, closedForm
 }
 
 // refreshStageLatencies recomputes Eq. 3 per stage and Eq. 4 overall from
@@ -614,95 +711,128 @@ func (mat *Matrix) refreshSelfTerms(n int, sc *scratch) {
 	}
 }
 
-// loadRow evaluates every term of row i into sc.term: the origin terms of
-// the other components on ci's node and the destination terms of every
-// component on every other node. Fills load each row before computing its
-// entries, so no term outlives the region whose frozen delta it was
-// computed from.
-func (mat *Matrix) loadRow(i int, sc *scratch) {
-	for n := range mat.nodeComps {
-		mat.loadTerms(i, n, sc)
+// rowTerm evaluates row i's term for component h on node n (Table III):
+// h's latency once ci leaves n (h on ci's node: U' = U − U_ci) or joins it
+// (U' = U + U_ci), in closed form where closedFormTerm admits it and
+// through the window otherwise.
+func (mat *Matrix) rowTerm(i, h, n int, sc *scratch) float64 {
+	sign, adj := mat.rowShift(i, h, n)
+	v, path := mat.closedFormTerm(i, h, n, sign, adj)
+	if path != closedForm {
+		v = mat.latencyOn(h, n, adj, sc)
 	}
+	return v
 }
 
-// loadColumns evaluates the terms row i's entries in columns a and j read:
-// its origin terms and the destination terms of nodes a and j, neither of
-// which hosts ci.
-func (mat *Matrix) loadColumns(i, a, j int, sc *scratch) {
-	for _, n := range [3]int{mat.alloc[i], a, j} {
-		mat.loadTerms(i, n, sc)
-	}
-}
-
-// loadTerms evaluates row i's term for every component h ≠ i on node n,
-// in closed form where closedFormTerm admits it and through the window
-// otherwise.
-func (mat *Matrix) loadTerms(i, n int, sc *scratch) {
-	for _, h := range mat.nodeComps[n] {
+// foldOrigin evaluates row i's origin terms, those of the other components
+// on ci's node, and folds them into sc.rowMax: per stage, the largest of 0
+// and the row's origin terms. They are the same in every column, so fills
+// fold each row once before computing its entries, and no term outlives
+// the region whose frozen delta it was computed from.
+func (mat *Matrix) foldOrigin(i int, sc *scratch) {
+	clear(sc.rowMax)
+	a := mat.alloc[i]
+	for _, h := range mat.nodeComps[a] {
 		if h == i {
 			continue
 		}
-		sign, adj := mat.rowShift(i, h, n)
-		v, path := mat.closedFormTerm(i, h, n, sign, adj)
-		if path != closedForm {
-			v = mat.latencyOn(h, n, adj, sc)
+		s := mat.in.Components[h].Stage
+		if v := mat.rowTerm(i, h, a, sc); v > sc.rowMax[s] {
+			sc.rowMax[s] = v
 		}
-		sc.term[h] = v
 	}
+}
+
+// entryFloor sets sc.colMax, for entry (i, j) with j ≠ ci's node, to each
+// stage's maximum over everything but the destination terms: 0, the row's
+// origin terms (sc.rowMax), ci's self term on nj, and the cur of the
+// stage's first member on neither node — the largest latency among the
+// members the entry leaves unchanged, since members are kept in descending
+// cur order. It returns the self term.
+func (mat *Matrix) entryFloor(i, j int, sc *scratch) float64 {
+	a := mat.alloc[i]
+	for s, members := range mat.stageOf {
+		v := sc.rowMax[s]
+		for _, h := range members {
+			if n := mat.alloc[h]; n != a && n != j {
+				if mat.cur[h] > v {
+					v = mat.cur[h]
+				}
+				break
+			}
+		}
+		sc.colMax[s] = v
+	}
+	stage := mat.in.Components[i].Stage
+	li := mat.selfLat[stage*mat.in.NumNodes+j]
+	if li > sc.colMax[stage] {
+		sc.colMax[stage] = li
+	}
+	return li
+}
+
+// destCase classifies a destination term against its stage's running
+// maximum: computeEntry's predicate for evaluating it. The cases from
+// skipAllRows on skip the term.
+type destCase int
+
+const (
+	overBound    destCase = iota // the bound exceeds the running maximum (+Inf: no bound): evaluate
+	refusedUnder                 // within the bound, but a certificate refuses the closed form: evaluate
+	skipAllRows                  // within the bound, admitted in every row: skip
+	skipPair                     // within the bound, admitted in this row: skip
+)
+
+// destCheck classifies row i's destination term for h on node j against
+// runMax, the running maximum of h's stage. A term closedFormTerm admits
+// is at most bound[h], so when the bound is within runMax the term cannot
+// raise the maximum and skipping it leaves every float of the entry as it
+// was; a refused term takes the window path, which the bound does not
+// cover.
+func (mat *Matrix) destCheck(i, h, j int, runMax float64) destCase {
+	if mat.bound[h] > runMax {
+		return overBound
+	}
+	if mat.admitAll[h] {
+		return skipAllRows
+	}
+	sign, adj := mat.rowShift(i, h, j)
+	if _, _, path := mat.closedFormMoments(i, h, j, sign, adj); path == closedForm {
+		return skipPair
+	}
+	return refusedUnder
 }
 
 // computeEntry fills L[i][j] and SelfGain[i][j]: the hypothetical world
 // where ci sits on nj, with the Table III contention updates applied to
 // every component on ci's origin and destination nodes. sc is the calling
-// shard's private scratch, holding the row's terms (loadRow or
-// loadColumns); everything else it touches is read-only during a parallel
-// fill except the (i, j) cells themselves.
+// shard's private scratch, holding the row's origin fold (foldOrigin);
+// everything else it touches is read-only during a parallel fill except
+// the (i, j) cells themselves.
+//
+// Eq. 3–4 with the updates: each stage's maximum is the largest of its
+// floor (entryFloor) and its destination terms, and a destination term is
+// evaluated only where destCheck says it can raise that maximum.
 func (mat *Matrix) computeEntry(i, j int, sc *scratch) {
-	a := mat.alloc[i]
-	if j == a {
+	if j == mat.alloc[i] {
 		mat.L[i][j] = 0
 		mat.SelfGain[i][j] = 0
 		return
 	}
-	comps := mat.in.Components
-	sc.epoch++
-
-	// ci itself: U' = U_nj (Table III row 1).
-	li := mat.selfLat[comps[i].Stage*mat.in.NumNodes+j]
-	sc.override(i, comps[i].Stage, li)
-
-	// Components remaining on the origin node (U' = U − U_ci), then those
-	// already on the destination node (U' = U + U_ci): the row's terms.
-	for _, n := range [2]int{a, j} {
-		for _, h := range mat.nodeComps[n] {
-			if h != i {
-				sc.override(h, comps[h].Stage, sc.term[h])
-			}
-		}
-	}
-
-	// Eq. 3–4 with overrides; only stages containing changed components
-	// can change. An affected stage's maximum is the largest of 0, its
-	// overridden values and the cur of its first member not overridden —
-	// the maximum of the same values a full member scan would see.
-	overall := 0.0
-	for s, members := range mat.stageOf {
-		if sc.stageSet[s] != sc.epoch {
-			overall += mat.stageLat[s]
+	li := mat.entryFloor(i, j, sc)
+	for _, h := range mat.nodeComps[j] {
+		s := mat.in.Components[h].Stage
+		if mat.destCheck(i, h, j, sc.colMax[s]) >= skipAllRows {
 			continue
 		}
-		max := sc.stageMax[s]
-		for _, h := range members {
-			if sc.overrideSet[h] != sc.epoch {
-				if mat.cur[h] > max {
-					max = mat.cur[h]
-				}
-				break
-			}
+		if v := mat.rowTerm(i, h, j, sc); v > sc.colMax[s] {
+			sc.colMax[s] = v
 		}
-		overall += max
 	}
-
+	overall := 0.0
+	for _, v := range sc.colMax {
+		overall += v
+	}
 	mat.L[i][j] = mat.overall - overall // Eq. 5
 	mat.SelfGain[i][j] = mat.cur[i] - li
 }
@@ -775,9 +905,9 @@ func (mat *Matrix) Migrate(i, j int) {
 	mat.delta[j] = addv(mat.delta[j], di, +1)
 	mat.removed[i] = true
 
-	// Refresh the cached current latencies and base-window moments of
-	// everything on the two touched nodes (including the migrated
-	// component), then Eq. 3–4 and the two nodes' self terms.
+	// Refresh the cached current latencies, base-window moments and
+	// destination bounds of everything on the two touched nodes (including
+	// the migrated component), then Eq. 3–4 and the two nodes' self terms.
 	seq := mat.scratches[0]
 	for _, n := range [2]int{a, j} {
 		for _, h := range mat.nodeComps[n] {
@@ -809,14 +939,13 @@ func (mat *Matrix) Migrate(i, j int) {
 			if mat.removed[h] {
 				continue
 			}
+			mat.foldOrigin(h, sc)
 			if onTouched[h] {
-				mat.loadRow(h, sc)
 				for v := 0; v < mat.in.NumNodes; v++ {
 					mat.computeEntry(h, v, sc)
 				}
 				continue
 			}
-			mat.loadColumns(h, a, j, sc)
 			mat.computeEntry(h, a, sc)
 			mat.computeEntry(h, j, sc)
 		}

@@ -1,0 +1,340 @@
+package predictor
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/shard"
+	"repro/internal/xrand"
+)
+
+// fillTerm evaluates every term with the fills' own evaluators: latencyOn
+// for the self term, rowTerm for origin and destination terms. Through
+// referenceEntry it recomputes a cell with every term evaluated: the fill
+// without the origin fold, the ordered maxima or the bound-first skips.
+func fillTerm(mat *Matrix, sc *scratch) termFunc {
+	return func(i, h, n int, adj vec4) float64 {
+		if h == i {
+			return mat.latencyOn(i, n, adj, sc)
+		}
+		return mat.rowTerm(i, h, n, sc)
+	}
+}
+
+// boundTally counts destination terms by the case destCheck assigns them,
+// splitting overBound into terms with a finite bound and terms of
+// components that have none, by reason.
+type boundTally struct {
+	cases      [4]int
+	finiteOver int
+	noBound    struct{ degree2, noClosedForm, emptyWindow int }
+}
+
+func (b *boundTally) skipped() int { return b.cases[skipAllRows] + b.cases[skipPair] }
+
+func (b *boundTally) total() int {
+	return b.cases[overBound] + b.cases[refusedUnder] + b.skipped()
+}
+
+// tallyRow replays computeEntry's destination pass over the given columns
+// of row i with the fill's own predicate (foldOrigin, entryFloor,
+// destCheck) and counts every destination term by its case.
+func tallyRow(mat *Matrix, i int, cols []int, sc *scratch, tally *boundTally) {
+	mat.foldOrigin(i, sc)
+	for _, j := range cols {
+		if j == mat.alloc[i] {
+			continue
+		}
+		mat.entryFloor(i, j, sc)
+		for _, h := range mat.nodeComps[j] {
+			s := mat.in.Components[h].Stage
+			c := mat.destCheck(i, h, j, sc.colMax[s])
+			tally.cases[c]++
+			switch {
+			case c != overBound:
+			case !math.IsInf(mat.bound[h], 1):
+				tally.finiteOver++
+			case len(mat.in.NodeSamples[j]) == 0:
+				tally.noBound.emptyWindow++
+			case mat.forms[s].degree == 2:
+				tally.noBound.degree2++
+			case mat.forms[s].degree == 0:
+				tally.noBound.noClosedForm++
+			}
+			if c >= skipAllRows {
+				continue
+			}
+			if v := mat.rowTerm(i, h, j, sc); v > sc.colMax[s] {
+				sc.colMax[s] = v
+			}
+		}
+	}
+}
+
+// checkBounds requires every destination term closedFormTerm admits in a
+// live row to lie within its component's bound, and every term of a
+// component with the all-rows flag to be admitted, in mat's current state.
+func checkBounds(t *testing.T, mat *Matrix, step int) {
+	t.Helper()
+	for i := range mat.in.Components {
+		if mat.removed[i] {
+			continue
+		}
+		for n, members := range mat.nodeComps {
+			if n == mat.alloc[i] {
+				continue
+			}
+			for _, h := range members {
+				sign, adj := mat.rowShift(i, h, n)
+				v, path := mat.closedFormTerm(i, h, n, sign, adj)
+				if path == closedForm && !(v <= mat.bound[h]) {
+					t.Fatalf("step %d: row %d's destination term of %d = %v, above its bound %v", step, i, h, v, mat.bound[h])
+				}
+				if mat.admitAll[h] && path != closedForm {
+					t.Fatalf("step %d: row %d refuses the destination term of %d (path %d), whose all-rows flag is set",
+						step, i, h, path)
+				}
+			}
+		}
+	}
+}
+
+// TestBoundFirstMatchesFullEvaluation pins the bound-first fill (origin
+// fold, entry floors, destination terms skipped under their bound) to the
+// same cells recomputed with every term evaluated (referenceEntry over
+// fillTerm), by bits: every L and SelfGain cell after BuildMatrix, and
+// after each Migrate of a whole Algorithm 1 round every cell, where the
+// cells Algorithm 2 recomputes must match a fresh full evaluation and all
+// others keep their bits; every bound and all-rows flag must hold
+// (checkBounds). It runs at 1, 2 and 4 shards. Tallied with the fill's
+// own predicate, the fixture must reach skips by the all-rows flag and by
+// a per-pair certificate, terms over a finite bound, refused terms within
+// the bound, and terms of components with no bound for each reason
+// (degree 2, degree 3, an empty window).
+func TestBoundFirstMatchesFullEvaluation(t *testing.T) {
+	base := oracleMatrixInput(t)
+	m, k := len(base.Components), base.NumNodes
+	all := make([]int, k)
+	for j := range all {
+		all[j] = j
+	}
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			pool := shard.NewPool(shards)
+			defer pool.Close()
+			in := base
+			in.Pool = pool
+			mat, err := BuildMatrix(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := newScratch(in.NumStages, len(mat.scratches[0].window))
+			full := fillTerm(mat, sc)
+			wantL, wantG := make([]float64, m*k), make([]float64, m*k)
+			recompute := func(i, j int) {
+				wantL[i*k+j], wantG[i*k+j] = referenceEntry(mat, i, j, full)
+			}
+			compare := func(step int) {
+				t.Helper()
+				for i := 0; i < m; i++ {
+					for j := 0; j < k; j++ {
+						if math.Float64bits(mat.L[i][j]) != math.Float64bits(wantL[i*k+j]) {
+							t.Fatalf("step %d: L[%d][%d] = %v, full evaluation %v", step, i, j, mat.L[i][j], wantL[i*k+j])
+						}
+						if math.Float64bits(mat.SelfGain[i][j]) != math.Float64bits(wantG[i*k+j]) {
+							t.Fatalf("step %d: SelfGain[%d][%d] = %v, full evaluation %v",
+								step, i, j, mat.SelfGain[i][j], wantG[i*k+j])
+						}
+					}
+				}
+			}
+
+			var tally boundTally
+			for i := 0; i < m; i++ {
+				for j := 0; j < k; j++ {
+					recompute(i, j)
+				}
+				tallyRow(mat, i, all, sc, &tally)
+			}
+			compare(0)
+			checkBounds(t, mat, 0)
+			for step := 1; ; step++ {
+				comp, to, _, ok := mat.Best()
+				if !ok {
+					if step <= m {
+						t.Fatalf("Best ran out after %d of %d migrations", step-1, m)
+					}
+					break
+				}
+				from := mat.Allocation()[comp]
+				mat.Migrate(comp, to)
+				for i := 0; i < m; i++ {
+					if mat.Removed(i) {
+						continue
+					}
+					cols := []int{from, to}
+					if n := mat.Allocation()[i]; n == from || n == to {
+						cols = all
+					}
+					for _, j := range cols {
+						recompute(i, j)
+					}
+					tallyRow(mat, i, cols, sc, &tally)
+				}
+				compare(step)
+				checkBounds(t, mat, step)
+			}
+
+			t.Logf("destination terms: %d over a finite bound, %d refused within it, %d skipped by the all-rows flag, "+
+				"%d by a per-pair certificate; no bound: %+v", tally.finiteOver, tally.cases[refusedUnder],
+				tally.cases[skipAllRows], tally.cases[skipPair], tally.noBound)
+			for _, c := range []struct {
+				name string
+				n    int
+			}{
+				{"skips by the all-rows flag", tally.cases[skipAllRows]},
+				{"skips by a per-pair certificate", tally.cases[skipPair]},
+				{"terms over a finite bound", tally.finiteOver},
+				{"refused terms within the bound", tally.cases[refusedUnder]},
+				{"unbounded degree-2 terms", tally.noBound.degree2},
+				{"unbounded degree-3 terms", tally.noBound.noClosedForm},
+				{"unbounded empty-window terms", tally.noBound.emptyWindow},
+			} {
+				if c.n == 0 {
+					t.Errorf("the fixture reaches no %s", c.name)
+				}
+			}
+		})
+	}
+}
+
+// TestBoundFirstCoverage guards the bound-first rule's reach: a fresh
+// build on the large-cluster-shaped coverageInput must skip at least 80%
+// of its destination terms and at least 75% by the all-rows flag alone,
+// counted with the fill's own predicate (86.4% and 82.8% at seed 1, 82.2%
+// and 79.1% at seed 3; PCS runs on pcs-control skip about 92%). A bound
+// that silently stops applying, or a flag that stops being set, fails
+// here instead of only slowing the run.
+func TestBoundFirstCoverage(t *testing.T) {
+	for _, seed := range []int64{1, 3} {
+		mat, err := BuildMatrix(coverageInput(t, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := make([]int, mat.in.NumNodes)
+		for j := range all {
+			all[j] = j
+		}
+		sc := newScratch(mat.in.NumStages, len(mat.scratches[0].window))
+		var tally boundTally
+		for i := range mat.in.Components {
+			tallyRow(mat, i, all, sc, &tally)
+		}
+		share := float64(tally.skipped()) / float64(tally.total())
+		flag := float64(tally.cases[skipAllRows]) / float64(tally.total())
+		t.Logf("seed %d: %d destination terms, by case (over, refused, all-rows, pair) %v: %.2f%% skipped, %.2f%% by the flag",
+			seed, tally.total(), tally.cases, 100*share, 100*flag)
+		if share < 0.80 || flag < 0.75 {
+			t.Errorf("seed %d: %.2f%% of destination terms skipped (want ≥ 80%%), %.2f%% by the all-rows flag (want ≥ 75%%)",
+				seed, 100*share, 100*flag)
+		}
+	}
+}
+
+// FuzzDestinationBound drives the destination bound over windows of 0–12
+// samples, degree-1 models rising or falling with contention, demands
+// (negative ones included), virtual deltas, λ, RhoMax ∈ (0, 1),
+// OverloadSlope and each queue model: every destination term
+// closedFormTerm admits must lie within its component's bound, the bound
+// is never NaN, and a component with the all-rows flag has every
+// destination term admitted.
+//
+//	go test -run '^$' -fuzz '^FuzzDestinationBound$' -fuzztime 10s ./internal/predictor/
+func FuzzDestinationBound(f *testing.F) {
+	f.Add(int64(1), uint8(10), uint8(0), 0.3, 0.5, 0.1, 0.8, 0.98, 50.0)
+	f.Add(int64(2), uint8(10), uint8(1), 0.6, 0.2, 0.7, 0.3, 0.9, 5.0)
+	f.Add(int64(3), uint8(7), uint8(2), 0.9, 0.9, 0.4, 0.99, 0.5, 0.0)
+	f.Add(int64(4), uint8(1), uint8(4), 0.05, 0.5, 0.9, 0.5, 0.999, 1e4)
+	f.Add(int64(5), uint8(0), uint8(0), 0.5, 0.5, 0.5, 0.5, 0.98, 50.0)
+	f.Add(int64(6), uint8(12), uint8(3), 0.2, 0.1, 0.2, 0.95, 0.2, -3.0)
+	f.Fuzz(func(t *testing.T, seed int64, samples, mode uint8, load, shift, slope, rate, rhoMax, overloadSlope float64) {
+		window := int(samples % 13)
+		src := xrand.New(seed)
+		training := syntheticSamples(60, 0.02, seed)
+		if slope := unitInterval(slope); slope >= 0.5 {
+			for i := range training {
+				training[i].X = 0.005*slope - training[i].X
+			}
+		}
+		model, err := Train(training, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capacity := cluster.DefaultCapacity()
+		level := 1.6*unitInterval(load) - 0.4 // windows may sit below zero
+		var nodeSamples [3][]cluster.Vector
+		for n := range nodeSamples {
+			nodeSamples[n] = make([]cluster.Vector, window)
+			for w := range nodeSamples[n] {
+				for r := range capacity {
+					nodeSamples[n][w][r] = capacity[r] * (level + 0.2*src.Float64())
+				}
+			}
+		}
+		negative := 0.0 // mode bit 2: demands may be negative
+		if mode&4 != 0 {
+			negative = 0.2
+		}
+		comps := make([]ComponentState, 6) // two per node
+		for c := range comps {
+			comps[c].Node = c % len(nodeSamples)
+			for r := range capacity {
+				comps[c].Demand[r] = 0.15 * capacity[r] * (src.Float64() - negative)
+			}
+		}
+		mat, err := BuildMatrix(MatrixInput{
+			Components:  comps,
+			NumStages:   1,
+			NumNodes:    len(nodeSamples),
+			NodeSamples: nodeSamples[:],
+			Lambda:      400 * unitInterval(rate),
+			Models:      []*ServiceTimeModel{model},
+			Queue:       QueueModel(mode % 3),
+			Params:      LatencyParams{RhoMax: unitInterval(rhoMax), OverloadSlope: overloadSlope},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A virtual delta on each node, with the moments and bounds
+		// refreshed as Migrate refreshes them.
+		for n := range mat.delta {
+			for r := range capacity {
+				mat.delta[n][r] = capacity[r] * 0.3 * (2*unitInterval(shift) - 1) * src.Float64()
+			}
+		}
+		for h := range comps {
+			mat.recordMoments(h, mat.scratches[0])
+		}
+		for h, c := range comps {
+			if math.IsNaN(mat.bound[h]) {
+				t.Fatalf("component %d: NaN bound", h)
+			}
+			for i := range comps {
+				if comps[i].Node == c.Node {
+					continue
+				}
+				sign, adj := mat.rowShift(i, h, c.Node)
+				got, path := mat.closedFormTerm(i, h, c.Node, sign, adj)
+				if mat.admitAll[h] && path != closedForm {
+					t.Fatalf("row %d, term %d: all-rows flag set, but the closed form refused it (path %d)", i, h, path)
+				}
+				if path == closedForm && !(got <= mat.bound[h]) {
+					t.Fatalf("row %d, term %d: closed form %v above the bound %v (relative %.3g)",
+						i, h, got, mat.bound[h], (got-mat.bound[h])/mat.bound[h])
+				}
+			}
+		}
+	})
+}

@@ -54,11 +54,20 @@ func referenceLatency(mat *Matrix, i, node int, adj vec4) float64 {
 	return ExpectedLatency(mat.in.Queue, meanX, varX, mat.in.Lambda, mat.in.Params)
 }
 
+// termFunc evaluates row i's term for component h on node n under the
+// window adjustment adj; h == i asks for ci's self term on n.
+type termFunc func(i, h, n int, adj vec4) float64
+
+// sampleTerm evaluates every term sample by sample (referenceLatency).
+func sampleTerm(mat *Matrix) termFunc {
+	return func(_, h, n int, adj vec4) float64 { return referenceLatency(mat, h, n, adj) }
+}
+
 // referenceEntry is the unmemoised entry evaluation: every Table III term
-// predicted per entry through referenceLatency, and every affected stage's
-// maximum taken by scanning all of its members. It reads the matrix's
-// state and returns L[i][j] and SelfGain[i][j] without writing them.
-func referenceEntry(mat *Matrix, i, j int) (l, selfGain float64) {
+// predicted per entry through term, and every affected stage's maximum
+// taken by scanning all of its members. It reads the matrix's state and
+// returns L[i][j] and SelfGain[i][j] without writing them.
+func referenceEntry(mat *Matrix, i, j int, term termFunc) (l, selfGain float64) {
 	m := len(mat.in.Components)
 	sc := &refScratch{overrideVal: make([]float64, m), overrideSet: make([]int, m)}
 
@@ -71,7 +80,7 @@ func referenceEntry(mat *Matrix, i, j int) (l, selfGain float64) {
 	sc.overrideIdx = sc.overrideIdx[:0]
 
 	// ci itself: U' = U_nj (Table III row 1).
-	li := referenceLatency(mat, i, j, vec4{})
+	li := term(i, i, j, vec4{})
 	sc.set(i, li)
 
 	// Components remaining on the origin node: U' = U − U_ci.
@@ -81,13 +90,13 @@ func referenceEntry(mat *Matrix, i, j int) (l, selfGain float64) {
 		}
 		adj := negv(mat.in.Components[h].Demand)
 		adj = addv(adj, di, -1)
-		sc.set(h, referenceLatency(mat, h, a, adj))
+		sc.set(h, term(i, h, a, adj))
 	}
 	// Components already on the destination node: U' = U + U_ci.
 	for _, h := range mat.nodeComps[j] {
 		adj := negv(mat.in.Components[h].Demand)
 		adj = addv(adj, di, +1)
-		sc.set(h, referenceLatency(mat, h, j, adj))
+		sc.set(h, term(i, h, j, adj))
 	}
 
 	// Eq. 3–4 with overrides; only stages containing changed components
@@ -129,10 +138,13 @@ func referenceEntry(mat *Matrix, i, j int) (l, selfGain float64) {
 // load (floor refusals). Per-component demands carry the controller's 2%
 // measurement noise, so no two rows share terms. Nodes host 0, 1, 2, 4
 // and 5 components, with windows of 6, 3 and 0 samples (the empty one
-// predicts the fallback mean). Node 6's window predates both of its
+// predicts the fallback mean). The windows of nodes 6 (a degree-2 and a
+// degree-3 component) and 7 (two degree-1 components) predate their
 // components: a light background with no network load, so their base
 // coordinates are negative — lifted by some destination shifts, not by
-// the others or by any origin shift (clamp refusals).
+// the others or by any origin shift (clamp refusals; on node 7, also
+// destination terms the all-rows flag cannot vouch for but their own
+// certificates admit).
 func oracleMatrixInput(t *testing.T) MatrixInput {
 	t.Helper()
 	convex := syntheticSamples(200, 0.01, 21)
@@ -160,7 +172,7 @@ func oracleMatrixInput(t *testing.T) MatrixInput {
 		}
 		models[s] = model
 	}
-	hosted := []int{5, 1, 0, 4, 2, 1, 2} // components per node
+	hosted := []int{5, 1, 0, 4, 2, 1, 2, 2, 1} // components per node
 	src := xrand.New(11)
 	populated := []int{0, 1, 3, 4}
 	var comps []ComponentState
@@ -171,17 +183,30 @@ func oracleMatrixInput(t *testing.T) MatrixInput {
 				demand[r] *= src.LogNormalMean(1, 0.02)
 			}
 			stage := populated[len(comps)%len(populated)]
+			if n == 8 {
+				stage = 0
+			}
 			comps = append(comps, ComponentState{Stage: stage, Node: n, Demand: demand})
 		}
 	}
 	nodeSamples := testNodeSamples(src, len(hosted), comps)
 	nodeSamples[4] = nodeSamples[4][:3]
 	nodeSamples[5] = nil
+	// Nodes 6–8: windows from before their components arrived, with no
+	// network load; node 7's bursts to 4× capacity every third sample.
 	idle := cluster.DefaultCapacity().Scale(0.02)
 	idle[cluster.NetBW] = 0
-	for w := range nodeSamples[6] {
-		for r := range idle {
-			nodeSamples[6][w][r] = idle[r] * src.LogNormalMean(1, 0.03)
+	burst := cluster.DefaultCapacity().Scale(4)
+	burst[cluster.NetBW] = 0
+	for _, n := range []int{6, 7, 8} {
+		for w := range nodeSamples[n] {
+			background := idle
+			if n == 7 && w%3 == 2 {
+				background = burst
+			}
+			for r := range background {
+				nodeSamples[n][w][r] = background[r] * src.LogNormalMean(1, 0.03)
+			}
 		}
 	}
 	return MatrixInput{
@@ -205,18 +230,18 @@ type termTally struct {
 	noClosedForm int
 }
 
-// checkRowTerms loads every live row of mat into a private scratch and
-// checks each term against referenceLatency: bit for bit when it took the
-// window path, within tol when it took the closed form. It tallies the
-// terms with the loaders' own predicate.
+// checkRowTerms evaluates every term of every live row of mat with the
+// fills' own evaluator (rowTerm) in a private scratch and checks each
+// against referenceLatency: bit for bit when it took the window path,
+// within tol when it took the closed form. It tallies the terms with the
+// evaluator's own predicate.
 func checkRowTerms(t *testing.T, mat *Matrix, tol float64, tally *termTally) {
 	t.Helper()
-	sc := newScratch(len(mat.in.Components), mat.in.NumStages, len(mat.scratches[0].window))
+	sc := newScratch(mat.in.NumStages, len(mat.scratches[0].window))
 	for i := range mat.in.Components {
 		if mat.removed[i] {
 			continue
 		}
-		mat.loadRow(i, sc)
 		for n, members := range mat.nodeComps {
 			for _, h := range members {
 				if h == i {
@@ -237,7 +262,7 @@ func checkRowTerms(t *testing.T, mat *Matrix, tol float64, tally *termTally) {
 						tally.noClosedForm++
 					}
 				}
-				got, want := sc.term[h], referenceLatency(mat, h, n, adj)
+				got, want := mat.rowTerm(i, h, n, sc), referenceLatency(mat, h, n, adj)
 				if path != closedForm && math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("row %d: window-path term of %d on node %d = %v, reference %v", i, h, n, got, want)
 				}
@@ -299,7 +324,7 @@ func checkCurrent(t *testing.T, mat *Matrix, step int) {
 // by bits everywhere, and so does L in every cell whose terms all took the
 // window path; a cell or row term that took the closed form may differ by
 // float rounding, at most 1e-12·CurrentOverall(). The fixture must reach
-// every path, counted with the loaders' own predicate.
+// every path, counted with the evaluator's own predicate (closedFormTerm).
 func TestMatrixMatchesUnmemoisedEntries(t *testing.T) {
 	base := oracleMatrixInput(t)
 	m, k := len(base.Components), base.NumNodes
@@ -335,7 +360,7 @@ func TestMatrixMatchesUnmemoisedEntries(t *testing.T) {
 
 			check := func(step, i, j int) {
 				t.Helper()
-				l, g := referenceEntry(mat, i, j)
+				l, g := referenceEntry(mat, i, j, sampleTerm(mat))
 				if math.Float64bits(mat.SelfGain[i][j]) != math.Float64bits(g) {
 					t.Fatalf("step %d: SelfGain[%d][%d] = %v, reference %v", step, i, j, mat.SelfGain[i][j], g)
 				}
@@ -451,7 +476,7 @@ func coverageInput(t *testing.T, seed int64) MatrixInput {
 
 // TestClosedFormCoverage guards the closed form's reach: on a
 // large-cluster-shaped input at least 95% of a freshly built matrix's row
-// terms must take it, counted with the loaders' own predicate. PCS runs
+// terms must take it, counted with the evaluator's own predicate. PCS runs
 // on pcs-control take it for about 97% of their terms; the rest are
 // mostly origin terms on nodes with no background, where the demand
 // noise pushes a shifted coordinate below zero. A change that silently

@@ -351,11 +351,12 @@ func TestMatrixComponentLatencyPositive(t *testing.T) {
 }
 
 // TestBuildMatrixAllocationsBounded pins BuildMatrix's allocations to a
-// constant (26 measured at both sizes): the rows, latencies, node
-// statistics and closed-form moments are carved from one backing array
-// per element type, the node and stage membership lists from one apiece,
-// and each shard's scratch is allocated once, so a sequential build
-// allocates the same objects whatever m and k. An allocation per node or per row adds
+// constant (22 measured at both sizes): the rows, latencies, node
+// statistics, closed-form moments, shifts and bounds are carved from one
+// backing array per element type, the node and stage membership lists
+// from one apiece, and each shard's scratch is one float array allocated
+// once, so a sequential build allocates the same objects whatever m and
+// k. An allocation per node or per row adds
 // at least 8 objects at 40×8 and 96 at 194×96, and breaks the bound.
 func TestBuildMatrixAllocationsBounded(t *testing.T) {
 	const bound = 36

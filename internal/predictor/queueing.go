@@ -55,15 +55,21 @@ func DefaultLatencyParams() LatencyParams {
 //
 //	l = x̄ + λ(1+C²x) / (2µ²(1−ρ)),  C²x = var(x)/x̄²,  ρ = λ/µ,  µ = 1/x̄
 func ExpectedLatency(model QueueModel, meanX, varX, lambda float64, p LatencyParams) float64 {
+	l, _ := expectedLatency(model, meanX, varX, lambda, p)
+	return l
+}
+
+// expectedLatency is ExpectedLatency, also reporting whether the formula's
+// value was non-finite and replaced by the meanX·1e6 fallback: the one
+// step at which the latency stops rising with meanX.
+func expectedLatency(model QueueModel, meanX, varX, lambda float64, p LatencyParams) (float64, bool) {
 	if meanX <= 0 {
-		return 0
+		return 0, false
 	}
 	if model == NoQueue || lambda <= 0 {
-		return meanX
+		return meanX, false
 	}
-	if p.RhoMax <= 0 || p.RhoMax >= 1 {
-		p = DefaultLatencyParams()
-	}
+	p = p.effective()
 	rho := lambda * meanX
 	boundedRho := rho
 	overload := 1.0
@@ -86,9 +92,51 @@ func ExpectedLatency(model QueueModel, meanX, varX, lambda float64, p LatencyPar
 	}
 	l *= overload
 	if math.IsNaN(l) || math.IsInf(l, 0) {
-		return meanX * 1e6
+		return meanX * 1e6, true
 	}
-	return l
+	return l, false
+}
+
+// effective returns the parameters ExpectedLatency applies: p, or the
+// defaults when RhoMax lies outside (0, 1).
+func (p LatencyParams) effective() LatencyParams {
+	if p.RhoMax <= 0 || p.RhoMax >= 1 {
+		return DefaultLatencyParams()
+	}
+	return p
+}
+
+// riseMargin returns a relative margin g such that, for service-time means
+// 1e-9 ≤ x ≤ y, a variance v and a rate λ with λ·(1 + v·1.01e18) ≤ 1e300,
+// ExpectedLatency(x, v) ≤ ExpectedLatency(y, v)·(1 + g) in floats whenever
+// the evaluation at y gives at most 1e300 without the fallback; +Inf when
+// no small margin holds.
+//
+// In real arithmetic l rises with x̄ (OverloadSlope ≥ 0). The float
+// evaluation differs from it by a relative error E: 13 roundings along the
+// M/G/1 chain (6 in the numerator, 1 − ρ and the division, the sum, 3 in
+// the overload factor, the product), the rounding of ρ = λ·x̄ amplified by
+// 1/(1−RhoMax) through 1 − ρ and by RhoMax·OverloadSlope through the
+// overload factor, so E ≤ u·(13 + 1/(1−RhoMax) + RhoMax·OverloadSlope) to
+// first order, with u = 2⁻⁵³. The λ guard keeps every intermediate finite
+// at any x ≥ 1e-9, so neither side takes the fallback, and an underflowed
+// queueing term moves l ≥ x by less than an ulp. Then l(x) ≤
+// l(y)·(1+E)/(1−E), and g = 4u·(16 + 1/(1−RhoMax) + RhoMax·OverloadSlope)
+// covers that, the rounding of y's product with 1 + g and the second-order
+// terms twice over. Past g = 1e-6 (RhoMax within ~1e-9 of 1, or a huge
+// slope) the first-order analysis is not trusted, and a negative or NaN
+// slope makes l fall with x̄.
+func (p LatencyParams) riseMargin() float64 {
+	p = p.effective()
+	if !(p.OverloadSlope >= 0) {
+		return math.Inf(1)
+	}
+	const u = 0x1p-53
+	g := 4 * u * (16 + 1/(1-p.RhoMax) + p.RhoMax*p.OverloadSlope)
+	if !(g <= 1e-6) {
+		return math.Inf(1)
+	}
+	return g
 }
 
 // StageLatency is Eq. 3: the latency of a stage of parallel components is

@@ -113,13 +113,12 @@ type Service struct {
 	components      []*Component // dense, Global index order
 	stageComponents [][]*Component
 
-	// deployedReplicas is the replica count the topology was placed with;
-	// activeReplicas is the count dispatch currently spreads over —
-	// closed-loop autoscaling moves it, growing Instances lazily past the
-	// deployment when scaling above it. Mid-run policy swaps may not
-	// demand more instances than are active.
-	deployedReplicas int
-	activeReplicas   int
+	// activeReplicas is the count dispatch currently spreads over: the
+	// replica count the topology was placed with until closed-loop
+	// autoscaling moves it, growing Instances lazily past the deployment
+	// when scaling above it. Mid-run policy swaps may not demand more
+	// instances than are active.
+	activeReplicas int
 	// workFactor scales every execution's nominal work in (0, 1] — the
 	// brownout actuator; 1 is full fidelity.
 	workFactor float64
@@ -203,16 +202,15 @@ func New(e *sim.Engine, cl *cluster.Cluster, src *xrand.Source, policy Policy, c
 	}
 
 	svc := &Service{
-		cfg:              cfg,
-		engine:           e,
-		cluster:          cl,
-		law:              law,
-		rng:              src.Fork(),
-		policy:           policy,
-		deployedReplicas: replicas,
-		activeReplicas:   replicas,
-		workFactor:       1,
-		admissionFactor:  1,
+		cfg:             cfg,
+		engine:          e,
+		cluster:         cl,
+		law:             law,
+		rng:             src.Fork(),
+		policy:          policy,
+		activeReplicas:  replicas,
+		workFactor:      1,
+		admissionFactor: 1,
 	}
 	svc.collector = trace.NewCollector(len(cfg.Topology.Stages), cfg.ComponentLatencyReservoir, src.Fork())
 	svc.collector.WarmupUntil = cfg.Warmup
@@ -341,9 +339,6 @@ func (s *Service) SetPolicy(p Policy) error {
 	s.policy = p
 	return nil
 }
-
-// DeployedReplicas reports the replica count the topology was placed with.
-func (s *Service) DeployedReplicas() int { return s.deployedReplicas }
 
 // ActiveReplicas reports the per-component replica count dispatch
 // currently spreads over.

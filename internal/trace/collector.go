@@ -83,9 +83,6 @@ func (c *Collector) RecordComponent(now float64, stage int, latency float64) {
 // NumOverall reports how many overall latencies were kept.
 func (c *Collector) NumOverall() int { return len(c.overall) }
 
-// OverallLatencies returns the retained end-to-end latencies in seconds.
-func (c *Collector) OverallLatencies() []float64 { return c.overall }
-
 // Report summarises a run. All latencies are in milliseconds.
 type Report struct {
 	Requests int // completed requests counted
