@@ -521,11 +521,102 @@ func unitInterval(x float64) float64 {
 	return f
 }
 
+// meanULPs and varianceULPs bound how far the closed form's moments may sit
+// from the window path's, in units of u = 2⁻⁵³ times S, the largest
+// magnitude either path adds or evaluates (S² for the variance; see
+// windowMoments). In real arithmetic the two are equal (closedFormTerm),
+// so the gap is both paths' rounding, bounded here to first order for a
+// window of n ≤ 12 samples; Eq. 2 is the same function on both paths.
+//
+//   - Mean. Each Eq. 1 evaluation, on either path, is within 18u·S: the
+//     shifted coordinate's 3 roundings, carried through |p'|·X ≤ 2·P, give
+//     6, Horner 4, the weight 1, the resource sum 3, the weight sum 3 and
+//     the division 1. The window path's Welford mean adds 3 roundings of
+//     values ≤ 2S per sample (6n = 72); the closed form's base mean adds
+//     (n+3)/2 ≤ 8, the recorded shift A 8 (2 roundings in a1 or a2, 3 per
+//     resource, 3 in the sum), adding it 1, and each degree-2 resource 29:
+//     B_r·x̄_r is within 14u·|B_r|·X ≤ 28u·S (3 roundings in B_r, 8 in the
+//     node's mean, 2 in x̄_r, 1 in the product), adding it 1. In all
+//     2·18 + 72 + 8 + 8 + 1 + 4·29 = 241 ≤ 256.
+//   - Variance. Every second moment either path forms is a mean of n
+//     products of deviations of magnitude ≤ 2S (a q deviation) or ≤ 4S
+//     (B_r times an x_r deviation, as |B_r|·X ≤ 2S), each deviation
+//     carrying at most the mean's 256u·S and its own rounding. A product
+//     of two ≤ 2S deviations is within 2·2S·258u·S + 4u·S² ≤ 1036u·S², the
+//     sum of n adds n·4u·n·S², and the division by n leaves ≤ 1084u·S²; a
+//     ≤ 4S factor doubles that. The window path forms one moment, the
+//     closed form one plus 2·B_r·cov(q, x_r) (4 × 2 × 2 units) and
+//     B_r·B_s·cov(x_r, x_s) (16 × 4 units): 82 units, 88,888u·S², with
+//     each path's Eq. 1 errors (18u·S) moving a variance by ≤ 72u·S². In
+//     all ≤ 89,032 ≤ 2¹⁷.
+const (
+	meanULPs     = 256
+	varianceULPs = 1 << 17
+)
+
+// windowMoments returns the window mean and variance latencyOn feeds
+// Eq. 2 for component h on node n under adj — predictWindow, then
+// Welford, latencyOn's own operations — and S for row i's closed form of
+// that term: the largest of the window mean's magnitude, |A|, every
+// |B_r·x̄_r| and, per sample, Σ_r (|w_r|/Σw)·Σ_k |c_k|·X_r^k with X_r =
+// |s_r + d_r| + |U_h,r| + |U_ci,r|. That last sum bounds the sample's
+// Eq. 1 summands at the base and the shifted coordinate, and so the
+// window's largest |q| on both paths, and the summands of A.
+func windowMoments(mat *Matrix, i, h, n int, sign float64, adj vec4) (mean, variance, scale float64) {
+	comps := mat.in.Components
+	stage := comps[h].Stage
+	model := mat.in.Models[stage]
+	samples := mat.in.NodeSamples[n]
+	xs := make([]float64, len(samples))
+	model.predictWindow(samples, mat.delta[n], adj, xs)
+	var w stats.Welford
+	w.AddAll(xs)
+	mean, variance = w.Mean(), w.Variance()
+
+	side := 0
+	if sign > 0 {
+		side = 1
+	}
+	scale = max(math.Abs(mean), math.Abs(mat.shift[(2*i+side)*len(mat.forms)+stage]))
+	f := &mat.forms[stage]
+	d, uh, uci := &mat.delta[n], &comps[h].Demand, &comps[i].Demand
+	if f.degree == 2 {
+		for r := range f.a2 {
+			b := 2 * f.a2[r] * (sign * uci[r])
+			scale = max(scale, math.Abs(b*((mat.nodeMean[n][r]+d[r])-uh[r])))
+		}
+	}
+	den := 0.0
+	for r, reg := range model.Regs {
+		if reg != nil && model.Weights[r] != 0 {
+			den += model.Weights[r]
+		}
+	}
+	for _, s := range samples {
+		sum := 0.0
+		for r, reg := range model.Regs {
+			if reg == nil || model.Weights[r] == 0 {
+				continue
+			}
+			x := math.Abs(s[r]+d[r]) + math.Abs(uh[r]) + math.Abs(uci[r])
+			p := 0.0
+			for k, c := range reg.Coef {
+				p += math.Abs(c) * math.Pow(x, float64(k))
+			}
+			sum += math.Abs(model.Weights[r]/den) * p
+		}
+		scale = max(scale, sum)
+	}
+	return mean, variance, scale
+}
+
 // FuzzClosedFormTerm drives closedFormTerm over signed windows of 0–12
 // samples, random demands, a virtual delta and models of degree 1–3,
 // rising or falling with contention (the falling ones reach the floor):
-// whenever it admits a term, the term must lie within 1e-12 of the window
-// path's, relative.
+// whenever it admits a term, its mean and variance (closedFormMoments)
+// must lie within meanULPs·u·S and varianceULPs·u·S² of the window
+// path's (windowMoments). A tolerance relative to the term does not fit
+// near the floor, where a small mean is the difference of large summands.
 //
 //	go test -run '^$' -fuzz '^FuzzClosedFormTerm$' -fuzztime 10s ./internal/predictor/
 func FuzzClosedFormTerm(f *testing.F) {
@@ -594,14 +685,20 @@ func FuzzClosedFormTerm(f *testing.F) {
 					continue
 				}
 				sign, adj := mat.rowShift(i, h, c.Node)
-				got, path := mat.closedFormTerm(i, h, c.Node, sign, adj)
+				mean, variance, path := mat.closedFormMoments(i, h, c.Node, sign, adj)
 				if path != closedForm {
 					continue
 				}
-				want := referenceLatency(mat, h, c.Node, adj)
-				if d := math.Abs(got - want); d > 1e-12*math.Abs(want) {
-					t.Fatalf("row %d, term %d (σ=%v): closed form %v, window path %v (relative %.3g)",
-						i, h, sign, got, want, d/math.Abs(want))
+				wantMean, wantVariance, scale := windowMoments(mat, i, h, c.Node, sign, adj)
+				scale = max(scale, math.Abs(mean))
+				const u = 0x1p-53
+				if d := math.Abs(mean - wantMean); d > meanULPs*u*scale {
+					t.Fatalf("row %d, term %d (σ=%v): closed-form mean %v, window path %v (%.3g u·S, S = %v)",
+						i, h, sign, mean, wantMean, d/(u*scale), scale)
+				}
+				if d := math.Abs(variance - wantVariance); d > varianceULPs*u*scale*scale {
+					t.Fatalf("row %d, term %d (σ=%v): closed-form variance %v, window path %v (%.3g u·S², S = %v)",
+						i, h, sign, variance, wantVariance, d/(u*scale*scale), scale)
 				}
 			}
 		}

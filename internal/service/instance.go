@@ -138,6 +138,13 @@ type Instance struct {
 	mult        float64
 	multNode    *cluster.Node
 	multVersion uint64
+	// muMean and mu memoise the lognormal μ of the last service-time mean
+	// drawn around, xrand.LogNormalMu(muMean, σ) with the law's fixed σ:
+	// between the events that move the multiplier, every draw reuses it.
+	// muMean starts NaN, equal to no mean, so a mean ≤ 0 still reaches
+	// LogNormalMu's panic; once set it is positive, where == compares
+	// bits. Instance-owned, like mult.
+	muMean, mu float64
 
 	// rng is the instance's private service-time stream in laned mode
 	// (created lazily from the service's laneSeed and the instance's
@@ -285,6 +292,19 @@ func (in *Instance) multiplier() float64 {
 	return in.mult
 }
 
+// drawServiceTime is the package's drawServiceTime(mean, σ, stream) on the
+// instance's stream, bit for bit, with the lognormal μ memoised.
+func (in *Instance) drawServiceTime(mean float64) float64 {
+	sigma := in.svc.law.NoiseSigma
+	if sigma <= 0 {
+		return in.serviceRNG().Exp(mean)
+	}
+	if mean != in.muMean {
+		in.mu, in.muMean = xrand.LogNormalMu(mean, sigma), mean
+	}
+	return in.serviceRNG().LogNormal(in.mu, sigma)
+}
+
 // start begins service for e at virtual time now. The service time is
 // drawn from the ground-truth law using the background contention the
 // instance currently experiences (everything on the node except itself —
@@ -306,7 +326,7 @@ func (in *Instance) start(e *Execution, now float64) {
 		base = o
 	}
 	base *= in.svc.workFactor
-	e.service = drawServiceTime(base*in.multiplier(), in.svc.law.NoiseSigma, in.serviceRNG())
+	e.service = in.drawServiceTime(base * in.multiplier())
 
 	if in.svc.lanes == nil {
 		e.Sub.onStart(now)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/lane"
@@ -276,6 +277,7 @@ func (s *Service) placeReplica(comp *Component, r int) {
 		id:      fmt.Sprintf("c%d.%d.r%d", comp.Stage, comp.IndexInStage, r),
 		svc:     s,
 		nodeID:  nodeID,
+		muMean:  math.NaN(),
 	}
 	s.cluster.Node(nodeID).Host(in)
 	comp.Instances = append(comp.Instances, in)

@@ -683,3 +683,35 @@ func TestContentionMemoFollowsNodeChanges(t *testing.T) {
 		t.Fatalf("after the node was restored: read %v, want %v", got, moved)
 	}
 }
+
+// TestServiceTimeMemoMatchesDraw pins the instance's memoised draw to
+// drawServiceTime bit for bit and stream for stream, over repeated,
+// changing and returning means with lognormal and exponential noise, and
+// checks a fresh instance's memo admits no mean: 0 still panics.
+func TestServiceTimeMemoMatchesDraw(t *testing.T) {
+	means := []float64{0.001, 0.001, 0.0025, 0.0025, 0.0025, 0.001, 1e-300, 0.001}
+	for _, sigma := range []float64{0.12, 0} {
+		svc, _, _ := newTestService(t, basicPolicy{}, 4)
+		svc.law.NoiseSigma = sigma
+		svc.rng = xrand.New(5)
+		want := xrand.New(5)
+		inst := svc.Component(0).Primary()
+		for i, mean := range means {
+			got, ref := inst.drawServiceTime(mean), drawServiceTime(mean, sigma, want)
+			if math.Float64bits(got) != math.Float64bits(ref) {
+				t.Fatalf("σ=%v draw %d (mean %v): memoised %v, direct %v", sigma, i, mean, got, ref)
+			}
+		}
+		if g, w := svc.rng.Float64(), want.Float64(); g != w {
+			t.Fatalf("σ=%v: streams diverged after the draws: %v vs %v", sigma, g, w)
+		}
+	}
+
+	svc, _, _ := newTestService(t, basicPolicy{}, 4)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a zero mean did not panic on a fresh instance")
+		}
+	}()
+	svc.Component(1).Primary().drawServiceTime(0)
+}

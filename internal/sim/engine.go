@@ -1,16 +1,23 @@
 // Package sim implements a deterministic discrete-event simulation engine:
-// a virtual clock, a concrete 4-ary-heap event queue of Handler events, and
-// periodic tasks. All of the PCS reproduction's cluster, workload and
-// service dynamics run on top of this engine.
+// a virtual clock, an event queue of Handler events, and periodic tasks.
+// All of the PCS reproduction's cluster, workload and service dynamics run
+// on top of this engine.
 //
 // Time is a float64 number of seconds of virtual time. Events scheduled for
 // the same instant fire in FIFO order of scheduling, which keeps runs
 // reproducible.
+//
+// The queue is a pointer-free 4-ary heap of 16-byte (time, sequence and
+// slot) keys beside a slot array of handlers recycled through a free
+// list. A pop walks the hole to a leaf through branch-free four-way
+// tournaments, and Cancel is lazy: a cancelled event's entry stays queued
+// until it reaches the head, where it is dropped unfired.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Handler is what a scheduled event runs: Fire is called once, at the
@@ -28,169 +35,208 @@ type Event func(now float64)
 // Fire implements Handler by calling the function.
 func (f Event) Fire(now float64) { f(now) }
 
-type scheduledEvent struct {
-	at    float64
-	seq   uint64 // tie-break: FIFO among same-time events
-	h     Handler
-	index int // heap index, -1 once popped or cancelled
+// entry is one queued event in the engine's 4-ary min-heap, 16 bytes that
+// hold no pointer: the fire time as a timeKey and a key, seq<<slotBits |
+// slot, where seq numbers the event in scheduling order and slot indexes
+// the slot array holding its handler. Entries order as the 128-bit numbers
+// (at, key), so by fire time and then by seq: scheduling FIFO among
+// same-time events.
+type entry struct {
+	at, key uint64
 }
 
-// before is the queue's total order: fire time, then scheduling order.
-// seq is unique, so distinct events never compare equal.
-func (a *scheduledEvent) before(b *scheduledEvent) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+// sentinel pads the heap past its last entry, so every node's four child
+// positions can be read even on the partial last level. It orders after
+// every real entry: no finite time's timeKey is all ones.
+var sentinel = entry{at: ^uint64(0), key: ^uint64(0)}
+
+const (
+	// arity is the queue's branching factor. A 4-ary heap is half as deep
+	// as a binary one, and its pop picks among four children with one
+	// branch-free tournament (least4).
+	arity = 4
+	// slotBits is the width of a key's slot index; the sequence number
+	// takes the other 40 bits.
+	slotBits = 24
+	slotMask = 1<<slotBits - 1
+	// maxSlots bounds the slot array, so slot indices and the free list's
+	// end marker stay below 1<<slotBits, under every live key (seq ≥ 1).
+	maxSlots = slotMask
+	// maxSeq is the last sequence number a key can carry.
+	maxSeq = 1<<(64-slotBits) - 1
+	// initialSlots sizes a new engine's slot array and heap, sentinels
+	// included (6 and 4 KiB): runs that never queue more than 253 events
+	// never grow them.
+	initialSlots = 256
+)
+
+// slot holds a queued event's handler beside the heap. key is the key of
+// the slot's live entry, 0 once that event is cancelled; a free slot's
+// key is the index of the next free slot instead (the free list threads
+// through the slots). Neither matches a live key, which makes a key
+// comparison the whole liveness check.
+type slot struct {
+	h   Handler
+	key uint64
+}
+
+// timeKey maps a finite fire time to a uint64 that orders as the float64s
+// do under <: the sign bit flipped for non-negative times, every bit for
+// negative ones. −0 is normalised to +0 first, so the two tie (and fall
+// back to seq) as they compare equal.
+func timeKey(t float64) uint64 {
+	b := math.Float64bits(t)
+	if b == 1<<63 {
+		b = 0
+	}
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// timeOf inverts timeKey.
+func timeOf(k uint64) float64 {
+	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
+}
+
+// lessBit is 1 when a precedes b and 0 otherwise: the borrow out of the
+// 128-bit subtraction (a.at, a.key) − (b.at, b.key), computed without a
+// branch.
+func lessBit(a, b *entry) uint64 {
+	_, borrow := bits.Sub64(a.key, b.key, 0)
+	_, borrow = bits.Sub64(a.at, b.at, borrow)
+	return borrow
+}
+
+// least4 returns the index of the least of four sibling entries by a
+// tournament: the winners of (0, 1) and (2, 3) meet in a final, and each
+// winner is selected arithmetically from a borrow. A pop's child choice
+// is a coin flip to a branch predictor, which is where a branchy
+// comparison spent the heap's time.
+func least4(c *[arity]entry) int {
+	i := int(lessBit(&c[1], &c[0]))
+	j := 2 + int(lessBit(&c[3], &c[2]))
+	f := -int(lessBit(&c[j&3], &c[i&1]))
+	return i ^ ((i ^ j) & f)
 }
 
 // EventHandle allows a scheduled event to be cancelled before it fires. It
 // is a small value: copy it freely. The zero value is an inert handle whose
 // Cancel is a no-op.
 type EventHandle struct {
-	ev     *scheduledEvent
 	engine *Engine
-	seq    uint64 // guards against the pooled event being reused
+	key    uint64 // the event's entry key; unique over the engine's life
 	at     float64
 }
 
-// Cancel removes the event from the queue. Cancelling an event that already
-// fired or was already cancelled is a no-op — the event structs are pooled,
-// so the handle's sequence number distinguishes its event from a later one
-// reusing the same struct. It reports whether the event was actually
-// removed.
+// Cancel withdraws the event. Cancelling an event that already fired or
+// was already cancelled is a no-op: its slot's key no longer matches the
+// handle's, even once a later event reuses the slot. It reports whether
+// the event was actually withdrawn. The entry stays queued, with its slot,
+// until it reaches the head, where Step and PeekNextTime drop it.
 func (h EventHandle) Cancel() bool {
-	if h.ev == nil || h.ev.index < 0 || h.ev.seq != h.seq {
+	e := h.engine
+	if e == nil {
 		return false
 	}
-	h.engine.remove(h.ev.index)
-	h.engine.recycle(h.ev)
+	s := &e.slots[h.key&slotMask]
+	if s.key != h.key {
+		return false
+	}
+	s.h, s.key = nil, 0
+	e.cancelled++
 	return true
 }
 
 // Time returns the virtual time the event is (or was) scheduled for.
 func (h EventHandle) Time() float64 { return h.at }
 
-// arity is the queue's branching factor. A 4-ary heap is half as deep as
-// a binary one; it measured faster than a binary heap at the request
-// path's queue depth.
-const arity = 4
-
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	now     float64
-	queue   []*scheduledEvent // arity-ary min-heap under before
-	seq     uint64
-	stopped bool
-	fired   uint64
-	free    []*scheduledEvent // recycled event structs (hot-path pooling)
+	now float64
+	// q[:n] is the heap; q[n:] holds at least arity−1 sentinels, so a
+	// node with a child has all four child positions in bounds.
+	q         []entry
+	n         int
+	slots     []slot
+	free      uint64 // first free slot; len(slots) when none is free
+	cancelled int    // cancelled entries still queued
+	seq       uint64 // the last sequence number issued
+	stopped   bool
+	fired     uint64
 }
 
-// NewEngine returns an engine with the clock at 0. The event queue is
-// pre-sized so steady-state simulation rarely grows it; the event pool
-// fills lazily, a chunk at a time, and from fired events.
+// NewEngine returns an engine with the clock at 0. Its heap and slot
+// array start at initialSlots entries and grow by append.
 func NewEngine() *Engine {
-	return &Engine{queue: make([]*scheduledEvent, 0, 1024)}
-}
-
-// eventChunk is how many event structs the pool allocates at once when it
-// runs dry: a run holding hundreds of events in flight fills its pool in
-// a few allocations instead of one per event.
-const eventChunk = 64
-
-// alloc takes an event struct from the pool, refilling it with a fresh
-// chunk when empty.
-func (e *Engine) alloc() *scheduledEvent {
-	if len(e.free) == 0 {
-		chunk := make([]scheduledEvent, eventChunk)
-		for i := range chunk {
-			e.free = append(e.free, &chunk[i])
-		}
+	q := make([]entry, arity-1, initialSlots)
+	for i := range q {
+		q[i] = sentinel
 	}
-	n := len(e.free) - 1
-	ev := e.free[n]
-	e.free[n] = nil
-	e.free = e.free[:n]
-	return ev
+	return &Engine{q: q, slots: make([]slot, 0, initialSlots)}
 }
 
-// recycle returns a popped or cancelled event struct to the pool. The
-// struct's sequence number stays until reuse; outstanding handles detect
-// staleness via index < 0 now and the seq mismatch after reuse.
-func (e *Engine) recycle(ev *scheduledEvent) {
-	ev.h = nil
-	ev.index = -1
-	e.free = append(e.free, ev)
-}
-
-// up moves the event at slot i toward the root until its parent precedes
-// it, keeping every moved event's index current.
-func (e *Engine) up(i int) {
-	q := e.queue
-	ev := q[i]
+// push adds x to the heap and sifts it up.
+func (e *Engine) push(x entry) {
+	if e.n+arity > len(e.q) {
+		e.q = append(e.q, sentinel)
+	}
+	q := e.q
+	i := e.n
+	e.n++
 	for i > 0 {
 		p := (i - 1) / arity
-		if !ev.before(q[p]) {
+		if lessBit(&x, &q[p]) == 0 {
 			break
 		}
 		q[i] = q[p]
-		q[i].index = i
 		i = p
 	}
-	q[i] = ev
-	ev.index = i
+	q[i] = x
 }
 
-// down moves the event at slot i toward the leaves until it precedes all
-// of its children. It reports whether the event moved.
-func (e *Engine) down(i int) bool {
-	q := e.queue
-	n := len(q)
-	ev := q[i]
-	start := i
-	for {
-		c := arity*i + 1
-		if c >= n {
-			break
-		}
-		least := c
-		for j, end := c+1, min(c+arity, n); j < end; j++ {
-			if q[j].before(q[least]) {
-				least = j
-			}
-		}
-		if !q[least].before(ev) {
-			break
-		}
-		q[i] = q[least]
-		q[i].index = i
-		i = least
+// pop removes the heap's head by Floyd's method: the hole at the root
+// walks down to a leaf, each step lifting the least of its four children
+// (least4, sentinels past the last entry never win), and the last entry
+// then fills the hole and sifts up, usually not far.
+func (e *Engine) pop() {
+	e.n--
+	n, q := e.n, e.q
+	last := q[n]
+	q[n] = sentinel
+	if n == 0 {
+		return
 	}
-	q[i] = ev
-	ev.index = i
-	return i != start
+	i := 0
+	for c := 1; c < n; c = arity*i + 1 {
+		m := c + least4((*[arity]entry)(q[c:c+arity]))
+		q[i] = q[m]
+		i = m
+	}
+	for i > 0 {
+		p := (i - 1) / arity
+		if lessBit(&last, &q[p]) == 0 {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = last
 }
 
-// remove takes the event at slot i out of the queue: the last slot fills
-// the hole and sifts whichever way restores the heap order.
-func (e *Engine) remove(i int) {
-	n := len(e.queue) - 1
-	ev := e.queue[i]
-	last := e.queue[n]
-	e.queue[n] = nil
-	e.queue = e.queue[:n]
-	if i != n {
-		e.queue[i] = last
-		if !e.down(i) {
-			e.up(i)
-		}
-	}
-	ev.index = -1
+// release pops the head, whose slot is i, and returns the slot to the
+// free list.
+func (e *Engine) release(i uint64) {
+	e.pop()
+	e.slots[i] = slot{key: e.free}
+	e.free = i
 }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending reports the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending reports the number of events waiting in the queue; cancelled
+// events no longer count.
+func (e *Engine) Pending() int { return e.n - e.cancelled }
 
 // Fired reports the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -205,13 +251,24 @@ func (e *Engine) Schedule(t float64, h Handler) EventHandle {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		panic("sim: scheduling at non-finite time")
 	}
-	ev := e.alloc()
-	ev.at, ev.seq, ev.h = t, e.seq, h
+	if e.seq == maxSeq {
+		panic("sim: sequence numbers exhausted (2^40 - 1 events scheduled)")
+	}
+	i := e.free
+	if i == uint64(len(e.slots)) {
+		if i == maxSlots {
+			panic("sim: 2^24 - 1 events queued")
+		}
+		e.slots = append(e.slots, slot{})
+		e.free++
+	} else {
+		e.free = e.slots[i].key
+	}
 	e.seq++
-	ev.index = len(e.queue)
-	e.queue = append(e.queue, ev)
-	e.up(ev.index)
-	return EventHandle{ev: ev, engine: e, seq: ev.seq, at: t}
+	key := e.seq<<slotBits | i
+	e.slots[i] = slot{h: h, key: key}
+	e.push(entry{at: timeKey(t), key: key})
+	return EventHandle{engine: e, key: key, at: t}
 }
 
 // At schedules fn to run at absolute virtual time t (see Schedule).
@@ -228,39 +285,52 @@ func (e *Engine) After(d float64, fn Event) EventHandle {
 func (e *Engine) Stop() { e.stopped = true }
 
 // PeekNextTime reports the virtual time of the earliest queued event
-// without executing it. The second return is false when the queue is empty.
-// Together with Step it lets callers interleave observation with execution
-// instead of handing the whole run to Run.
+// without executing it, dropping cancelled events from the head first.
+// The second return is false when the queue is empty. Together with Step
+// it lets callers interleave observation with execution instead of
+// handing the whole run to Run.
 func (e *Engine) PeekNextTime() (float64, bool) {
-	if len(e.queue) == 0 {
-		return 0, false
+	for e.n > 0 {
+		top := e.q[0]
+		i := top.key & slotMask
+		if e.slots[i].key == top.key {
+			return timeOf(top.at), true
+		}
+		e.release(i)
+		e.cancelled--
 	}
-	return e.queue[0].at, true
+	return 0, false
 }
 
 // Step pops the earliest queued event, advances the clock to its fire time
-// and executes it. It reports false (and leaves the clock untouched) when
-// the queue is empty. Step ignores the horizon and Stop — bounding a
+// and executes it; cancelled events at the head are dropped on the way
+// (by PeekNextTime). It reports false (and leaves the clock untouched)
+// when the queue is empty. Step ignores the horizon and Stop — bounding a
 // stepped run is the caller's job, typically via PeekNextTime.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
-		return false
+	now, ok := e.PeekNextTime()
+	if ok {
+		e.fire(now)
 	}
-	next := e.queue[0]
-	e.remove(0)
-	e.now = next.at
-	h := next.h
-	e.recycle(next) // h is saved; the struct may be reused by h's own scheduling
+	return ok
+}
+
+// fire pops the head, which PeekNextTime found live at time now, advances
+// the clock to now and executes the event.
+func (e *Engine) fire(now float64) {
+	i := e.q[0].key & slotMask
+	h := e.slots[i].h
+	e.release(i) // h is saved; the slot may be reused by h's own scheduling
+	e.now = now
 	e.fired++
-	h.Fire(e.now)
-	return true
+	h.Fire(now)
 }
 
 // Run executes events in time order until the queue drains, the horizon is
 // reached, or Stop is called. It returns the final virtual time. Events
 // scheduled beyond the horizon remain queued; the clock is left at the
-// horizon if it was reached. Run is a loop over the PeekNextTime/Step
-// primitives; stepped and monolithic execution are interchangeable.
+// horizon if it was reached. Run is a loop over PeekNextTime and Step's
+// firing half; stepped and monolithic execution are interchangeable.
 func (e *Engine) Run(horizon float64) float64 {
 	e.stopped = false
 	for !e.stopped {
@@ -272,7 +342,7 @@ func (e *Engine) Run(horizon float64) float64 {
 			e.now = horizon
 			return e.now
 		}
-		e.Step()
+		e.fire(next)
 	}
 	if e.now < horizon && !e.stopped && !math.IsInf(horizon, 1) {
 		e.now = horizon

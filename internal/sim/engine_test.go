@@ -250,30 +250,33 @@ func TestManyEventsStress(t *testing.T) {
 	}
 }
 
-func TestEventPoolingReusesStructs(t *testing.T) {
-	// After an event fires its struct returns to the pool; a stale handle
-	// must not cancel the struct's next occupant.
+func TestSlotReuseKeepsStaleHandlesInert(t *testing.T) {
+	// After an event fires its slot returns to the free list; a stale
+	// handle must not cancel the slot's next occupant.
 	e := NewEngine()
 	h1 := e.At(1, func(float64) {})
 	e.Run(2)
 	fired := false
-	e.At(3, func(float64) { fired = true }) // likely reuses h1's struct
+	h2 := e.At(3, func(float64) { fired = true })
+	if h2.key&slotMask != h1.key&slotMask {
+		t.Fatal("the fired event's slot was not reused")
+	}
 	if h1.Cancel() {
-		t.Fatal("stale handle cancelled a recycled event")
+		t.Fatal("stale handle cancelled the slot's next event")
 	}
 	e.Run(4)
 	if !fired {
-		t.Fatal("recycled event did not fire")
+		t.Fatal("the slot's next event did not fire")
 	}
 }
 
-func TestStaleHandlesAcrossPoolChunks(t *testing.T) {
-	// The pool grows a chunk of structs at a time. Fire or cancel more
-	// than a chunk's worth of events, refill the queue so the next events
-	// reuse those structs and new chunks alike, and check every stale
-	// handle is inert while every live event still fires once.
+func TestStaleHandlesAcrossSlotGrowth(t *testing.T) {
+	// The slot array starts at initialSlots and grows by append. Fire or
+	// cancel more events than it starts with, refill the queue so the
+	// next events reuse those slots and new ones alike, and check every
+	// stale handle is inert while every live event still fires once.
 	e := NewEngine()
-	const n = 3*eventChunk + 5
+	const n = initialSlots + initialSlots/2 + 5
 	var stale []EventHandle
 	for i := 0; i < n; i++ {
 		h := e.At(float64(i), func(float64) {})
@@ -283,13 +286,16 @@ func TestStaleHandlesAcrossPoolChunks(t *testing.T) {
 		stale = append(stale, h)
 	}
 	e.RunUntilEmpty()
+	if len(e.slots) != n {
+		t.Fatalf("%d slots for %d queued events", len(e.slots), n)
+	}
 	fired := make([]int, 2*n)
 	for i := range fired {
 		e.At(e.Now()+float64(i), func(float64) { fired[i]++ })
 	}
 	for i, h := range stale {
 		if h.Cancel() {
-			t.Fatalf("stale handle %d cancelled a recycled event", i)
+			t.Fatalf("stale handle %d cancelled a later event", i)
 		}
 	}
 	e.RunUntilEmpty()
@@ -300,7 +306,9 @@ func TestStaleHandlesAcrossPoolChunks(t *testing.T) {
 	}
 }
 
-func TestCancelledEventStructIsRecycled(t *testing.T) {
+func TestCancelledEventSlotIsRecycled(t *testing.T) {
+	// A cancelled event keeps its slot until its entry reaches the head;
+	// dropping it there frees the slot for the next event.
 	e := NewEngine()
 	h := e.At(5, func(float64) { t.Fatal("cancelled event fired") })
 	if !h.Cancel() {
@@ -309,11 +317,21 @@ func TestCancelledEventStructIsRecycled(t *testing.T) {
 	if h.Cancel() {
 		t.Fatal("second cancel succeeded")
 	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after the cancel, want 0", e.Pending())
+	}
 	count := 0
 	e.At(1, func(float64) { count++ })
 	e.RunUntilEmpty()
 	if count != 1 {
 		t.Fatalf("count = %d", count)
+	}
+	if e.n != 0 || e.cancelled != 0 || len(e.slots) != 2 {
+		t.Fatalf("drained engine holds %d entries, %d cancelled, %d slots", e.n, e.cancelled, len(e.slots))
+	}
+	e.At(e.Now()+1, func(float64) { count++ })
+	if len(e.slots) != 2 {
+		t.Fatalf("a free slot was not reused: %d slots", len(e.slots))
 	}
 }
 
@@ -442,5 +460,39 @@ func TestRunResumesAfterPartialRun(t *testing.T) {
 		if wholeLog[i] != slicedLog[i] {
 			t.Fatalf("event %d differs: %v vs %v", i, wholeLog[i], slicedLog[i])
 		}
+	}
+}
+
+func TestSequenceExhaustionPanics(t *testing.T) {
+	// The key's 40-bit sequence number must not wrap: a wrapped seq
+	// would break the FIFO tie-break and alias stale handles.
+	e := NewEngine()
+	e.seq = maxSeq - 1
+	e.At(1, func(float64) {}) // the last sequence number
+	defer func() {
+		if recover() == nil {
+			t.Fatal("scheduling past the last sequence number did not panic")
+		}
+	}()
+	e.At(2, func(float64) {})
+}
+
+// TestEngineFootprint pins what a run's engine allocates: at most the
+// engine, its heap and its slot array, and nothing per event while no
+// more than 253 events are queued.
+func TestEngineFootprint(t *testing.T) {
+	nop := Event(func(float64) {})
+	run := func(events int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			e := NewEngine()
+			for i := 0; i < events; i++ {
+				e.At(float64(i%7), nop)
+			}
+			e.RunUntilEmpty()
+		})
+	}
+	one, full := run(1), run(253)
+	if one > 3 || full != one {
+		t.Fatalf("an engine allocates %v objects with 1 event and %v with 253, want at most 3 either way", one, full)
 	}
 }
