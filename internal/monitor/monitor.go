@@ -157,17 +157,30 @@ func (m *Monitor) NodeSamples(nodeID int) []cluster.Vector {
 	return m.rings[nodeID].snapshot()
 }
 
-// AllNodeSamples returns the sample window of every node, indexed by node
-// ID — the bulk input to performance-matrix construction. The windows are
-// capacity-capped slices of one backing array, so the call makes two
-// allocations whatever the node count.
-func (m *Monitor) AllNodeSamples() [][]cluster.Vector {
+// NodeWindows is storage for a copy of every node's sample window, which
+// AllNodeSamples reuses from call to call.
+type NodeWindows struct {
+	windows [][]cluster.Vector
+	backing []cluster.Vector
+}
+
+// AllNodeSamples copies the sample window of every node into buf and
+// returns the windows indexed by node ID — the bulk input to
+// performance-matrix construction. They are capacity-capped slices of one
+// backing array sized for full windows, valid until buf's next use, so a
+// caller that keeps one buf allocates only on its first call.
+func (m *Monitor) AllNodeSamples(buf *NodeWindows) [][]cluster.Vector {
 	total := 0
 	for i := range m.rings {
 		total += m.rings[i].size
 	}
-	backing := make([]cluster.Vector, total)
-	out := make([][]cluster.Vector, len(m.rings))
+	if cap(buf.backing) < total {
+		buf.backing = make([]cluster.Vector, len(m.rings)*m.cfg.Window)
+	}
+	if cap(buf.windows) < len(m.rings) {
+		buf.windows = make([][]cluster.Vector, len(m.rings))
+	}
+	out, backing := buf.windows[:len(m.rings)], buf.backing
 	for i := range m.rings {
 		n := m.rings[i].size
 		out[i] = backing[:n:n]

@@ -87,17 +87,23 @@ func TestMonitorNoiseIsApplied(t *testing.T) {
 }
 
 // TestMonitorAllNodeSamples: every node's window equals its NodeSamples
-// snapshot (oldest first, after the ring has wrapped), is capacity-capped
-// so an append cannot overwrite the next node's window, and the whole
-// call makes 2 allocations at any node count.
+// snapshot (oldest first, after the ring has wrapped) and is
+// capacity-capped so an append cannot overwrite the next node's window. A
+// fresh buffer costs 2 allocations at any node count, one kept across
+// calls none, and a kept buffer sized while the windows were filling
+// holds them once they are full.
 func TestMonitorAllNodeSamples(t *testing.T) {
 	engine := sim.NewEngine()
 	cl := cluster.New(4, cluster.DefaultCapacity())
 	cl.Node(2).Host(&staticProgram{id: "a", demand: cluster.Vector{1, 2, 3, 4}})
 	m := New(engine, cl, xrand.New(4), Config{Window: 3, NoiseSigma: 0.02})
 	m.Start()
+	var kept NodeWindows
+	if w := m.AllNodeSamples(&kept); len(w[0]) != 1 {
+		t.Fatalf("first window holds %d samples, want 1", len(w[0]))
+	}
 	engine.Run(5)
-	all := m.AllNodeSamples()
+	all := m.AllNodeSamples(&kept)
 	if len(all) != 4 {
 		t.Fatalf("nodes covered = %d", len(all))
 	}
@@ -112,8 +118,14 @@ func TestMonitorAllNodeSamples(t *testing.T) {
 			}
 		}
 	}
-	if n := testing.AllocsPerRun(10, func() { m.AllNodeSamples() }); n != 2 {
-		t.Fatalf("AllNodeSamples made %v allocations, want 2", n)
+	if n := testing.AllocsPerRun(10, func() {
+		var fresh NodeWindows
+		m.AllNodeSamples(&fresh)
+	}); n != 2 {
+		t.Fatalf("AllNodeSamples into a fresh buffer made %v allocations, want 2", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { m.AllNodeSamples(&kept) }); n != 0 {
+		t.Fatalf("AllNodeSamples into a kept buffer made %v allocations, want 0", n)
 	}
 }
 

@@ -73,7 +73,7 @@ func (in *MatrixInput) validate() error {
 
 // Matrix is the m×k performance matrix L of §IV-C. Entry L[i][j] is the
 // predicted reduction in overall service latency if component ci migrates
-// from its current node to node nj (Eq. 5); SelfGain[i][j] is the reduction
+// from its current node to node nj (Eq. 5); SelfGain(i, j) is the reduction
 // in ci's own latency, used for Algorithm 1's tie-break.
 //
 // The matrix tracks a virtual allocation: Migrate commits a migration
@@ -88,7 +88,8 @@ func (in *MatrixInput) validate() error {
 // closed form from its component's base-window moments wherever two
 // certificates show the closed form exact in reals (closedFormTerm),
 // through the window otherwise — and stage maxima read off members kept in
-// descending latency order.
+// descending latency order. Rebuild reuses the matrix's arrays from one
+// scheduling interval to the next.
 type Matrix struct {
 	in MatrixInput
 
@@ -140,116 +141,110 @@ type Matrix struct {
 	bound        []float64
 	admitAll     []bool
 
-	// L and SelfGain are exposed read-only to the scheduler. Their rows
-	// are capacity-capped windows of one contiguous array.
-	L        [][]float64
-	SelfGain [][]float64
+	// originMax[i·stages + s] is row i's origin fold: the largest of 0 and
+	// its origin terms in stage s (foldOrigin). rowBound[i] is an upper
+	// bound on row i's off-node L cells, NaN cells aside: exact after the
+	// row is filled, raised by the two new cells of a two-column update.
+	originMax []float64
+	rowBound  []float64
+
+	// L is exposed read-only to the scheduler. Its rows are
+	// capacity-capped windows of one contiguous array.
+	L [][]float64
 
 	// scratches holds one entry-evaluation scratch per pool shard (slot 0
 	// doubles as the sequential scratch); computeEntry runs concurrently
-	// across rows during fills, so every shard needs private override
-	// state.
+	// across rows during fills, so every shard needs private state.
 	scratches []*scratch
+
+	// The backing arrays the slices above are carved from, one per
+	// element type, kept so Rebuild can carve them again.
+	floats []float64
+	vecs   []vec4
+	flags  []bool
+	ints   []int
+	lists  [][]int
 }
 
 // scratch is the per-shard workspace of the window path and computeEntry,
-// carved from one float array: one window of predictions and two sets of
+// carved from one float array: one window of predictions and one set of
 // per-stage maxima.
 type scratch struct {
+	// buf is the array the slices below are carved from.
+	buf []float64
+
 	// window receives predictWindow's per-sample service times; it is as
 	// long as the longest node window.
 	window []float64
 
-	// rowMax[s] is the largest of 0 and the current row's origin terms in
-	// stage s (foldOrigin); colMax[s] is stage s's running maximum in the
-	// current entry (entryFloor, then computeEntry's destination terms).
-	rowMax []float64
+	// colMax[s] is stage s's running maximum in the current entry
+	// (entryFloor, then computeEntry's destination terms).
 	colMax []float64
 }
 
-func newScratch(stages, window int) *scratch {
-	buf := make([]float64, window+2*stages)
-	return &scratch{
-		window: carve(&buf, window),
-		rowMax: carve(&buf, stages),
-		colMax: carve(&buf, stages),
-	}
+// resize carves sc for the given stage count and window length, reusing
+// its array when it is large enough.
+func (sc *scratch) resize(stages, window int) {
+	sc.buf = grow(sc.buf, window+stages)
+	buf := sc.buf
+	sc.window = carve(&buf, window)
+	sc.colMax = carve(&buf, stages)
 }
 
-// BuildMatrix constructs the matrix: current latencies for every component
-// (Eq. 1→2), stage and overall latencies (Eq. 3–4), the per-(stage, node)
-// self terms, then every entry L[i][j] via the Table III contention
-// updates.
+// BuildMatrix constructs a new matrix for in (see Rebuild).
 func BuildMatrix(in MatrixInput) (*Matrix, error) {
-	if err := in.validate(); err != nil {
+	mat := new(Matrix)
+	if err := mat.Rebuild(in); err != nil {
 		return nil, err
+	}
+	return mat, nil
+}
+
+// Rebuild constructs the matrix for in: current latencies for every
+// component (Eq. 1→2), stage and overall latencies (Eq. 3–4), the
+// per-(stage, node) self terms, then every entry L[i][j] via the Table III
+// contention updates. It validates in before it touches the matrix, then
+// builds into the matrix's own arrays, allocating only where m, k, the
+// stage count, the longest window or the shard count outgrow them, so a
+// caller that keeps one matrix across scheduling intervals stops
+// allocating once the shapes settle. Every cell, latency and decision is
+// bit-identical to a fresh BuildMatrix's. The matrix reads in's slices
+// until the next Rebuild.
+func (mat *Matrix) Rebuild(in MatrixInput) error {
+	if err := in.validate(); err != nil {
+		return err
 	}
 	m := len(in.Components)
 	k := in.NumNodes
 	stages := in.NumStages
-	mat := &Matrix{
-		in:        in,
-		alloc:     make([]int, m),
-		forms:     make([]stageForm, stages),
-		moments:   make([]baseMoments, m),
-		L:         make([][]float64, m),
-		SelfGain:  make([][]float64, m),
-		scratches: make([]*scratch, in.Pool.Shards()),
-	}
+	mat.in = in
+	mat.forms = grow(mat.forms, stages)
 	quad := false
 	for s := range mat.forms {
 		mat.forms[s] = newStageForm(in.Models[s])
 		quad = quad || mat.forms[s].degree == 2
 	}
-	// One backing array per element type: the per-node and per-component
-	// vectors, the latencies and matrix rows, the row flags.
-	nvecs := 2 * k
-	if quad {
-		nvecs += 6*k + m
-	}
-	vecs := make([]vec4, nvecs)
-	mat.delta = carve(&vecs, k)
-	mat.nodeMin = carve(&vecs, k)
-	if quad {
-		mat.nodeMax = carve(&vecs, k)
-		mat.nodeMean = carve(&vecs, k)
-		mat.nodeCov = carve(&vecs, 4*k)
-		mat.covQX = carve(&vecs, m)
-	}
-	floats := make([]float64, 2*m+3*stages+stages*k+2*m*k+2*m*stages)
-	mat.cur = carve(&floats, m)
-	mat.stageLat = carve(&floats, stages)
-	mat.selfLat = carve(&floats, stages*k)
-	mat.bound = carve(&floats, m)
-	mat.shift = carve(&floats, 2*m*stages)
-	mat.destShiftMax = carve(&floats, stages)
-	mat.destShiftMin = carve(&floats, stages)
-	for i := 0; i < m; i++ {
-		mat.L[i] = carve(&floats, k)
-	}
-	for i := 0; i < m; i++ {
-		mat.SelfGain[i] = carve(&floats, k)
-	}
-	flags := make([]bool, 3*m)
-	mat.removed = carve(&flags, m)
-	mat.onTouched = carve(&flags, m)
-	mat.admitAll = carve(&flags, m)
+	mat.moments = grow(mat.moments, m)
+	mat.carveArrays(m, k, stages, quad)
 
 	window := 0
 	for n := range in.NodeSamples {
 		window = max(window, len(in.NodeSamples[n]))
 		mat.recordNodeStats(n)
 	}
-	for s := range mat.scratches {
-		mat.scratches[s] = newScratch(stages, window)
+	mat.scratches = grow(mat.scratches, in.Pool.Shards())
+	for s, sc := range mat.scratches {
+		if sc == nil {
+			sc = new(scratch)
+			mat.scratches[s] = sc
+		}
+		sc.resize(stages, window)
 	}
 	mat.recordShifts()
 	mat.margin = in.Params.riseMargin()
 	for i, c := range in.Components {
 		mat.alloc[i] = c.Node
 	}
-	mat.nodeComps = groupIndices(m, k, func(i int) int { return in.Components[i].Node })
-	mat.stageOf = groupIndices(m, stages, func(i int) int { return in.Components[i].Stage })
 	// Every per-component latency, base-window moment and destination
 	// bound is a pure function of the frozen input (samples, models,
 	// allocation) and the round's shifts, written to its own slot —
@@ -257,7 +252,7 @@ func BuildMatrix(in MatrixInput) (*Matrix, error) {
 	in.Pool.Run(m, func(s, lo, hi int) {
 		sc := mat.scratches[s]
 		for i := lo; i < hi; i++ {
-			mat.cur[i] = mat.latencyOn(i, mat.alloc[i], negv(in.Components[i].Demand), sc)
+			mat.cur[i] = mat.latencyOn(i, mat.alloc[i], negv(mat.in.Components[i].Demand), sc)
 			mat.recordMoments(i, sc)
 		}
 	})
@@ -274,17 +269,85 @@ func BuildMatrix(in MatrixInput) (*Matrix, error) {
 	// Entry fill: each shard owns a contiguous row range and its private
 	// scratch; entries read only barrier-frozen state (cur, stageLat,
 	// selfLat, delta, the moments and bounds, the input) and write their
-	// own L/SelfGain cells.
+	// own row's cells, origin fold and bound.
 	in.Pool.Run(m, func(s, lo, hi int) {
 		sc := mat.scratches[s]
 		for i := lo; i < hi; i++ {
-			mat.foldOrigin(i, sc)
-			for j := 0; j < k; j++ {
-				mat.computeEntry(i, j, sc)
-			}
+			mat.fillRow(i, sc)
 		}
 	})
-	return mat, nil
+	return nil
+}
+
+// carveArrays carves the matrix's slices from its backing arrays, one per
+// element type, growing an array only where the shapes outgrow it, and
+// groups the components by node and by stage. Of the carved slices only
+// delta, nodeCov and removed accumulate, so only they are cleared; every
+// other slot is written before it is read.
+func (mat *Matrix) carveArrays(m, k, stages int, quad bool) {
+	// The per-node and per-component vectors.
+	nvecs := 2 * k
+	if quad {
+		nvecs += 6*k + m
+	}
+	mat.vecs = grow(mat.vecs, nvecs)
+	vecs := mat.vecs
+	mat.delta = carve(&vecs, k)
+	clear(mat.delta)
+	mat.nodeMin = carve(&vecs, k)
+	mat.nodeMax, mat.nodeMean, mat.nodeCov, mat.covQX = nil, nil, nil, nil
+	if quad {
+		mat.nodeMax = carve(&vecs, k)
+		mat.nodeMean = carve(&vecs, k)
+		mat.nodeCov = carve(&vecs, 4*k)
+		clear(mat.nodeCov)
+		mat.covQX = carve(&vecs, m)
+	}
+
+	// The latencies, shifts, bounds, origin folds and matrix rows.
+	mat.floats = grow(mat.floats, 3*m+3*stages+stages*k+3*m*stages+m*k)
+	floats := mat.floats
+	mat.cur = carve(&floats, m)
+	mat.stageLat = carve(&floats, stages)
+	mat.selfLat = carve(&floats, stages*k)
+	mat.bound = carve(&floats, m)
+	mat.rowBound = carve(&floats, m)
+	mat.shift = carve(&floats, 2*m*stages)
+	mat.originMax = carve(&floats, m*stages)
+	mat.destShiftMax = carve(&floats, stages)
+	mat.destShiftMin = carve(&floats, stages)
+	mat.L = grow(mat.L, m)
+	for i := range mat.L {
+		mat.L[i] = carve(&floats, k)
+	}
+
+	// The row flags.
+	mat.flags = grow(mat.flags, 3*m)
+	flags := mat.flags
+	mat.removed = carve(&flags, m)
+	clear(mat.removed)
+	mat.onTouched = carve(&flags, m)
+	mat.admitAll = carve(&flags, m)
+
+	// The allocation and the node and stage membership lists.
+	mat.ints = grow(mat.ints, 3*m+max(k, stages))
+	ints := mat.ints
+	mat.alloc = carve(&ints, m)
+	byNode, byStage := carve(&ints, m), carve(&ints, m)
+	mat.lists = grow(mat.lists, k+stages)
+	mat.nodeComps, mat.stageOf = mat.lists[:k:k], mat.lists[k:]
+	comps := mat.in.Components
+	groupIndices(mat.nodeComps, byNode, ints, func(i int) int { return comps[i].Node })
+	groupIndices(mat.stageOf, byStage, ints, func(i int) int { return comps[i].Stage })
+}
+
+// grow returns s with length n, reusing its array when its capacity
+// allows; a reused array keeps its old contents.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // carve returns the next n elements of *backing as a capacity-capped
@@ -296,27 +359,26 @@ func carve[T any](backing *[]T, n int) []T {
 	return s
 }
 
-// groupIndices returns, per group, the indices i in [0, n) with
-// groupOf(i) == group in ascending order. The lists are capacity-capped
-// windows of one backing array, so an append to one list copies it out
-// instead of growing into its neighbour.
-func groupIndices(n, groups int, groupOf func(int) int) [][]int {
-	counts := make([]int, groups)
-	for i := 0; i < n; i++ {
+// groupIndices sets lists[g], for every group g, to the indices i in
+// [0, len(backing)) with groupOf(i) == g in ascending order. The lists are
+// capacity-capped windows of backing, so an append to one list copies it
+// out instead of growing into its neighbour; counts, as long as the
+// longest of lists, is scratch.
+func groupIndices(lists [][]int, backing, counts []int, groupOf func(int) int) {
+	counts = counts[:len(lists)]
+	clear(counts)
+	for i := range backing {
 		counts[groupOf(i)]++
 	}
-	backing := make([]int, n)
-	lists := make([][]int, groups)
 	off := 0
 	for g, c := range counts {
 		lists[g] = backing[off : off : off+c]
 		off += c
 	}
-	for i := 0; i < n; i++ {
+	for i := range backing {
 		g := groupOf(i)
 		lists[g] = append(lists[g], i)
 	}
-	return lists
 }
 
 // --- small signed-vector helpers (cluster.Vector clamps on Sub, which is
@@ -724,35 +786,66 @@ func (mat *Matrix) rowTerm(i, h, n int, sc *scratch) float64 {
 	return v
 }
 
+// fillRow recomputes row i whole: its origin fold, every entry, and its
+// bound.
+func (mat *Matrix) fillRow(i int, sc *scratch) {
+	mat.foldOrigin(i, sc)
+	for j := range mat.L[i] {
+		mat.computeEntry(i, j, sc)
+	}
+	mat.resetBound(i)
+}
+
+// resetBound sets row i's bound to the largest of its off-node cells,
+// NaN cells aside (−Inf when there is none): exact.
+func (mat *Matrix) resetBound(i int) {
+	a := mat.alloc[i]
+	bound := math.Inf(-1)
+	for j, v := range mat.L[i] {
+		if j != a && v > bound {
+			bound = v
+		}
+	}
+	mat.rowBound[i] = bound
+}
+
+// originRow returns row i's origin fold, one slot per stage.
+func (mat *Matrix) originRow(i int) []float64 {
+	stages := len(mat.forms)
+	return mat.originMax[i*stages : (i+1)*stages]
+}
+
 // foldOrigin evaluates row i's origin terms, those of the other components
-// on ci's node, and folds them into sc.rowMax: per stage, the largest of 0
-// and the row's origin terms. They are the same in every column, so fills
-// fold each row once before computing its entries, and no term outlives
-// the region whose frozen delta it was computed from.
+// on ci's node, and folds them into the row's origin fold (originRow): per
+// stage, the largest of 0 and the row's origin terms. They are the same in
+// every column, so a row is folded once before its entries are computed.
+// They read only ci's node's members, delta and moments, so a fold stays
+// valid until a virtual move touches that node.
 func (mat *Matrix) foldOrigin(i int, sc *scratch) {
-	clear(sc.rowMax)
+	fold := mat.originRow(i)
+	clear(fold)
 	a := mat.alloc[i]
 	for _, h := range mat.nodeComps[a] {
 		if h == i {
 			continue
 		}
 		s := mat.in.Components[h].Stage
-		if v := mat.rowTerm(i, h, a, sc); v > sc.rowMax[s] {
-			sc.rowMax[s] = v
+		if v := mat.rowTerm(i, h, a, sc); v > fold[s] {
+			fold[s] = v
 		}
 	}
 }
 
 // entryFloor sets sc.colMax, for entry (i, j) with j ≠ ci's node, to each
 // stage's maximum over everything but the destination terms: 0, the row's
-// origin terms (sc.rowMax), ci's self term on nj, and the cur of the
-// stage's first member on neither node — the largest latency among the
-// members the entry leaves unchanged, since members are kept in descending
-// cur order. It returns the self term.
-func (mat *Matrix) entryFloor(i, j int, sc *scratch) float64 {
+// origin fold, ci's self term on nj, and the cur of the stage's first
+// member on neither node — the largest latency among the members the
+// entry leaves unchanged, since members are kept in descending cur order.
+func (mat *Matrix) entryFloor(i, j int, sc *scratch) {
 	a := mat.alloc[i]
+	fold := mat.originRow(i)
 	for s, members := range mat.stageOf {
-		v := sc.rowMax[s]
+		v := fold[s]
 		for _, h := range members {
 			if n := mat.alloc[h]; n != a && n != j {
 				if mat.cur[h] > v {
@@ -764,11 +857,9 @@ func (mat *Matrix) entryFloor(i, j int, sc *scratch) float64 {
 		sc.colMax[s] = v
 	}
 	stage := mat.in.Components[i].Stage
-	li := mat.selfLat[stage*mat.in.NumNodes+j]
-	if li > sc.colMax[stage] {
+	if li := mat.selfLat[stage*mat.in.NumNodes+j]; li > sc.colMax[stage] {
 		sc.colMax[stage] = li
 	}
-	return li
 }
 
 // destCase classifies a destination term against its stage's running
@@ -803,12 +894,11 @@ func (mat *Matrix) destCheck(i, h, j int, runMax float64) destCase {
 	return refusedUnder
 }
 
-// computeEntry fills L[i][j] and SelfGain[i][j]: the hypothetical world
-// where ci sits on nj, with the Table III contention updates applied to
-// every component on ci's origin and destination nodes. sc is the calling
-// shard's private scratch, holding the row's origin fold (foldOrigin);
-// everything else it touches is read-only during a parallel fill except
-// the (i, j) cells themselves.
+// computeEntry fills L[i][j]: the hypothetical world where ci sits on nj,
+// with the Table III contention updates applied to every component on
+// ci's origin and destination nodes. It reads the row's origin fold; sc
+// is the calling shard's private scratch, and everything else it touches
+// is read-only during a parallel fill except the (i, j) cell itself.
 //
 // Eq. 3–4 with the updates: each stage's maximum is the largest of its
 // floor (entryFloor) and its destination terms, and a destination term is
@@ -816,10 +906,9 @@ func (mat *Matrix) destCheck(i, h, j int, runMax float64) destCase {
 func (mat *Matrix) computeEntry(i, j int, sc *scratch) {
 	if j == mat.alloc[i] {
 		mat.L[i][j] = 0
-		mat.SelfGain[i][j] = 0
 		return
 	}
-	li := mat.entryFloor(i, j, sc)
+	mat.entryFloor(i, j, sc)
 	for _, h := range mat.nodeComps[j] {
 		s := mat.in.Components[h].Stage
 		if mat.destCheck(i, h, j, sc.colMax[s]) >= skipAllRows {
@@ -834,7 +923,6 @@ func (mat *Matrix) computeEntry(i, j int, sc *scratch) {
 		overall += v
 	}
 	mat.L[i][j] = mat.overall - overall // Eq. 5
-	mat.SelfGain[i][j] = mat.cur[i] - li
 }
 
 // NumComponents returns m.
@@ -858,15 +946,33 @@ func (mat *Matrix) CurrentOverall() float64 { return mat.overall }
 // current virtual allocation.
 func (mat *Matrix) ComponentLatency(i int) float64 { return mat.cur[i] }
 
+// SelfGain returns the predicted reduction in component i's own latency
+// if it migrates to node j (Algorithm 1's tie-break): its current
+// latency less its self term on nj, 0 on its own node. For a row that has
+// not migrated it is exact at any point of the round, because Migrate
+// refreshes cur and the self terms wherever a move changes them; a
+// migrated row's value is not meaningful.
+func (mat *Matrix) SelfGain(i, j int) float64 {
+	if j == mat.alloc[i] {
+		return 0
+	}
+	return mat.cur[i] - mat.selfLat[mat.in.Components[i].Stage*mat.in.NumNodes+j]
+}
+
 // Best scans the matrix for the entry with the largest predicted overall
 // reduction among non-removed components (Algorithm 1 line 6), breaking
 // ties by the migrated component's own latency reduction (line 7). ok is
 // false when no candidate rows remain.
+//
+// Once it holds a candidate, it skips every row whose bound is within
+// gain − tie: no cell of such a row is above gain + tie or gain − tie, so
+// none passes either branch of the tie rule, and the scan returns what
+// visiting every cell in order would.
 func (mat *Matrix) Best() (comp, node int, gain float64, ok bool) {
 	const tie = 1e-12
 	comp, node = -1, -1
 	for i := range mat.L {
-		if mat.removed[i] {
+		if mat.removed[i] || (comp >= 0 && mat.rowBound[i] <= gain-tie) {
 			continue
 		}
 		for j := range mat.L[i] {
@@ -877,7 +983,7 @@ func (mat *Matrix) Best() (comp, node int, gain float64, ok bool) {
 			switch {
 			case comp == -1 || v > gain+tie:
 				comp, node, gain = i, j, v
-			case v > gain-tie && mat.SelfGain[i][j] > mat.SelfGain[comp][node]:
+			case v > gain-tie && mat.SelfGain(i, j) > mat.SelfGain(comp, node):
 				comp, node, gain = i, j, v
 			}
 		}
@@ -939,15 +1045,19 @@ func (mat *Matrix) Migrate(i, j int) {
 			if mat.removed[h] {
 				continue
 			}
-			mat.foldOrigin(h, sc)
 			if onTouched[h] {
-				for v := 0; v < mat.in.NumNodes; v++ {
-					mat.computeEntry(h, v, sc)
-				}
+				mat.fillRow(h, sc)
 				continue
 			}
+			// h sits on neither touched node, so its origin fold stands,
+			// and only its two recomputed cells can raise its bound.
 			mat.computeEntry(h, a, sc)
 			mat.computeEntry(h, j, sc)
+			for _, v := range [2]float64{mat.L[h][a], mat.L[h][j]} {
+				if v > mat.rowBound[h] {
+					mat.rowBound[h] = v
+				}
+			}
 		}
 	})
 }

@@ -39,10 +39,9 @@ func (b *boundTally) total() int {
 }
 
 // tallyRow replays computeEntry's destination pass over the given columns
-// of row i with the fill's own predicate (foldOrigin, entryFloor,
-// destCheck) and counts every destination term by its case.
+// of row i with the fill's own predicate (the row's origin fold,
+// entryFloor, destCheck) and counts every destination term by its case.
 func tallyRow(mat *Matrix, i int, cols []int, sc *scratch, tally *boundTally) {
-	mat.foldOrigin(i, sc)
 	for _, j := range cols {
 		if j == mat.alloc[i] {
 			continue
@@ -104,10 +103,10 @@ func checkBounds(t *testing.T, mat *Matrix, step int) {
 // TestBoundFirstMatchesFullEvaluation pins the bound-first fill (origin
 // fold, entry floors, destination terms skipped under their bound) to the
 // same cells recomputed with every term evaluated (referenceEntry over
-// fillTerm), by bits: every L and SelfGain cell after BuildMatrix, and
-// after each Migrate of a whole Algorithm 1 round every cell, where the
-// cells Algorithm 2 recomputes must match a fresh full evaluation and all
-// others keep their bits; every bound and all-rows flag must hold
+// fillTerm), by bits: every L cell, and SelfGain in every live row, after
+// BuildMatrix and after each Migrate of a whole Algorithm 1 round, where
+// the cells Algorithm 2 recomputes must match a fresh full evaluation and
+// all others keep their bits; every bound and all-rows flag must hold
 // (checkBounds). It runs at 1, 2 and 4 shards. Tallied with the fill's
 // own predicate, the fixture must reach skips by the all-rows flag and by
 // a per-pair certificate, terms over a finite bound, refused terms within
@@ -143,9 +142,8 @@ func TestBoundFirstMatchesFullEvaluation(t *testing.T) {
 						if math.Float64bits(mat.L[i][j]) != math.Float64bits(wantL[i*k+j]) {
 							t.Fatalf("step %d: L[%d][%d] = %v, full evaluation %v", step, i, j, mat.L[i][j], wantL[i*k+j])
 						}
-						if math.Float64bits(mat.SelfGain[i][j]) != math.Float64bits(wantG[i*k+j]) {
-							t.Fatalf("step %d: SelfGain[%d][%d] = %v, full evaluation %v",
-								step, i, j, mat.SelfGain[i][j], wantG[i*k+j])
+						if g := mat.SelfGain(i, j); !mat.Removed(i) && math.Float64bits(g) != math.Float64bits(wantG[i*k+j]) {
+							t.Fatalf("step %d: SelfGain(%d, %d) = %v, full evaluation %v", step, i, j, g, wantG[i*k+j])
 						}
 					}
 				}

@@ -28,6 +28,14 @@ func (sc *refScratch) set(h int, v float64) {
 	sc.overrideVal[h] = v
 }
 
+// newScratch returns a scratch for the given stage count and window
+// length, apart from the matrix's own.
+func newScratch(stages, window int) *scratch {
+	sc := new(scratch)
+	sc.resize(stages, window)
+	return sc
+}
+
 // referenceLatency is latencyOn evaluated sample by sample: each sample of
 // the node's window shifted by the virtual delta plus adj, clamped at zero,
 // predicted through Predict and folded by Welford into Eq. 2. An empty
@@ -320,8 +328,8 @@ func checkCurrent(t *testing.T, mat *Matrix, step int) {
 // entry and sample by sample: every cell after BuildMatrix, and after
 // each Migrate of a whole Algorithm 1 round every cell Algorithm 2
 // recomputes, while every other cell keeps its previous bits. It runs at
-// 1, 2 and 4 shards. SelfGain, ComponentLatency and CurrentOverall match
-// by bits everywhere, and so does L in every cell whose terms all took the
+// 1, 2 and 4 shards. SelfGain (in every live row), ComponentLatency and
+// CurrentOverall match by bits, and so does L in every cell whose terms all took the
 // window path; a cell or row term that took the closed form may differ by
 // float rounding, at most 1e-12·CurrentOverall(). The fixture must reach
 // every path, counted with the evaluator's own predicate (closedFormTerm).
@@ -361,8 +369,8 @@ func TestMatrixMatchesUnmemoisedEntries(t *testing.T) {
 			check := func(step, i, j int) {
 				t.Helper()
 				l, g := referenceEntry(mat, i, j, sampleTerm(mat))
-				if math.Float64bits(mat.SelfGain[i][j]) != math.Float64bits(g) {
-					t.Fatalf("step %d: SelfGain[%d][%d] = %v, reference %v", step, i, j, mat.SelfGain[i][j], g)
+				if got := mat.SelfGain(i, j); math.Float64bits(got) != math.Float64bits(g) {
+					t.Fatalf("step %d: SelfGain(%d, %d) = %v, reference %v", step, i, j, got, g)
 				}
 				if closedFormCell(mat, i, j) {
 					if d := math.Abs(mat.L[i][j] - l); d > 1e-12*mat.CurrentOverall() {
@@ -393,7 +401,9 @@ func TestMatrixMatchesUnmemoisedEntries(t *testing.T) {
 				from := mat.Allocation()[comp]
 				for i := 0; i < m; i++ {
 					copy(prevL[i*k:], mat.L[i])
-					copy(prevG[i*k:], mat.SelfGain[i])
+					for j := 0; j < k; j++ {
+						prevG[i*k+j] = mat.SelfGain(i, j)
+					}
 				}
 				mat.Migrate(comp, to)
 				checkCurrent(t, mat, step)
@@ -406,7 +416,7 @@ func TestMatrixMatchesUnmemoisedEntries(t *testing.T) {
 							continue
 						}
 						if math.Float64bits(mat.L[i][j]) != math.Float64bits(prevL[i*k+j]) ||
-							math.Float64bits(mat.SelfGain[i][j]) != math.Float64bits(prevG[i*k+j]) {
+							!mat.Removed(i) && math.Float64bits(mat.SelfGain(i, j)) != math.Float64bits(prevG[i*k+j]) {
 							t.Fatalf("step %d: cell (%d,%d) outside Algorithm 2's update changed", step, i, j)
 						}
 					}

@@ -181,19 +181,19 @@ func TestMatrixTableIIIDirections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mat.SelfGain[0][1] <= 0 {
+	if mat.SelfGain(0, 1) <= 0 {
 		t.Fatalf("moving off the hot node should cut the component's own latency, self gain = %v",
-			mat.SelfGain[0][1])
+			mat.SelfGain(0, 1))
 	}
 	// The component already on the cold node gets more contention after
 	// the move: its latency in the hypothetical world rises, which caps
 	// the overall gain below the mover's self gain.
-	if mat.L[0][1] > mat.SelfGain[0][1]+1e-12 {
-		t.Fatalf("overall gain %v exceeds self gain %v", mat.L[0][1], mat.SelfGain[0][1])
+	if mat.L[0][1] > mat.SelfGain(0, 1)+1e-12 {
+		t.Fatalf("overall gain %v exceeds self gain %v", mat.L[0][1], mat.SelfGain(0, 1))
 	}
 	// And the reverse move (cold → hot) must look bad for the mover.
-	if mat.SelfGain[1][0] >= 0 {
-		t.Fatalf("moving onto the hot node should raise latency, self gain = %v", mat.SelfGain[1][0])
+	if mat.SelfGain(1, 0) >= 0 {
+		t.Fatalf("moving onto the hot node should raise latency, self gain = %v", mat.SelfGain(1, 0))
 	}
 }
 
@@ -305,9 +305,9 @@ func TestMatrixBestTieBreakUsesSelfGain(t *testing.T) {
 			if b == mat.Allocation()[a] {
 				continue
 			}
-			if math.Abs(mat.L[a][b]-gain) < 1e-12 && mat.SelfGain[a][b] > mat.SelfGain[i][j]+1e-12 {
+			if math.Abs(mat.L[a][b]-gain) < 1e-12 && mat.SelfGain(a, b) > mat.SelfGain(i, j)+1e-12 {
 				t.Fatalf("tie (%d,%d) has larger self gain %v than winner %v",
-					a, b, mat.SelfGain[a][b], mat.SelfGain[i][j])
+					a, b, mat.SelfGain(a, b), mat.SelfGain(i, j))
 			}
 		}
 	}
@@ -351,15 +351,17 @@ func TestMatrixComponentLatencyPositive(t *testing.T) {
 }
 
 // TestBuildMatrixAllocationsBounded pins BuildMatrix's allocations to a
-// constant (22 measured at both sizes): the rows, latencies, node
-// statistics, closed-form moments, shifts and bounds are carved from one
-// backing array per element type, the node and stage membership lists
-// from one apiece, and each shard's scratch is one float array allocated
-// once, so a sequential build allocates the same objects whatever m and
-// k. An allocation per node or per row adds
-// at least 8 objects at 40×8 and 96 at 194×96, and breaks the bound.
+// constant (15 measured at both sizes): the rows, latencies, node
+// statistics, closed-form moments, shifts, bounds and origin folds are
+// carved from one backing array per element type, the node and stage
+// membership lists from one apiece, and each shard's scratch is one float
+// array allocated once, so a sequential build allocates the same objects
+// whatever m and k. An allocation per node or per row adds at least 8
+// objects at 40×8 and 96 at 194×96, and breaks the bound. A Rebuild of the
+// same shape reuses every array and allocates only its three fill regions'
+// closures (3 measured); one that reallocates its arrays breaks its bound.
 func TestBuildMatrixAllocationsBounded(t *testing.T) {
-	const bound = 36
+	const bound, rebuildBound = 24, 6
 	for _, size := range []struct{ m, k int }{{40, 8}, {194, 96}} {
 		in := testMatrixInput(t, size.m, size.k, 80, 3)
 		n := testing.AllocsPerRun(5, func() {
@@ -369,6 +371,18 @@ func TestBuildMatrixAllocationsBounded(t *testing.T) {
 		})
 		if n > bound {
 			t.Errorf("%d×%d: BuildMatrix made %v allocations, bound %d", size.m, size.k, n, bound)
+		}
+		mat, err := BuildMatrix(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n = testing.AllocsPerRun(5, func() {
+			if err := mat.Rebuild(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > rebuildBound {
+			t.Errorf("%d×%d: a same-shape Rebuild made %v allocations, bound %d", size.m, size.k, n, rebuildBound)
 		}
 	}
 }

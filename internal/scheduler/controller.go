@@ -1,6 +1,8 @@
 package scheduler
 
 import (
+	"slices"
+
 	"repro/internal/monitor"
 	"repro/internal/predictor"
 	"repro/internal/service"
@@ -64,6 +66,14 @@ type Controller struct {
 
 	ticker  *sim.Ticker
 	results []Result
+
+	// A scheduling interval's working storage, kept from one interval to
+	// the next: the performance matrix, rebuilt in place, and the
+	// component states and node windows it is built from.
+	mat     predictor.Matrix
+	states  []predictor.ComponentState
+	windows monitor.NodeWindows
+
 	// Intervals counts scheduling rounds executed.
 	Intervals int
 	// BuildErrors counts rounds skipped because the matrix could not be
@@ -111,10 +121,12 @@ func (c *Controller) TotalMigrations() int {
 
 // MatrixInput assembles the predictor input from the service's current
 // allocation and the monitor's windows — the hand-off from §III's monitors
-// to §IV's predictor.
+// to §IV's predictor. The input's slices are storage the controller
+// reuses: they are valid until the next call or scheduling interval.
 func (c *Controller) MatrixInput() predictor.MatrixInput {
 	comps := c.svc.Components()
-	states := make([]predictor.ComponentState, len(comps))
+	c.states = slices.Grow(c.states[:0], len(comps))[:len(comps)]
+	states := c.states
 	for i, comp := range comps {
 		in := comp.Primary()
 		// Per-VM monitors (Oprofile in the paper, §III) measure each
@@ -141,7 +153,7 @@ func (c *Controller) MatrixInput() predictor.MatrixInput {
 		Components:  states,
 		NumStages:   c.svc.NumStages(),
 		NumNodes:    c.svc.Cluster().NumNodes(),
-		NodeSamples: c.mon.AllNodeSamples(),
+		NodeSamples: c.mon.AllNodeSamples(&c.windows),
 		Lambda:      lambda,
 		Models:      c.models,
 		Queue:       c.cfg.Queue,
@@ -150,12 +162,12 @@ func (c *Controller) MatrixInput() predictor.MatrixInput {
 	}
 }
 
-// RunInterval executes one scheduling interval immediately: build the
+// RunInterval executes one scheduling interval immediately: rebuild the
 // matrix, run Algorithm 1, and enforce the chosen migrations with the
 // configured migration delay.
 func (c *Controller) RunInterval() {
 	c.Intervals++
-	res, _, err := BuildAndSchedule(c.MatrixInput(), c.cfg.Scheduler)
+	res, err := rebuildAndSchedule(&c.mat, c.MatrixInput(), c.cfg.Scheduler)
 	if err != nil {
 		// No monitored samples yet (e.g. the first interval of a cold
 		// start); skip this round rather than abort the run.

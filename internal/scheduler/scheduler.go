@@ -62,7 +62,7 @@ func Schedule(mat *predictor.Matrix, cfg Config) Result {
 			break
 		}
 		from := mat.Allocation()[i]
-		self := mat.SelfGain[i][j]
+		self := mat.SelfGain(i, j)
 		mat.Migrate(i, j)
 		res.Decisions = append(res.Decisions, Decision{
 			Component: i, From: from, To: j, Gain: gain, SelfGain: self,
@@ -77,13 +77,23 @@ func Schedule(mat *predictor.Matrix, cfg Config) Result {
 // Algorithm 1, reporting the analysis and search times separately (the two
 // series of Fig. 7).
 func BuildAndSchedule(in predictor.MatrixInput, cfg Config) (Result, *predictor.Matrix, error) {
-	start := time.Now()
-	mat, err := predictor.BuildMatrix(in)
+	mat := new(predictor.Matrix)
+	res, err := rebuildAndSchedule(mat, in, cfg)
 	if err != nil {
 		return Result{}, nil, err
+	}
+	return res, mat, nil
+}
+
+// rebuildAndSchedule is BuildAndSchedule into an existing matrix, rebuilt
+// in place (predictor.Matrix.Rebuild).
+func rebuildAndSchedule(mat *predictor.Matrix, in predictor.MatrixInput, cfg Config) (Result, error) {
+	start := time.Now()
+	if err := mat.Rebuild(in); err != nil {
+		return Result{}, err
 	}
 	analysis := time.Since(start)
 	res := Schedule(mat, cfg)
 	res.AnalysisTime = analysis
-	return res, mat, nil
+	return res, nil
 }

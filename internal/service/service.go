@@ -531,6 +531,15 @@ func (s *Service) recordDrop(tenant string) {
 // sharding and steering untouched. Arrivals the source marks Denied are
 // counted as admission drops and never enter the service.
 func (s *Service) StartTraffic(src traffic.Source, maxRequests int) {
+	// On the linear stage path a request records one latency per
+	// component, so a bounded run needs at most maxRequests × components
+	// reservoir slots; a graph plan may retry or skip, and an unbounded
+	// run has no count, so both reserve the whole capacity.
+	reserve := s.cfg.ComponentLatencyReservoir
+	if s.graph == nil && maxRequests > 0 {
+		reserve = min(reserve, maxRequests*len(s.components))
+	}
+	s.collector.ReserveComponents(reserve)
 	s.src = src
 	s.offeredRate = src.Rate()
 	d := &arrivalDriver{svc: s, src: src, max: maxRequests}

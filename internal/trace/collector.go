@@ -40,6 +40,10 @@ func NewCollector(numStages, componentCap int, src *xrand.Source) *Collector {
 	}
 }
 
+// ReserveComponents makes room in the component-latency reservoir for n
+// observations, up to its capacity (Reservoir.Reserve).
+func (c *Collector) ReserveComponents(n int) { c.component.Reserve(n) }
+
 // RecordOverall records one request's end-to-end latency observed at time
 // now (both in seconds).
 func (c *Collector) RecordOverall(now, latency float64) {

@@ -16,12 +16,26 @@ type Reservoir struct {
 	src    *xrand.Source
 }
 
-// NewReservoir creates a reservoir holding at most cap observations.
+// NewReservoir creates a reservoir holding at most cap observations. It
+// allocates no storage: Reserve sizes it for a known stream, and Add grows
+// it otherwise.
 func NewReservoir(cap int, src *xrand.Source) *Reservoir {
 	if cap <= 0 {
 		panic("trace: reservoir capacity must be positive")
 	}
-	return &Reservoir{cap: cap, values: make([]float64, 0, cap), src: src}
+	return &Reservoir{cap: cap, src: src}
+}
+
+// Reserve makes room for min(n, cap) observations in all, so a stream of
+// that length fills the reservoir without reallocating. The retained
+// values and the draws Add makes do not depend on it: Algorithm R draws
+// only once cap observations are held.
+func (r *Reservoir) Reserve(n int) {
+	if n = min(n, r.cap); n > cap(r.values) {
+		grown := make([]float64, len(r.values), n)
+		copy(grown, r.values)
+		r.values = grown
+	}
 }
 
 // Add records one observation.

@@ -35,6 +35,43 @@ func TestReservoirCapsMemory(t *testing.T) {
 	}
 }
 
+// TestReservoirReserveKeepsValuesAndDraws feeds one stream to a reservoir
+// reserved for less than its capacity, one not reserved and one reserved
+// past it: all three must hold the same values and leave their sources at
+// the same point, since Algorithm R draws only once the reservoir is full.
+func TestReservoirReserveKeepsValuesAndDraws(t *testing.T) {
+	const capacity, n = 500, 4000
+	reserved, plain, over := NewReservoir(capacity, xrand.New(9)), NewReservoir(capacity, xrand.New(9)), NewReservoir(capacity, xrand.New(9))
+	reserved.Reserve(capacity / 4)
+	over.Reserve(10 * capacity)
+	if got := cap(over.Values()); got != capacity {
+		t.Fatalf("reserving past the capacity holds %d slots, want %d", got, capacity)
+	}
+	for i := 0; i < n; i++ {
+		x := math.Sin(float64(i))
+		reserved.Add(x)
+		plain.Add(x)
+		over.Add(x)
+		if i == capacity/8 {
+			reserved.Reserve(capacity / 2) // a reservation mid-stream keeps what is held
+		}
+	}
+	next := plain.src.Int63()
+	for _, r := range []*Reservoir{reserved, over} {
+		if r.Len() != plain.Len() || r.Seen() != plain.Seen() {
+			t.Fatalf("len %d seen %d, unreserved len %d seen %d", r.Len(), r.Seen(), plain.Len(), plain.Seen())
+		}
+		for i, v := range r.Values() {
+			if math.Float64bits(v) != math.Float64bits(plain.Values()[i]) {
+				t.Fatalf("value %d = %v, unreserved %v", i, v, plain.Values()[i])
+			}
+		}
+		if got := r.src.Int63(); got != next {
+			t.Fatalf("next draw %d, unreserved %d: the reservation changed the draws", got, next)
+		}
+	}
+}
+
 func TestReservoirIsApproximatelyUniform(t *testing.T) {
 	// The retained sample's mean should approximate the stream's mean.
 	r := NewReservoir(2000, xrand.New(3))

@@ -24,13 +24,21 @@ import (
 // policy, so neither allocates per sub-request.
 //
 // The large-cluster PCS cell pins the control plane instead: its 194×96
-// performance matrix is rebuilt every 2 simulated seconds from the
-// monitor's windows. Both allocate a fixed number of objects per interval
-// whatever m and k: the matrix's rows, its node and stage membership
-// lists and the monitor's windows are each carved from one backing array,
-// and window predictions reuse a per-shard buffer. Going back to per-node
-// windows and membership lists (~4 objects per arrival here) or to
-// per-row allocation (2m per build, ~5.4) breaks its bound.
+// performance matrix is rebuilt in place every 2 simulated seconds from
+// the monitor's windows, which the controller keeps in one buffer with
+// its component states. The matrix's rows, its node and stage membership
+// lists and the windows are each carved from one backing array, reused
+// from interval to interval, and window predictions reuse a per-shard
+// buffer. Going back to per-node windows and membership lists (~4 objects
+// per arrival here) or to per-row allocation (2m per build, ~5.4) breaks
+// its object bound, and building a fresh matrix every interval
+// (≈ +4.4 KB per arrival) its byte bound.
+//
+// Bytes per arrival count the simulation's set-up too, where the
+// component-latency reservoir is sized: a run reserves room for its own
+// requests × components latencies only, so the small Basic cell (300
+// requests × 14 components) holds 4,200 slots where the full 100,000-slot
+// reservoir would add ~2.7 KB per arrival and break its byte bound.
 //
 // The record sizes are pinned too. A 100-component stage slab of
 // 128-byte sub-requests fits Go's 13,568-byte size class, where 160 bytes
@@ -46,19 +54,26 @@ func TestRequestPathAllocationsPinned(t *testing.T) {
 	nutch := func(technique Technique) RunSpec {
 		return RunSpec{Technique: technique, Scenario: "nutch-search", Nodes: 8, SearchComponents: 12, ArrivalRate: 100, Requests: 1500}
 	}
+	small := nutch(Basic)
+	small.Requests = 300
 	cells := []struct {
 		name  string
 		spec  RunSpec
-		bound float64 // measured: 4.29, 7.38, 5.76, 4.44, 49.2, 10.3
+		bound float64 // measured: 4.29, 7.38, 5.76, 4.35, 49.2, 9.89, 4.93
+		bytes float64 // per arrival, set-up included; 0 leaves it unpinned (measured: 33,666 and 4,255)
 	}{
-		{"sequential Basic", nutch(Basic), 5.4},
-		{"sequential RED-5", nutch(RED5), 9.4},
-		{"sequential RI-90", nutch(RI90), 7.3},
-		{"sequential PCS", nutch(PCS), 5.9},
-		{"2-lane fanout-retry", RunSpec{Technique: Basic, Scenario: "fanout-retry", ArrivalRate: 150, Requests: 1500, Lanes: 2}, 62},
-		{"PCS control plane", RunSpec{Technique: PCS, Scenario: "large-cluster", ArrivalRate: 100, Requests: 600, SchedulingInterval: 2, Seed: 1}, 12.8},
+		{"sequential Basic", nutch(Basic), 5.4, 0},
+		{"sequential RED-5", nutch(RED5), 9.4, 0},
+		{"sequential RI-90", nutch(RI90), 7.3, 0},
+		{"sequential PCS", nutch(PCS), 5.9, 0},
+		{"2-lane fanout-retry", RunSpec{Technique: Basic, Scenario: "fanout-retry", ArrivalRate: 150, Requests: 1500, Lanes: 2}, 62, 0},
+		{"PCS control plane", RunSpec{Technique: PCS, Scenario: "large-cluster", ArrivalRate: 100, Requests: 600, SchedulingInterval: 2, Seed: 1}, 12.8, 35500},
+		{"small Basic", small, 6.2, 5000},
 	}
 	for _, c := range cells {
+		var setup, before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&setup)
 		opts, err := c.spec.Options()
 		if err != nil {
 			t.Fatal(err)
@@ -67,7 +82,6 @@ func TestRequestPathAllocationsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		res := s.Finish()
@@ -75,6 +89,10 @@ func TestRequestPathAllocationsPinned(t *testing.T) {
 		perArrival := float64(after.Mallocs-before.Mallocs) / float64(res.Arrivals)
 		if perArrival > c.bound {
 			t.Errorf("%s: %.2f heap objects per arrival, bound %.1f", c.name, perArrival, c.bound)
+		}
+		bytes := float64(after.TotalAlloc-setup.TotalAlloc) / float64(res.Arrivals)
+		if c.bytes > 0 && bytes > c.bytes {
+			t.Errorf("%s: %.0f bytes per arrival with set-up, bound %.0f", c.name, bytes, c.bytes)
 		}
 	}
 }
