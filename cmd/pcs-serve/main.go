@@ -52,7 +52,7 @@ func main() {
 	log.SetFlags(0)
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8344", "listen address (host:port; port 0 picks a free one)")
-		capacity = flag.Int("capacity", 0, "executor core-token budget a run's workers × shards/lanes width is\nadmitted against (0 = all cores); queued work waits, in FIFO order")
+		capacity = flag.Int("capacity", 0, "executor core-token budget a run's workers × shard width is admitted\nagainst (0 = all cores; a laned run uses one core per worker); queued\nwork waits, in FIFO order")
 		stateDir = flag.String("state-dir", "", "persist every run's spec and NDJSON frames under this directory and\nreplay it on startup: completed runs come back queryable with reports\nrecomputed from the stored bytes, interrupted runs resume from their\ncompleted-replication frontier (empty = in-memory only)")
 	)
 	flag.Parse()

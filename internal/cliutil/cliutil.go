@@ -34,13 +34,13 @@ func AddPolicy(fs *flag.FlagSet) *string {
 	return fs.String("policy", "", pcs.PolicyFlagUsage())
 }
 
-// AddLanes registers the -lanes selector for the parallel data plane and
+// AddLanes registers the -lanes selector for the laned data plane and
 // returns its value.
 func AddLanes(fs *flag.FlagSet) *int {
-	return fs.Int("lanes", 0, "parallel data-plane lanes: 0 runs the sequential engine (default\n"+
-		"physics), N >= 1 runs the affinity-laned conservative engine — reports\n"+
-		"are byte-identical at any lane count, so pick the core count; -1 uses\n"+
-		"all cores")
+	return fs.Int("lanes", 0, "data-plane physics: 0 runs the sequential engine (default physics);\n"+
+		"any other value runs the affinity-laned physics, where cross-instance\n"+
+		"messages pay a network transit, on the run's own goroutine — reports\n"+
+		"are byte-identical at every nonzero value")
 }
 
 // ParseTechniques parses a comma-separated technique list ("Basic,PCS").

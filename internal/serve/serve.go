@@ -389,29 +389,20 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // runCost estimates the core tokens a spec occupies while executing:
-// concurrent replication workers × the per-replication shard/lane width.
-// A "use all cores" request (workers/shards/lanes ≤ 0 beyond their
-// defaults) costs the whole budget, which the executor clamps.
+// concurrent replication workers × the per-replication shard width. A
+// laned run executes on its replication's own goroutine, so lanes cost
+// nothing extra. An all-cores shard count (shards < 0) costs the whole
+// budget, which the executor clamps.
 func (s *Server) runCost(spec pcs.RunSpec) int {
-	reps := spec.Replications
-	if reps < 1 {
-		reps = 1
+	if spec.Shards < 0 {
+		return s.capacity
 	}
+	reps := max(1, spec.Replications)
 	workers := spec.Workers
 	if workers <= 0 || workers > reps {
 		workers = reps
 	}
-	width := 1
-	if spec.Shards > width {
-		width = spec.Shards
-	}
-	if spec.Lanes > width {
-		width = spec.Lanes
-	}
-	if spec.Shards < 0 || spec.Lanes < 0 {
-		return s.capacity
-	}
-	return workers * width
+	return workers * max(1, spec.Shards)
 }
 
 // newRunRecord builds the in-memory record shared by fresh and restored

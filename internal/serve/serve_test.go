@@ -541,3 +541,28 @@ func TestLineBuffer(t *testing.T) {
 		t.Fatalf("bytes = %q", got)
 	}
 }
+
+// TestRunCostChargesShardsNotLanes pins the executor's charge: workers ×
+// max(1, shards) core tokens, the whole capacity for an all-cores shard
+// count, and nothing extra for lanes — a laned replication runs on its
+// own goroutine.
+func TestRunCostChargesShardsNotLanes(t *testing.T) {
+	s := New(16)
+	for _, c := range []struct {
+		spec pcs.RunSpec
+		want int
+	}{
+		{pcs.RunSpec{Replications: 4, Workers: 2}, 2},
+		{pcs.RunSpec{Replications: 4, Workers: 2, Lanes: 8}, 2},
+		{pcs.RunSpec{Replications: 4, Workers: 2, Lanes: -1}, 2},
+		{pcs.RunSpec{Replications: 3, Lanes: 8}, 3},
+		{pcs.RunSpec{Lanes: 4}, 1},
+		{pcs.RunSpec{Replications: 4, Workers: 2, Shards: 3, Lanes: 8}, 6},
+		{pcs.RunSpec{Replications: 4, Workers: 2, Shards: -1}, 16},
+	} {
+		if got := s.runCost(c.spec); got != c.want {
+			t.Errorf("runCost(workers %d, replications %d, shards %d, lanes %d) = %d, want %d",
+				c.spec.Workers, c.spec.Replications, c.spec.Shards, c.spec.Lanes, got, c.want)
+		}
+	}
+}

@@ -134,7 +134,7 @@ type Instance struct {
 	// changes in demandTick, which refreshes every node right after — so
 	// a matching key means a fresh read would return the same contention,
 	// and the same multiplier, bit for bit. The memo is instance-owned,
-	// so laned runs touch it only from the instance's lane.
+	// so laned runs touch it only from the instance's own class.
 	mult        float64
 	multNode    *cluster.Node
 	multVersion uint64
@@ -308,8 +308,8 @@ func (in *Instance) drawServiceTime(mean float64) float64 {
 // start begins service for e at virtual time now. The service time is
 // drawn from the ground-truth law using the background contention the
 // instance currently experiences (everything on the node except itself —
-// a concurrent-read of node aggregates that only change at engine events,
-// when every lane is parked), through the instance's multiplier memo.
+// a read of node aggregates that only change at engine events), through
+// the instance's multiplier memo.
 func (in *Instance) start(e *Execution, now float64) {
 	in.busy = true
 	e.State = ExecRunning
@@ -320,7 +320,7 @@ func (in *Instance) start(e *Execution, now float64) {
 	// either way, so toggling brownout never renumbers later draws.
 	// Storage nodes override the stage nominal with the per-operation
 	// work drawn at dispatch (an immutable sub-request field, safe to
-	// read from the instance's lane).
+	// read from the instance's class).
 	base := in.Comp.Spec.BaseServiceTime
 	if o := e.Sub.baseOverride; o > 0 {
 		base = o

@@ -74,7 +74,7 @@ type SubRequest struct {
 	// baseOverride, when positive, replaces the stage's nominal service
 	// time for this sub-request's executions — storage nodes set it to
 	// the drawn per-operation work. Immutable after dispatch, so
-	// instance lanes may read it freely.
+	// instance classes may read it freely.
 	baseOverride float64
 
 	done       bool
@@ -107,7 +107,7 @@ func (sub *SubRequest) EnableCancelOnStart(delay float64) { sub.cancelOnStart = 
 // creating an execution and enqueueing it. Policies call this one or more
 // times per sub-request, always from root-class context. In laned mode the
 // dispatch message pays the network transit delay before reaching the
-// instance's lane, and the root's outstanding-execution ledger for the
+// instance's class, and the root's outstanding-execution ledger for the
 // instance (PickInstance's load signal) is charged at send time.
 func (sub *SubRequest) IssueTo(in *Instance, now float64) *Execution {
 	e := sub.newExecution()
@@ -184,9 +184,9 @@ func (sub *SubRequest) onStart(now float64) {
 // they land StartAt+cancelOnStart, exactly when the sequential physics
 // would land them relative to the start. Because the notice already
 // consumed one transit delay, the relay needs cancelOnStart ≥
-// 2×LaneTransitDelay to respect the plane's lookahead; the simulation
+// 2×LaneTransitDelay to respect the plane's transit rule; the simulation
 // validates that at construction. Whether a sibling is still queued is
-// decided by its own lane when the message lands — the root never peeks
+// decided by its own class when the message lands — the root never peeks
 // at queue state it doesn't own.
 func (sub *SubRequest) onStartLaned(started *Execution, now float64) {
 	if sub.cancelSent {

@@ -32,12 +32,12 @@ type Policy interface {
 // LaneTransitDelay is the network transit lower bound (seconds) every
 // cross-class data-plane message pays in laned mode: dispatch reaching an
 // instance, a completion or start notice reaching the request's root
-// bookkeeping. It is the manufactured lookahead conservative parallel
-// execution synchronizes on — 0.2 ms, well under the 3 ms
-// cancellation-message delay and the millisecond-scale service times, so
-// it perturbs the modeled physics far less than the queueing it enables
-// us to simulate faster. Sequential runs (no Config.Lanes) pay no delay
-// at all: their physics are byte-for-byte the pre-lane ones.
+// bookkeeping. It is the lookahead a conservative parallel executor
+// would synchronise on — 0.2 ms, well under the 3 ms cancellation-message
+// delay and the millisecond-scale service times, so it perturbs the
+// modeled physics far less than the queueing itself; the lane plane
+// checks every such send against it. Sequential runs (no Config.Lanes)
+// pay no delay at all: their physics are byte-for-byte the pre-lane ones.
 const LaneTransitDelay = 0.0002
 
 // rootClass is the affinity class owning request/sub-request bookkeeping:
@@ -80,10 +80,9 @@ type Config struct {
 	Pool *shard.Pool
 	// Lanes, when non-nil, runs the request path on the laned data plane:
 	// dispatch, start/completion notices and cancellations become
-	// timestamped inter-class messages (each paying LaneTransitDelay) and
-	// execute in conservative parallel windows. Results are byte-identical
-	// at any lane count but differ from the nil (sequential) physics,
-	// which stay exactly the historical ones.
+	// timestamped inter-class messages (each paying LaneTransitDelay) in
+	// the plane's class-keyed order. Results differ from the nil
+	// (sequential) physics, which stay exactly the historical ones.
 	Lanes *lane.Plane
 	// Graph, when non-nil, replaces the linear stage walk with DAG
 	// execution: node i of the plan runs on stage i of the topology, so
@@ -402,8 +401,8 @@ func (s *Service) SetWorkFactor(f float64) error {
 // ties, lowest replica index breaking the rest. The choice reads only
 // deterministic queue state, never randomness. In laned mode the load
 // signal is the root class's own outstanding-execution ledger instead of
-// the instances' queue state, which belongs to other lanes mid-window —
-// the ledger is what a real load balancer sees: work it sent minus
+// the instances' queue state, which belongs to other classes — the
+// ledger is what a real load balancer sees: work it sent minus
 // completions it heard back about.
 func (s *Service) PickInstance(comp *Component) *Instance {
 	active := comp.ActiveInstances()

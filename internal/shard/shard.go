@@ -21,7 +21,8 @@
 // whether it runs on 1 shard or 16, so parallelism moves only the wall
 // clock. The simulation's data-plane events (request dispatch, execution
 // completions, cancellations) have zero cross-shard lookahead and stay on
-// the engine's sequential event order; the control-plane windows — demand
+// one goroutine, in the engine's event order (or, in laned mode, the lane
+// plane's class-keyed order); the control-plane windows — demand
 // ticks, monitor refreshes, performance-matrix construction, profiling —
 // are where the cluster-sized O(nodes) and O(components × nodes) work
 // lives, and those are the regions this pool parallelises.

@@ -97,12 +97,25 @@ func timeOf(k uint64) float64 {
 	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
 }
 
-// lessBit is 1 when a precedes b and 0 otherwise: the borrow out of the
-// 128-bit subtraction (a.at, a.key) − (b.at, b.key), computed without a
-// branch.
+// lessBit is 1 when a precedes b and 0 otherwise (LessBit).
 func lessBit(a, b *entry) uint64 {
-	_, borrow := bits.Sub64(a.key, b.key, 0)
-	_, borrow = bits.Sub64(a.at, b.at, borrow)
+	return LessBit(a.at, a.key, b.at, b.key)
+}
+
+// TimeKey and TimeOf export timeKey and timeOf, and LessBit the heap's
+// comparison, for queues outside this package that order fire times as
+// the engine does (the laned data plane's).
+func TimeKey(t float64) uint64 { return timeKey(t) }
+
+// TimeOf inverts TimeKey.
+func TimeOf(k uint64) float64 { return timeOf(k) }
+
+// LessBit is 1 when the 128-bit number (aHi, aLo) is below (bHi, bLo)
+// and 0 otherwise: the borrow out of their subtraction, computed without
+// a branch.
+func LessBit(aHi, aLo, bHi, bLo uint64) uint64 {
+	_, borrow := bits.Sub64(aLo, bLo, 0)
+	_, borrow = bits.Sub64(aHi, bHi, borrow)
 	return borrow
 }
 

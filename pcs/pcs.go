@@ -228,17 +228,17 @@ type RunSpec struct {
 	// concurrent replications stays within the machine.
 	Shards int `json:"shards,omitempty"`
 	// Lanes selects the laned data plane: the request path (dispatch,
-	// queueing, service, cancellation, completion) runs as a conservative
-	// parallel discrete-event system with one affinity class per component
-	// instance, partitioned across this many lanes. Cross-class messages
-	// pay a 0.2 ms network transit delay (service.LaneTransitDelay) — the
-	// manufactured lookahead lanes synchronize on — so laned physics
-	// differ from the sequential ones, but reports are byte-identical at
-	// ANY lane count (determinism invariant #10): 1 lane is the cheap way
-	// to run the laned physics, 8 lanes the fast way. 0 (the default)
-	// keeps the sequential data plane and its exact historical reports;
-	// negative selects all usable cores. Requires CancelDelaySeconds ≥
-	// 2×LaneTransitDelay (or cancellation disabled).
+	// queueing, service, cancellation, completion) runs as timestamped
+	// messages between affinity classes, one per component instance.
+	// Cross-class messages pay a 0.2 ms network transit delay
+	// (service.LaneTransitDelay), so laned physics differ from the
+	// sequential ones. Any value ≥ 1 (or negative) selects the laned
+	// physics; the count no longer reaches execution — the plane runs on
+	// the simulation's own goroutine — so reports are byte-identical at
+	// every lane count (determinism invariant #10). 0 (the default) keeps
+	// the sequential data plane and its exact historical reports.
+	// Requires CancelDelaySeconds ≥ 2×LaneTransitDelay (or cancellation
+	// disabled).
 	Lanes int `json:"lanes,omitempty"`
 	// Replications is the number of independent replications a spec-level
 	// execution aggregates (0 = 1); Workers bounds its worker pool (0 =
@@ -327,10 +327,7 @@ func (o RunSpec) withDefaults() RunSpec {
 		o.Shards = 1
 	}
 	if o.Lanes < 0 {
-		o.Lanes = runtime.GOMAXPROCS(0)
-		if o.Lanes < 1 {
-			o.Lanes = 1
-		}
+		o.Lanes = 1 // any nonzero count selects the same laned physics
 	}
 	if o.Requests <= 0 {
 		o.Requests = 20000
@@ -456,7 +453,7 @@ type Result struct {
 	// sorted by name; nil for untenanted traffic.
 	Tenants []TenantResult `json:",omitempty"`
 	// DataPlane names the request path's execution mode: "laned" when the
-	// run used the conservative parallel data plane (RunSpec.Lanes ≥ 1),
+	// run used the laned data plane (RunSpec.Lanes ≥ 1),
 	// empty for the sequential engine loop. The value depends only on the
 	// mode — never on the lane count — so it never breaks byte-identity
 	// across lane counts, and sequential reports keep their exact

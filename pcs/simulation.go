@@ -36,7 +36,7 @@ type Simulation struct {
 	svc     *service.Service
 	mon     *monitor.Monitor
 	ctrl    *scheduler.Controller // nil unless Technique == PCS
-	pool    *shard.Pool           // nil unless max(Shards, Lanes) > 1
+	pool    *shard.Pool           // nil unless Shards > 1
 	plane   *lane.Plane           // nil unless RunSpec.Lanes > 0
 
 	// pol, when non-nil, is the run's closed-loop policy, evaluated by an
@@ -84,17 +84,12 @@ func NewSimulation(spec RunSpec) (*Simulation, error) {
 	o = o.applyScenario(sc)
 	root := xrand.New(o.Seed ^ 0x5ca1ab1e)
 
-	// The shard pool parallelises the run's window-barrier work — and, in
-	// laned mode, the data plane's windows. Lanes > 1 therefore implies a
-	// pool even when Shards is 1: sharding the control plane is
-	// result-neutral (invariant #7), and the control plane dominates
-	// large-cluster runtime, so a laned run that left it sequential would
-	// throw away most of its speedup. A nil pool (both ≤ 1) is the
-	// sequential path; every consumer treats it so, which keeps
-	// single-shard runs on the exact pre-sharding code.
+	// The shard pool parallelises the run's window-barrier work. A nil
+	// pool (Shards ≤ 1) is the sequential path; every consumer treats it
+	// so, which keeps single-shard runs on the exact pre-sharding code.
 	var pool *shard.Pool
-	if workers := max(o.Shards, o.Lanes); workers > 1 {
-		pool = shard.NewPool(workers)
+	if o.Shards > 1 {
+		pool = shard.NewPool(o.Shards)
 	}
 	fail := func(err error) (*Simulation, error) {
 		pool.Close()
@@ -119,10 +114,9 @@ func NewSimulation(spec RunSpec) (*Simulation, error) {
 	duration := float64(o.Requests) / o.ArrivalRate
 	topo := sc.Topology(o.SearchComponents)
 
-	// The laned data plane needs its conservative lookahead to hold for
-	// every cross-class message; the only configurable one is the
-	// cancellation delay, which is relayed through the root class and so
-	// consumes two transits.
+	// The laned data plane needs every cross-class message to pay a
+	// transit; the only configurable delay is the cancellation delay,
+	// which is relayed through the root class and so consumes two.
 	var plane *lane.Plane
 	if o.Lanes > 0 {
 		if o.CancelDelaySeconds > 0 && o.CancelDelaySeconds < 2*service.LaneTransitDelay {
@@ -130,8 +124,7 @@ func NewSimulation(spec RunSpec) (*Simulation, error) {
 				"pcs: laned execution needs CancelDelaySeconds >= %g (two network transits) or cancellation disabled, got %g",
 				2*service.LaneTransitDelay, o.CancelDelaySeconds))
 		}
-		plane, err = lane.New(o.Lanes, service.LaneTransitDelay,
-			service.MaxLaneClasses(topo, o.Nodes), pool)
+		plane, err = lane.New(service.LaneTransitDelay, service.MaxLaneClasses(topo, o.Nodes))
 		if err != nil {
 			return fail(err)
 		}
@@ -392,12 +385,13 @@ func (s *Simulation) takeDueSamples() {
 // Step executes exactly one pending event, advancing the clock to it. In
 // laned mode the granularity is one event *time* instead: every
 // data-plane and control-plane event at the next pending instant executes
-// together (the laned clock is per-lane inside a window, so "one event"
-// is not an observable unit there). Step returns false — executing
-// nothing — once the next event lies beyond the horizon or no events
-// remain. A loop over Step executes exactly the events RunTo(Horizon())
-// would; the clock then rests at the last executed event rather than the
-// horizon until Finish (or RunTo) rounds it up.
+// together (the laned contract orders an instant's events by class, not
+// by one global sequence, so the instant is its unit). Step returns
+// false — executing nothing — once the next event lies beyond the
+// horizon or no events remain. A loop over Step executes exactly the
+// events RunTo(Horizon()) would; the clock then rests at the last
+// executed event rather than the horizon until Finish (or RunTo) rounds
+// it up.
 func (s *Simulation) Step() bool {
 	if s.plane != nil {
 		next, ok := s.NextEventTime()
@@ -467,12 +461,13 @@ type Snapshot struct {
 	// BatchJobsStarted counts interference jobs so far.
 	BatchJobsStarted int
 	// PendingEvents and FiredEvents describe the world's event queues: the
-	// engine's plus, in laned mode, the data plane's lane heaps — both
-	// counts are lane-count-independent because the executed event set is.
+	// engine's plus, in laned mode, the data plane's class-keyed queue —
+	// both counts are lane-count-independent because the executed event
+	// set is.
 	PendingEvents int
 	FiredEvents   uint64
 	// DataPlane names the request path's execution mode: "laned" for the
-	// conservative parallel data plane, empty for the sequential engine
+	// laned data plane, empty for the sequential engine
 	// loop (omitted from JSON then, so sequential snapshot encodings stay
 	// exactly as before — see Result.DataPlane).
 	DataPlane string `json:",omitempty"`
