@@ -715,3 +715,109 @@ func TestServiceTimeMemoMatchesDraw(t *testing.T) {
 	}()
 	svc.Component(1).Primary().drawServiceTime(0)
 }
+
+// hookPolicy fans every sub-request out to its first k active replicas
+// with its own cancel-on-start delay and completion hook, and keeps every
+// sub-request it dispatched.
+type hookPolicy struct {
+	k      int
+	delay  float64
+	onDone func(*SubRequest, float64)
+	wins   int
+	subs   []*SubRequest
+}
+
+func (p *hookPolicy) Name() string  { return "test-hooks" }
+func (p *hookPolicy) Replicas() int { return p.k }
+func (p *hookPolicy) Dispatch(_ *Service, sub *SubRequest, now float64) {
+	if p.onDone == nil {
+		p.onDone = func(*SubRequest, float64) { p.wins++ }
+	}
+	sub.EnableCancelOnStart(p.delay)
+	sub.OnDone = p.onDone
+	p.subs = append(p.subs, sub)
+	for _, in := range sub.Comp.ActiveInstances()[:p.k] {
+		sub.IssueTo(in, now)
+	}
+}
+
+// TestLateExecutionKeepsDispatchingPolicyHooks swaps policies while the
+// first policy's sub-requests are queued. Their executions that start
+// after the swap — some after their stage advanced — must keep the
+// dispatching policy's cancel-on-start delay, and their winners must
+// report to its completion hook.
+func TestLateExecutionKeepsDispatchingPolicyHooks(t *testing.T) {
+	const swapAt = 0.0002
+	for _, c := range []struct {
+		name          string
+		before, after float64
+	}{
+		{"cancel-before-swap", 0.004, 0},
+		{"cancel-after-swap", 0, 0.004},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a := &hookPolicy{k: 3, delay: c.before}
+			b := &hookPolicy{k: 3, delay: c.after}
+			svc, engine, _ := newTestService(t, a, 6)
+			for i := 0; i < 40; i++ {
+				svc.InjectRequest()
+			}
+			engine.Run(swapAt)
+			if err := svc.SetPolicy(b); err != nil {
+				t.Fatal(err)
+			}
+			engine.Run(10)
+			if svc.Completed() != 40 {
+				t.Fatalf("completed = %d, want 40", svc.Completed())
+			}
+			// advanced[request][stage] is when the stage was dispatched,
+			// so stage s advanced at advanced[r][s+1] (or the request
+			// completed, if s was its last stage).
+			advanced := map[[2]int]float64{}
+			for _, sub := range append(append([]*SubRequest(nil), a.subs...), b.subs...) {
+				advanced[[2]int{sub.Req.ID, sub.Comp.Stage}] = sub.IssuedAt
+			}
+			afterSwap, afterAdvance := 0, 0
+			for _, sub := range a.subs {
+				if sub.cancelSent != (c.before > 0) {
+					t.Errorf("request %d component %d: cancel sent %v under a dispatching delay of %g",
+						sub.Req.ID, sub.Comp.Global, sub.cancelSent, c.before)
+				}
+				next, ok := advanced[[2]int{sub.Req.ID, sub.Comp.Stage + 1}]
+				first := math.Inf(1)
+				for _, e := range append([]*Execution{&sub.first}, pointers(sub.more)...) {
+					if e.State == ExecCancelled {
+						if c.before == 0 {
+							t.Errorf("request %d component %d: execution cancelled under a policy without cancel-on-start",
+								sub.Req.ID, sub.Comp.Global)
+						}
+						continue
+					}
+					first = min(first, e.StartAt)
+					if ok && e.StartAt > next {
+						afterAdvance++
+					}
+				}
+				if first > swapAt {
+					afterSwap++
+				}
+			}
+			if afterSwap == 0 || afterAdvance == 0 {
+				t.Fatalf("%d sub-requests first started after the swap, %d executions after their stage advanced; want both > 0",
+					afterSwap, afterAdvance)
+			}
+			if a.wins != len(a.subs) || b.wins != len(b.subs) {
+				t.Errorf("completion hooks: %d/%d before the swap, %d/%d after, want every winner reported to its dispatching policy",
+					a.wins, len(a.subs), b.wins, len(b.subs))
+			}
+		})
+	}
+}
+
+func pointers(es []Execution) []*Execution {
+	ps := make([]*Execution, len(es))
+	for i := range es {
+		ps[i] = &es[i]
+	}
+	return ps
+}

@@ -57,6 +57,15 @@ func redundancyCells() []redundancyCell {
 		// reissue timers are pending and its completions still arrive.
 		{key: "nutch-search/RI-90->RI-90", spec: nutch(RI90), steer: swapTo(RI90)},
 		{key: "nutch-search/RED-3->Basic", spec: nutch(RED3), steer: swapTo(Basic)},
+		// Cancel-on-start gives way to a completion hook while RED-3's
+		// sweeps are in flight and its losers still start.
+		{key: "nutch-search/RED-3->RI-90", spec: nutch(RED3), steer: swapTo(RI90)},
+		// Storage visits draw each sub-request's work per operation, and
+		// every execution of a multi-execution sub-request reads it.
+		{key: "storage-cache/RED-3", spec: loaded(RED3, "storage-cache", 60, 0)},
+		{key: "storage-cache/RED-3/lanes-2", spec: loaded(RED3, "storage-cache", 60, 2)},
+		{key: "storage-cache/RI-90", spec: loaded(RI90, "storage-cache", 60, 0)},
+		{key: "storage-cache/RI-90/lanes-2", spec: loaded(RI90, "storage-cache", 60, 2)},
 	}
 }
 
