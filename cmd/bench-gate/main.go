@@ -342,11 +342,11 @@ func main() {
 	}
 
 	// The environment header travels with the snapshot so a seed regenerated
-	// on a different machine is legible: speedup-asserting benchmarks
-	// (BenchmarkShardedRun, BenchmarkLanedRun, BenchmarkParallelSweep)
-	// self-skip their ratio checks when the recorded core count is below the
-	// parallelism they exercise, and a reader of BENCH_SEED.json can tell a
-	// 1-core seed's ~1x speedups from a regression.
+	// on a different machine is legible: the speedup-asserting benchmark
+	// (BenchmarkParallelSweep) self-skips its ratio check when the recorded
+	// core count is below the parallelism it exercises, and a reader of
+	// BENCH_SEED.json can tell a 1-core seed's ~1x speedups from a
+	// regression.
 	fmt.Printf("bench-gate: %s, %d cores (GOMAXPROCS), %d cpus\n",
 		runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU())
 

@@ -45,6 +45,11 @@ type Redundancy struct {
 	// effect. Replicas that start service within this window of each other
 	// all run to completion.
 	CancelDelay float64
+
+	// hooks carries CancelDelay to every dispatched sub-request: one
+	// record per policy value, rebuilt only if CancelDelay changes, so
+	// sub-requests already in flight keep the delay they were sent with.
+	hooks *service.Hooks
 }
 
 // NewRedundancy returns a RED-k policy with the given replica count and
@@ -70,7 +75,10 @@ func (p *Redundancy) Replicas() int { return p.K }
 // deployed replica unless autoscaling has activated more (RED-k stays
 // k-way redundant regardless of the scale).
 func (p *Redundancy) Dispatch(_ *service.Service, sub *service.SubRequest, now float64) {
-	sub.EnableCancelOnStart(p.CancelDelay)
+	if p.hooks == nil || p.hooks.CancelOnStart != p.CancelDelay {
+		p.hooks = &service.Hooks{CancelOnStart: p.CancelDelay}
+	}
+	sub.SetHooks(p.hooks)
 	for _, in := range sub.Comp.ActiveInstances()[:p.K] {
 		sub.IssueTo(in, now)
 	}
@@ -88,11 +96,11 @@ type Reissue struct {
 	ColdStartFactor float64
 
 	est []*quantileEstimator // per stage, lazily sized
-	// onDone is the completion hook every dispatched sub-request
-	// carries: one method value, bound to this policy, built once. A
+	// hooks carry the completion hook every dispatched sub-request
+	// points at: one method value, bound to this policy, built once. A
 	// swap to a fresh RI-p policy leaves the old one's in-flight
 	// sub-requests feeding the old estimators.
-	onDone func(*service.SubRequest, float64)
+	hooks service.Hooks
 }
 
 // NewReissue returns an RI-p policy.
@@ -117,10 +125,10 @@ func (p *Reissue) Dispatch(svc *service.Service, sub *service.SubRequest, now fl
 	for len(p.est) <= stage {
 		p.est = append(p.est, newQuantileEstimator(2048, 256))
 	}
-	if p.onDone == nil {
-		p.onDone = p.completed
+	if p.hooks.OnDone == nil {
+		p.hooks.OnDone = p.completed
 	}
-	sub.OnDone = p.onDone
+	sub.SetHooks(&p.hooks)
 	sub.IssueTo(sub.Comp.Primary(), now)
 
 	timeout, ok := p.est[stage].Quantile(p.Percentile)
@@ -137,7 +145,7 @@ func (p *Reissue) Dispatch(svc *service.Service, sub *service.SubRequest, now fl
 // completed feeds a winning completion's latency into its stage's
 // estimator.
 func (p *Reissue) completed(sub *service.SubRequest, now float64) {
-	p.est[sub.Comp.Stage].Add(now - sub.IssuedAt)
+	p.est[sub.Comp.Stage].Add(now - sub.IssuedAt())
 }
 
 // reissueTimer is a sub-request viewed as its reissue timer: unless a

@@ -120,6 +120,28 @@ func (st *GraphStorage) ExpectedServiceTime() float64 {
 	return st.WriteFraction*st.WriteTime + (1-st.WriteFraction)*read
 }
 
+// storageOp is the kind of one storage operation a sub-request of a
+// storage node performs; the profile gives its nominal work.
+type storageOp uint8
+
+const (
+	noStorageOp storageOp = iota
+	storageWrite
+	storageHit
+	storageMiss
+)
+
+// work returns the nominal service time of an operation of kind op.
+func (st *GraphStorage) work(op storageOp) float64 {
+	switch op {
+	case storageWrite:
+		return st.WriteTime
+	case storageHit:
+		return st.HitTime
+	}
+	return st.MissTime
+}
+
 // GraphStats are the failure-semantics counters a graph run accumulates,
 // all maintained in root-class context.
 type GraphStats struct {
@@ -165,7 +187,7 @@ type graphReq struct {
 // graphVisit is one call to a DAG node: a fan-out to the node's stage
 // components plus the failure bookkeeping around it.
 type graphVisit struct {
-	req  *Request
+	fan  fanOut // the request, this visit and its dispatch time
 	node int
 	// call is the edge that spawned the visit (nil for entry visits — the
 	// virtual client edge, which has no retry budget).
@@ -189,14 +211,14 @@ type (
 
 func (d *visitDeadline) Fire(now float64) {
 	v := (*graphVisit)(d)
-	v.req.svc.visitTimeout(v, now)
+	v.fan.req.svc.visitTimeout(v, now)
 }
 
 // Fire re-attempts the failed visit's edge, unless the request died while
 // the retry backed off.
 func (rt *visitRetry) Fire(now float64) {
 	v := (*graphVisit)(rt)
-	r := v.req
+	r := v.fan.req
 	if r.gr.outcome != outcomePending {
 		return
 	}
@@ -240,7 +262,8 @@ func (s *Service) graphStart(r *Request, now float64) {
 // policy, and the timeout timer. Always runs in root-class context.
 func (s *Service) startVisit(r *Request, node int, call *GraphCall, attempt int, async bool, now float64) {
 	n := &s.graph.Nodes[node]
-	v := &graphVisit{req: r, node: node, call: call, attempt: attempt, async: async}
+	v := &graphVisit{node: node, call: call, attempt: attempt, async: async}
+	v.fan = fanOut{req: r, visit: v, issuedAt: now}
 	if n.Breaker != nil && !s.breakerAllow(node, now) {
 		s.graphStats.BreakerFastFails++
 		s.visitFailed(v, outcomeFailed, now)
@@ -251,9 +274,9 @@ func (s *Service) startVisit(r *Request, node int, call *GraphCall, attempt int,
 	v.subs = make([]SubRequest, len(comps))
 	for i, c := range comps {
 		sub := &v.subs[i]
-		sub.Req, sub.Comp, sub.IssuedAt, sub.visit = r, c, now, v
+		sub.fan, sub.Comp = &v.fan, c
 		if n.Storage != nil {
-			sub.baseOverride = s.drawStorageTime(n.Storage)
+			sub.op = s.drawStorageOp(n.Storage)
 		}
 		s.policy.Dispatch(s, sub, now)
 	}
@@ -262,21 +285,21 @@ func (s *Service) startVisit(r *Request, node int, call *GraphCall, attempt int,
 	}
 }
 
-// drawStorageTime draws one storage operation's nominal service time (and
-// counts it). Draws happen at dispatch in root context, so their order —
-// and therefore the run's whole draw sequence — is a pure function of the
-// root event order, identical at any lane or shard count.
-func (s *Service) drawStorageTime(st *GraphStorage) float64 {
+// drawStorageOp draws one storage operation (and counts it). Draws happen
+// at dispatch in root context, so their order — and therefore the run's
+// whole draw sequence — is a pure function of the root event order,
+// identical at any lane or shard count.
+func (s *Service) drawStorageOp(st *GraphStorage) storageOp {
 	if st.WriteFraction > 0 && s.graphRNG.Float64() < st.WriteFraction {
 		s.graphStats.StorageWrites++
-		return st.WriteTime
+		return storageWrite
 	}
 	if s.graphRNG.Float64() < st.HitRatio {
 		s.graphStats.CacheHits++
-		return st.HitTime
+		return storageHit
 	}
 	s.graphStats.CacheMisses++
-	return st.MissTime
+	return storageMiss
 }
 
 // visitSubDone accounts one answered sub-request of a visit; when the
@@ -290,7 +313,7 @@ func (v *graphVisit) visitSubDone(now float64) {
 		return
 	}
 	v.done = true
-	s := v.req.svc
+	s := v.fan.req.svc
 	s.breakerResult(v.node, true, now)
 	s.visitSucceeded(v, now)
 }
@@ -299,7 +322,7 @@ func (v *graphVisit) visitSubDone(now float64) {
 // request's sync accounting. A request that already terminated (a parallel
 // branch failed it) abandons the subtree: no draws, no new visits.
 func (s *Service) visitSucceeded(v *graphVisit, now float64) {
-	r := v.req
+	r := v.fan.req
 	if r.gr.outcome != outcomePending {
 		return
 	}
@@ -365,7 +388,7 @@ func (s *Service) visitTimeout(v *graphVisit, now float64) {
 // backoff while budget remains, otherwise swallow (async) or terminate
 // the request with the last attempt's failure kind.
 func (s *Service) visitFailed(v *graphVisit, kind reqOutcome, now float64) {
-	r := v.req
+	r := v.fan.req
 	if r.gr.outcome != outcomePending {
 		return
 	}

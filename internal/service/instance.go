@@ -319,11 +319,13 @@ func (in *Instance) start(e *Execution, now float64) {
 	// degradation); the draw itself consumes the same stream position
 	// either way, so toggling brownout never renumbers later draws.
 	// Storage nodes override the stage nominal with the per-operation
-	// work drawn at dispatch (an immutable sub-request field, safe to
-	// read from the instance's class).
+	// work drawn at dispatch (an immutable sub-request field, read with
+	// the immutable plan, so safe from the instance's class).
 	base := in.Comp.Spec.BaseServiceTime
-	if o := e.Sub.baseOverride; o > 0 {
-		base = o
+	if op := e.Sub.op; op != noStorageOp {
+		if o := in.svc.graph.Nodes[in.Comp.Stage].Storage.work(op); o > 0 {
+			base = o
+		}
 	}
 	base *= in.svc.workFactor
 	e.service = in.drawServiceTime(base * in.multiplier())
@@ -334,7 +336,7 @@ func (in *Instance) start(e *Execution, now float64) {
 		return
 	}
 	cls := in.classID()
-	if e.Sub.cancelOnStart > 0 {
+	if e.Sub.cancelOnStart() > 0 {
 		// The start notice reaches the root class one transit delay
 		// late; the root relays cancellations timed from the true start
 		// (see SubRequest.onStartLaned).

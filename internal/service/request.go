@@ -29,6 +29,39 @@ type Request struct {
 	// gr is the DAG bookkeeping, used only when the deployment runs a
 	// GraphPlan; requests on the linear stage path leave it zero.
 	gr graphReq
+
+	// fan is the current stage's fan-out on the linear stage path; DAG
+	// visits carry their own.
+	fan fanOut
+}
+
+// fanOut is what every sub-request of one fan-out shares: the request,
+// the DAG visit that issued it (nil on the linear stage path) and the
+// issue time. A sub-request reads the issue time only until it completes,
+// and a stage cannot advance while any of its sub-requests is undone, so
+// the linear path reuses the request's record from stage to stage; a
+// visit's record never changes.
+type fanOut struct {
+	req      *Request
+	visit    *graphVisit
+	issuedAt float64
+}
+
+// Hooks are the per-policy behaviours a dispatched sub-request keeps for
+// its whole life. A policy builds its record once and points every
+// sub-request it dispatches at it, so an execution that starts or
+// finishes after its stage advanced, or after a policy swap, still acts
+// under the policy that dispatched it.
+type Hooks struct {
+	// CancelOnStart, when positive, sends cancellation messages to
+	// sibling executions when any execution begins service; the messages
+	// take effect after this network delay (seconds). Zero disables the
+	// mechanism (Basic, reissue).
+	CancelOnStart float64
+	// OnDone, if set, is called once when the winning execution completes
+	// (reissue policies use it to update their expected-latency
+	// estimates).
+	OnDone func(sub *SubRequest, now float64)
 }
 
 // SubRequest is the unit of work one component contributes to one request's
@@ -39,12 +72,12 @@ type Request struct {
 // Sub-requests live in slabs: a stage's (or a DAG visit's) sub-requests
 // are one []SubRequest, allocated together and reclaimed by the garbage
 // collector once nothing points into it. Their executions after the first
-// live in one arena per slab the same way.
+// live in one arena per slab the same way. The record holds only
+// per-component state; what the fan-out or the dispatching policy shares
+// sits behind one pointer each, so a sub-request is 96 bytes.
 type SubRequest struct {
-	Req  *Request
+	fan  *fanOut
 	Comp *Component
-
-	IssuedAt float64
 
 	// first is the first execution, inline, so a sub-request that
 	// executes once — Basic, PCS, a reissue that never fires — needs no
@@ -55,30 +88,16 @@ type SubRequest struct {
 	first Execution
 	more  []Execution
 
-	// cancelOnStart, when positive, sends cancellation messages to sibling
-	// executions when any execution begins service; the messages take
-	// effect after this network delay (seconds). Zero disables the
-	// mechanism (Basic, reissue).
-	cancelOnStart float64
-
-	// OnDone, if set by the policy, is called once when the winning
-	// execution completes (reissue policies use it to update their
-	// expected-latency estimates). Policies store one func value in every
-	// sub-request they dispatch, not a closure per sub-request.
-	OnDone func(sub *SubRequest, now float64)
-
-	// visit is the DAG visit that issued the sub-request (nil on the
-	// linear stage path); completion routes to it instead of the
-	// request's stage accounting.
-	visit *graphVisit
-	// baseOverride, when positive, replaces the stage's nominal service
-	// time for this sub-request's executions — storage nodes set it to
-	// the drawn per-operation work. Immutable after dispatch, so
-	// instance classes may read it freely.
-	baseOverride float64
+	// hooks are the dispatching policy's (nil for none).
+	hooks *Hooks
 
 	done       bool
 	cancelSent bool
+	// op is the storage operation drawn at dispatch on a storage node,
+	// whose work replaces the stage's nominal service time for every
+	// execution (noStorageOp elsewhere). Immutable after dispatch, so
+	// instance classes may read it freely.
+	op storageOp
 }
 
 // cancelSweep is a sub-request viewed as its sequential cancel-on-start
@@ -98,10 +117,24 @@ func (c *cancelSweep) Fire(now float64) {
 // Done reports whether a winning execution has completed.
 func (sub *SubRequest) Done() bool { return sub.done }
 
-// EnableCancelOnStart turns on redundancy-style cancellation: when one
-// execution starts service, siblings still queued are cancelled after the
-// given message delay.
-func (sub *SubRequest) EnableCancelOnStart(delay float64) { sub.cancelOnStart = delay }
+// IssuedAt returns the time the sub-request was dispatched. It holds
+// while the sub-request is undone and in its completion hook; once its
+// stage advances, the linear stage path reuses the record for the next.
+func (sub *SubRequest) IssuedAt() float64 { return sub.fan.issuedAt }
+
+// SetHooks points the sub-request at its dispatching policy's hooks. The
+// record is shared by everything the policy dispatches, so it must not
+// change once set.
+func (sub *SubRequest) SetHooks(h *Hooks) { sub.hooks = h }
+
+// cancelOnStart is the dispatching policy's cancel-on-start delay, 0 for
+// none.
+func (sub *SubRequest) cancelOnStart() float64 {
+	if sub.hooks == nil {
+		return 0
+	}
+	return sub.hooks.CancelOnStart
+}
 
 // IssueTo dispatches the sub-request to an instance at virtual time now,
 // creating an execution and enqueueing it. Policies call this one or more
@@ -122,7 +155,7 @@ func (sub *SubRequest) IssueTo(in *Instance, now float64) *Execution {
 	return e
 }
 
-func (sub *SubRequest) svc() *Service { return sub.Req.svc }
+func (sub *SubRequest) svc() *Service { return sub.fan.req.svc }
 
 // newExecution returns the record for the sub-request's next execution:
 // the inline one first, then the next slot of its window. Issuing past
@@ -139,7 +172,7 @@ func (sub *SubRequest) newExecution() *Execution {
 			panic(fmt.Sprintf("service: policy %s issued a sub-request of component %d.%d past its %d executions",
 				sub.svc().policy.Name(), sub.Comp.Stage, sub.Comp.IndexInStage, n+1))
 		}
-		sub.more = sub.Req.executionWindow(sub.Comp)
+		sub.more = sub.fan.req.executionWindow(sub.Comp)
 	}
 	sub.more = sub.more[:n+1]
 	return &sub.more[n]
@@ -170,11 +203,12 @@ func (r *Request) executionWindow(comp *Component) []Execution {
 // replicas that start within the delay window both run to completion — the
 // paper's "cancellation messages both in flight" effect.
 func (sub *SubRequest) onStart(now float64) {
-	if sub.cancelOnStart <= 0 || sub.cancelSent {
+	delay := sub.cancelOnStart()
+	if delay <= 0 || sub.cancelSent {
 		return
 	}
 	sub.cancelSent = true
-	sub.svc().engine.Schedule(now+sub.cancelOnStart, (*cancelSweep)(sub))
+	sub.svc().engine.Schedule(now+delay, (*cancelSweep)(sub))
 }
 
 // onStartLaned is the laned counterpart of onStart: it runs on the root
@@ -194,7 +228,7 @@ func (sub *SubRequest) onStartLaned(started *Execution, now float64) {
 	}
 	sub.cancelSent = true
 	svc := sub.svc()
-	fire := started.StartAt + sub.cancelOnStart
+	fire := started.StartAt + sub.cancelOnStart()
 	// cancelOnStart ≥ 2×LaneTransitDelay is validated at construction;
 	// the clamp only absorbs the one-ulp rounding of the equality case.
 	if min := now + LaneTransitDelay; fire < min {
@@ -221,15 +255,17 @@ func (sub *SubRequest) onComplete(now float64) {
 	}
 	sub.done = true
 	svc := sub.svc()
-	svc.collector.RecordComponent(now, sub.Comp.Stage, now-sub.IssuedAt)
-	if sub.OnDone != nil {
-		sub.OnDone(sub, now)
+	// The record and the hook read the issue time, so both come before
+	// the stage accounting that may start the next stage.
+	svc.collector.RecordComponent(now, sub.Comp.Stage, now-sub.fan.issuedAt)
+	if h := sub.hooks; h != nil && h.OnDone != nil {
+		h.OnDone(sub, now)
 	}
-	if sub.visit != nil {
-		sub.visit.visitSubDone(now)
+	if v := sub.fan.visit; v != nil {
+		v.visitSubDone(now)
 		return
 	}
-	sub.Req.subDone(now)
+	sub.fan.req.subDone(now)
 }
 
 // startStage fans the request out to every component of its current
@@ -238,10 +274,11 @@ func (r *Request) startStage(now float64) {
 	svc := r.svc
 	comps := svc.stageComponents[r.stage]
 	r.pending = len(comps)
+	r.fan = fanOut{req: r, issuedAt: now}
 	subs := make([]SubRequest, len(comps))
 	for i, c := range comps {
 		sub := &subs[i]
-		sub.Req, sub.Comp, sub.IssuedAt = r, c, now
+		sub.fan, sub.Comp = &r.fan, c
 		svc.policy.Dispatch(svc, sub, now)
 	}
 }

@@ -28,7 +28,7 @@ type fanoutPolicy struct {
 func (p fanoutPolicy) Name() string  { return "test-fanout" }
 func (p fanoutPolicy) Replicas() int { return p.k }
 func (p fanoutPolicy) Dispatch(_ *Service, sub *SubRequest, now float64) {
-	sub.EnableCancelOnStart(p.delay)
+	sub.SetHooks(&Hooks{CancelOnStart: p.delay})
 	for _, in := range sub.Comp.Instances {
 		sub.IssueTo(in, now)
 	}
@@ -718,24 +718,31 @@ func TestServiceTimeMemoMatchesDraw(t *testing.T) {
 
 // hookPolicy fans every sub-request out to its first k active replicas
 // with its own cancel-on-start delay and completion hook, and keeps every
-// sub-request it dispatched.
+// sub-request it dispatched with its request, stage and issue time.
 type hookPolicy struct {
-	k      int
-	delay  float64
-	onDone func(*SubRequest, float64)
-	wins   int
-	subs   []*SubRequest
+	k     int
+	hooks Hooks
+	wins  int
+	subs  []dispatched
+}
+
+type dispatched struct {
+	sub        *SubRequest
+	req, stage int
+	at         float64
+}
+
+func newHookPolicy(k int, delay float64) *hookPolicy {
+	p := &hookPolicy{k: k, hooks: Hooks{CancelOnStart: delay}}
+	p.hooks.OnDone = func(*SubRequest, float64) { p.wins++ }
+	return p
 }
 
 func (p *hookPolicy) Name() string  { return "test-hooks" }
 func (p *hookPolicy) Replicas() int { return p.k }
 func (p *hookPolicy) Dispatch(_ *Service, sub *SubRequest, now float64) {
-	if p.onDone == nil {
-		p.onDone = func(*SubRequest, float64) { p.wins++ }
-	}
-	sub.EnableCancelOnStart(p.delay)
-	sub.OnDone = p.onDone
-	p.subs = append(p.subs, sub)
+	sub.SetHooks(&p.hooks)
+	p.subs = append(p.subs, dispatched{sub, sub.fan.req.ID, sub.Comp.Stage, now})
 	for _, in := range sub.Comp.ActiveInstances()[:p.k] {
 		sub.IssueTo(in, now)
 	}
@@ -756,8 +763,7 @@ func TestLateExecutionKeepsDispatchingPolicyHooks(t *testing.T) {
 		{"cancel-after-swap", 0, 0.004},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			a := &hookPolicy{k: 3, delay: c.before}
-			b := &hookPolicy{k: 3, delay: c.after}
+			a, b := newHookPolicy(3, c.before), newHookPolicy(3, c.after)
 			svc, engine, _ := newTestService(t, a, 6)
 			for i := 0; i < 40; i++ {
 				svc.InjectRequest()
@@ -770,26 +776,26 @@ func TestLateExecutionKeepsDispatchingPolicyHooks(t *testing.T) {
 			if svc.Completed() != 40 {
 				t.Fatalf("completed = %d, want 40", svc.Completed())
 			}
-			// advanced[request][stage] is when the stage was dispatched,
-			// so stage s advanced at advanced[r][s+1] (or the request
-			// completed, if s was its last stage).
+			// A request's stage s advanced when its stage s+1 was
+			// dispatched.
 			advanced := map[[2]int]float64{}
-			for _, sub := range append(append([]*SubRequest(nil), a.subs...), b.subs...) {
-				advanced[[2]int{sub.Req.ID, sub.Comp.Stage}] = sub.IssuedAt
+			for _, d := range append(append([]dispatched(nil), a.subs...), b.subs...) {
+				advanced[[2]int{d.req, d.stage}] = d.at
 			}
 			afterSwap, afterAdvance := 0, 0
-			for _, sub := range a.subs {
+			for _, d := range a.subs {
+				sub := d.sub
 				if sub.cancelSent != (c.before > 0) {
 					t.Errorf("request %d component %d: cancel sent %v under a dispatching delay of %g",
-						sub.Req.ID, sub.Comp.Global, sub.cancelSent, c.before)
+						d.req, sub.Comp.Global, sub.cancelSent, c.before)
 				}
-				next, ok := advanced[[2]int{sub.Req.ID, sub.Comp.Stage + 1}]
+				next, ok := advanced[[2]int{d.req, d.stage + 1}]
 				first := math.Inf(1)
-				for _, e := range append([]*Execution{&sub.first}, pointers(sub.more)...) {
+				for _, e := range append([]Execution{sub.first}, sub.more...) {
 					if e.State == ExecCancelled {
 						if c.before == 0 {
 							t.Errorf("request %d component %d: execution cancelled under a policy without cancel-on-start",
-								sub.Req.ID, sub.Comp.Global)
+								d.req, sub.Comp.Global)
 						}
 						continue
 					}
@@ -812,12 +818,4 @@ func TestLateExecutionKeepsDispatchingPolicyHooks(t *testing.T) {
 			}
 		})
 	}
-}
-
-func pointers(es []Execution) []*Execution {
-	ps := make([]*Execution, len(es))
-	for i := range es {
-		ps[i] = &es[i]
-	}
-	return ps
 }

@@ -103,20 +103,25 @@ type Summary struct {
 
 // Summarize computes a Summary of xs. It sorts a copy of the input.
 func Summarize(xs []float64) Summary {
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	return SummarizeInPlace(sorted)
+}
+
+// SummarizeInPlace is Summarize without the copy: it sorts xs itself.
+func SummarizeInPlace(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	SortFloats(sorted)
+	SortFloats(xs)
 	return Summary{
-		N:    len(sorted),
-		Mean: Mean(sorted),
-		P50:  PercentileSorted(sorted, 50),
-		P90:  PercentileSorted(sorted, 90),
-		P95:  PercentileSorted(sorted, 95),
-		P99:  PercentileSorted(sorted, 99),
-		Min:  sorted[0],
-		Max:  sorted[len(sorted)-1],
+		N:    len(xs),
+		Mean: Mean(xs),
+		P50:  PercentileSorted(xs, 50),
+		P90:  PercentileSorted(xs, 90),
+		P95:  PercentileSorted(xs, 95),
+		P99:  PercentileSorted(xs, 99),
+		Min:  xs[0],
+		Max:  xs[len(xs)-1],
 	}
 }

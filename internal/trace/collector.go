@@ -102,8 +102,16 @@ type Report struct {
 	StageMeanMs []float64
 }
 
-// Report computes the run summary.
-func (c *Collector) Report() Report {
+// Report computes the run summary from copies of the retained latencies,
+// so recording may go on afterwards.
+func (c *Collector) Report() Report { return c.report(stats.Summarize) }
+
+// FinalReport computes the same summary as Report without the copies: it
+// sorts the retained latencies in place. That reorders the reservoir's
+// sample, so nothing may be recorded after it; Report still agrees.
+func (c *Collector) FinalReport() Report { return c.report(stats.SummarizeInPlace) }
+
+func (c *Collector) report(summarize func([]float64) stats.Summary) Report {
 	toMs := func(s stats.Summary) stats.Summary {
 		s.Mean *= 1000
 		s.P50 *= 1000
@@ -114,8 +122,8 @@ func (c *Collector) Report() Report {
 		s.Max *= 1000
 		return s
 	}
-	overall := toMs(stats.Summarize(c.overall))
-	comp := toMs(stats.Summarize(c.component.Values()))
+	overall := toMs(summarize(c.overall))
+	comp := toMs(summarize(c.component.Values()))
 	stageMeans := make([]float64, len(c.perStage))
 	for i := range c.perStage {
 		stageMeans[i] = c.perStage[i].Mean() * 1000

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/xrand"
@@ -133,6 +135,32 @@ func TestCollectorReportUnits(t *testing.T) {
 	}
 	if math.Abs(rep.StageMeanMs[0]-5) > 1e-9 {
 		t.Fatalf("stage mean = %v", rep.StageMeanMs[0])
+	}
+}
+
+// TestFinalReportMatchesReport: the in-place summary equals the copying
+// one, before and after, over a reservoir that replaced samples, and
+// allocates only the stage means.
+func TestFinalReportMatchesReport(t *testing.T) {
+	c := NewCollector(2, 500, xrand.New(8))
+	src := xrand.New(9)
+	for i := 0; i < 2000; i++ {
+		c.RecordOverall(1, src.Float64())
+		c.RecordComponent(1, i%2, src.Exp(0.001))
+	}
+	before := c.Report()
+	var final Report
+	if n := testing.AllocsPerRun(1, func() { final = c.FinalReport() }); n > 1 {
+		t.Errorf("FinalReport made %v allocations, want 1", n)
+	}
+	if !reflect.DeepEqual(before, final) {
+		t.Fatalf("FinalReport differs from Report:\n%+v\n%+v", final, before)
+	}
+	if after := c.Report(); !reflect.DeepEqual(after, final) {
+		t.Fatalf("Report after FinalReport differs:\n%+v\n%+v", after, final)
+	}
+	if !sort.Float64sAreSorted(c.component.Values()) || !sort.Float64sAreSorted(c.overall) {
+		t.Error("FinalReport left the collector's latencies unsorted")
 	}
 }
 

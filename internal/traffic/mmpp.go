@@ -22,7 +22,9 @@ type MMPP struct {
 	src      *xrand.Source
 	rates    []float64 // per-state Poisson rate, arrivals/second
 	sojourns []float64 // per-state mean sojourn, seconds
-	heavy    bool      // bounded-Pareto sojourns instead of exponential
+	// laws are the per-state bounded-Pareto sojourn laws; nil draws
+	// exponential sojourns.
+	laws []xrand.BoundedPareto
 
 	nominal float64 // time-averaged rate at speed 1
 	speed   float64
@@ -60,9 +62,17 @@ func NewMMPP(src *xrand.Source, rates, sojourns []float64, heavyTail bool) (*MMP
 		src:      src,
 		rates:    append([]float64(nil), rates...),
 		sojourns: append([]float64(nil), sojourns...),
-		heavy:    heavyTail,
 		nominal:  weighted / total,
 		speed:    1,
+	}
+	if heavyTail {
+		// Bounded Pareto with shape 1.5 and lo = mean/3: the unbounded
+		// mean is alpha·lo/(alpha−1) = mean, truncated at 20× so a single
+		// sojourn cannot swallow a run.
+		m.laws = make([]xrand.BoundedPareto, len(sojourns))
+		for i, mean := range sojourns {
+			m.laws[i] = xrand.NewBoundedPareto(1.5, mean/3, mean*20)
+		}
 	}
 	m.stateEnd = m.drawSojourn()
 	return m, nil
@@ -70,22 +80,18 @@ func NewMMPP(src *xrand.Source, rates, sojourns []float64, heavyTail bool) (*MMP
 
 // drawSojourn returns a speed-scaled sojourn for the current state.
 func (m *MMPP) drawSojourn() float64 {
-	mean := m.sojourns[m.state]
 	var d float64
-	if m.heavy {
-		// Bounded Pareto with shape 1.5 and lo = mean/3: the unbounded
-		// mean is alpha·lo/(alpha−1) = mean, truncated at 20× so a single
-		// sojourn cannot swallow a run.
-		d = m.src.BoundedPareto(1.5, mean/3, mean*20)
+	if m.laws != nil {
+		d = m.laws[m.state].Draw(m.src)
 	} else {
-		d = m.src.Exp(mean)
+		d = m.src.Exp(m.sojourns[m.state])
 	}
 	return d / m.speed
 }
 
 // Name implements Source.
 func (m *MMPP) Name() string {
-	if m.heavy {
+	if m.laws != nil {
 		return fmt.Sprintf("mmpp:%d-state-heavy", len(m.rates))
 	}
 	return fmt.Sprintf("mmpp:%d-state", len(m.rates))

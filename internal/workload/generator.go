@@ -93,12 +93,15 @@ type Generator struct {
 	// heterogeneity spread.
 	nodeTarget []float64
 	meanDur    float64
+	// sizes is the input-size law, built once from the config.
+	sizes xrand.BoundedPareto
 }
 
 // NewGenerator creates a generator over the cluster. Call Start to begin
 // spawning jobs.
 func NewGenerator(e *sim.Engine, cl *cluster.Cluster, src *xrand.Source, cfg GeneratorConfig) *Generator {
 	g := &Generator{cfg: cfg.withDefaults(), cluster: cl, engine: e, src: src}
+	g.sizes = xrand.NewBoundedPareto(g.cfg.InputAlpha, g.cfg.MinInputMB, g.cfg.MaxInputMB)
 	g.nodeTarget = make([]float64, cl.NumNodes())
 	h := g.cfg.Heterogeneity
 	for i := range g.nodeTarget {
@@ -148,7 +151,7 @@ func (g *Generator) meanDuration() float64 {
 	sum := 0.0
 	for i := 0; i < n; i++ {
 		kind := g.cfg.Kinds[est.Intn(len(g.cfg.Kinds))]
-		size := est.BoundedPareto(g.cfg.InputAlpha, g.cfg.MinInputMB, g.cfg.MaxInputMB)
+		size := g.sizes.Draw(est)
 		sum += Duration(kind, size)
 	}
 	g.meanDur = sum / n
@@ -169,7 +172,7 @@ func (g *Generator) scheduleNextArrival(n *cluster.Node) {
 // uniform fraction of a full duration.
 func (g *Generator) spawn(n *cluster.Node, initial bool) {
 	kind := g.cfg.Kinds[g.src.Intn(len(g.cfg.Kinds))]
-	inputMB := g.src.BoundedPareto(g.cfg.InputAlpha, g.cfg.MinInputMB, g.cfg.MaxInputMB)
+	inputMB := g.sizes.Draw(g.src)
 	jitter := g.src.LogNormalMean(1, g.cfg.DemandJitterSigma)
 
 	id := fmt.Sprintf("job-%d", g.nextID)

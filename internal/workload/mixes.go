@@ -35,13 +35,14 @@ func TrainingMixes(src *xrand.Source, n, maxJobs int, minMB, maxMB float64) []cl
 		maxMB = 10 * 1024
 	}
 	kinds := JobKinds()
+	sizes := xrand.NewBoundedPareto(0.9, minMB, maxMB)
 	out := make([]cluster.Vector, n)
 	for i := range out {
 		jobs := src.Intn(maxJobs + 1)
 		var u cluster.Vector
 		for j := 0; j < jobs; j++ {
 			kind := kinds[src.Intn(len(kinds))]
-			size := src.BoundedPareto(0.9, minMB, maxMB)
+			size := sizes.Draw(src)
 			u = u.Add(Demand(kind, size))
 		}
 		out[i] = u

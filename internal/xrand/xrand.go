@@ -108,17 +108,29 @@ func LogNormalMu(mean, sigma float64) float64 {
 	return math.Log(mean) - sigma*sigma/2
 }
 
-// BoundedPareto returns a draw from a Pareto distribution with shape alpha
-// truncated to [lo, hi]. Heavy-tailed job sizes in the workload generator
-// use this.
-func (s *Source) BoundedPareto(alpha, lo, hi float64) float64 {
+// BoundedPareto is a Pareto distribution with shape alpha truncated to
+// [lo, hi]; heavy-tailed job sizes and sojourns draw from it. The law
+// holds lo^alpha, hi^alpha, their product and -1/alpha, so a draw costs
+// one uniform and one Pow: build it once per parameter set.
+type BoundedPareto struct {
+	la, ha, hala, exp float64
+}
+
+// NewBoundedPareto returns the law with shape alpha on [lo, hi]. It
+// panics unless 0 < lo < hi and alpha > 0.
+func NewBoundedPareto(alpha, lo, hi float64) BoundedPareto {
 	if lo <= 0 || hi <= lo || alpha <= 0 {
 		panic("xrand: bounded pareto needs 0 < lo < hi and alpha > 0")
 	}
-	u := s.r.Float64()
 	la := math.Pow(lo, alpha)
 	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
+	return BoundedPareto{la: la, ha: ha, hala: ha * la, exp: -1 / alpha}
+}
+
+// Draw returns one variate by inversion, from one uniform draw of s.
+func (p BoundedPareto) Draw(s *Source) float64 {
+	u := s.r.Float64()
+	return math.Pow(-(u*p.ha-u*p.la-p.ha)/p.hala, p.exp)
 }
 
 // Poisson returns a Poisson-distributed count with the given mean, using

@@ -84,9 +84,9 @@ func TestUniformRange(t *testing.T) {
 }
 
 func TestBoundedParetoRange(t *testing.T) {
-	src := New(4)
+	src, law := New(4), NewBoundedPareto(0.9, 1, 1000)
 	for i := 0; i < 5000; i++ {
-		v := src.BoundedPareto(0.9, 1, 1000)
+		v := law.Draw(src)
 		if v < 1-1e-9 || v > 1000+1e-9 {
 			t.Fatalf("BoundedPareto out of range: %v", v)
 		}
@@ -94,11 +94,11 @@ func TestBoundedParetoRange(t *testing.T) {
 }
 
 func TestBoundedParetoSkewsLow(t *testing.T) {
-	src := New(5)
+	src, law := New(5), NewBoundedPareto(1.0, 1, 1000)
 	const n = 20000
 	below := 0
 	for i := 0; i < n; i++ {
-		if src.BoundedPareto(1.0, 1, 1000) < 100 {
+		if law.Draw(src) < 100 {
 			below++
 		}
 	}
@@ -115,12 +115,65 @@ func TestBoundedParetoPanicsOnBadParams(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("BoundedPareto(%v) did not panic", c)
+					t.Errorf("NewBoundedPareto(%v) did not panic", c)
 				}
 			}()
-			New(1).BoundedPareto(c[0], c[1], c[2])
+			NewBoundedPareto(c[0], c[1], c[2])
 		}()
 	}
+}
+
+// paretoByFormula is the bounded-Pareto inversion written out, every
+// constant computed at the draw.
+func paretoByFormula(u, alpha, lo, hi float64) float64 {
+	la := math.Pow(lo, alpha)
+	ha := math.Pow(hi, alpha)
+	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
+}
+
+// TestBoundedParetoLawMatchesFormula pins the prebuilt law to the
+// written-out formula bit for bit, over the parameter sets the workload
+// generator, the training mixes and the MMPP sojourns use.
+func TestBoundedParetoLawMatchesFormula(t *testing.T) {
+	for _, c := range []struct{ alpha, lo, hi float64 }{
+		{0.7, 1, 10 * 1024}, // generator default
+		{0.9, 1, 10 * 1024}, // training mixes
+		{0.9, 50, 4096},     // a narrower input range
+		{1.5, 2.0 / 3, 40},  // MMPP sojourn, mean 2 s
+		{1.5, 0.1 / 3, 2},   // MMPP sojourn, mean 0.1 s
+		{3, 1e-3, 1e3},      // light tail, wide range
+	} {
+		law := NewBoundedPareto(c.alpha, c.lo, c.hi)
+		a, b := New(11), New(11)
+		for i := 0; i < 2000; i++ {
+			got := law.Draw(a)
+			want := paretoByFormula(b.Float64(), c.alpha, c.lo, c.hi)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("α=%g [%g, %g] draw %d: law %v, formula %v", c.alpha, c.lo, c.hi, i, got, want)
+			}
+		}
+	}
+}
+
+// FuzzBoundedParetoLaw compares the law with the written-out formula by
+// bits for any valid parameters and seed.
+func FuzzBoundedParetoLaw(f *testing.F) {
+	f.Add(0.7, 1.0, 10240.0, int64(1))
+	f.Add(1.5, 0.5, 30.0, int64(7))
+	f.Fuzz(func(t *testing.T, alpha, lo, hi float64, seed int64) {
+		if !(lo > 0 && hi > lo && alpha > 0) || math.IsInf(hi, 1) {
+			t.Skip()
+		}
+		law := NewBoundedPareto(alpha, lo, hi)
+		a, b := New(seed), New(seed)
+		for i := 0; i < 16; i++ {
+			got := law.Draw(a)
+			want := paretoByFormula(b.Float64(), alpha, lo, hi)
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("α=%g [%g, %g] draw %d: law %v, formula %v", alpha, lo, hi, i, got, want)
+			}
+		}
+	})
 }
 
 func TestPoissonMean(t *testing.T) {

@@ -567,7 +567,9 @@ func (s *Simulation) Finish() Result {
 	}
 	s.RunTo(s.horizon)
 
-	rep := s.svc.Collector().Report()
+	// Past the horizon nothing records (RunTo clamps, Step refuses later
+	// events), so the report may sort the collector's latencies in place.
+	rep := s.svc.Collector().FinalReport()
 	res := Result{
 		Technique:        s.opts.Technique.String(),
 		Scenario:         s.sc.Name,

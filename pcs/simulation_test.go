@@ -159,6 +159,31 @@ func TestSimulationFinishIdempotent(t *testing.T) {
 	}
 }
 
+// TestSnapshotAfterFinishMatchesResult: Finish summarises the
+// collector's latencies in place, and a Snapshot after it, which copies
+// them again, must read the Result's figures; so must a second Finish.
+// The tenanted cell covers the per-tenant slices.
+func TestSnapshotAfterFinishMatchesResult(t *testing.T) {
+	for _, spec := range []RunSpec{
+		equivOpts(RED3, "", 9),
+		{Technique: Basic, Scenario: "tenant-storm", Seed: 41, ArrivalRate: 90, Requests: 1500},
+	} {
+		s, err := NewSimulation(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := s.Finish()
+		snap := s.Snapshot()
+		if snap.AvgOverallMs != res.AvgOverallMs || snap.P99ComponentMs != res.P99ComponentMs {
+			t.Errorf("%s: snapshot after Finish reads avg %v p99 %v, result %v %v",
+				spec.Scenario, snap.AvgOverallMs, snap.P99ComponentMs, res.AvgOverallMs, res.P99ComponentMs)
+		}
+		if a, b := reportBytes(t, res), reportBytes(t, s.Finish()); string(a) != string(b) {
+			t.Errorf("%s: second Finish differs:\n%s\n%s", spec.Scenario, a, b)
+		}
+	}
+}
+
 func TestRunScenarioEcommerceEndToEnd(t *testing.T) {
 	res, err := Run(RunSpec{
 		Technique:   Basic,

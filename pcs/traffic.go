@@ -35,6 +35,7 @@ type TenantResult struct {
 // tenantResults assembles the sorted per-tenant breakdown from the
 // service's counters and the collector's per-tenant latencies, nil for
 // untenanted traffic (keeping scalar-run Results byte-identical).
+// It sorts each tenant's latencies in place, so only Finish calls it.
 func (s *Simulation) tenantResults() []TenantResult {
 	arrivals := s.svc.TenantArrivals()
 	drops := s.svc.TenantDrops()
@@ -51,7 +52,7 @@ func (s *Simulation) tenantResults() []TenantResult {
 	lats := s.svc.Collector().TenantLatencies()
 	out := make([]TenantResult, 0, len(names))
 	for name := range names {
-		sum := stats.Summarize(lats[name])
+		sum := stats.SummarizeInPlace(lats[name])
 		out = append(out, TenantResult{
 			Name:     name,
 			Offered:  arrivals[name] + drops[name],
